@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadConfigError, ShapeMismatchError, SingleClassError,
-                     TooFewPerClassError)
+from .errors import (BadConfigError, CorruptFileError, ShapeMismatchError,
+                     SingleClassError, TooFewPerClassError)
 from .fileio import atomic_write_text
 
 KKT_TOL = 1e-3
@@ -338,16 +338,44 @@ def save_model(path, model):
 
 
 def load_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    models = {}
-    for p in doc["pairs"]:
-        models[(p["a"], p["b"])] = BinarySvmModel(
-            support_vectors=np.array(p["support_vectors"], dtype=float),
-            dual_coef=np.array(p["dual_coef"], dtype=float),
-            b=float(p["bias"]),
-            gamma=float(p["gamma"]),
-            C=float(p["C"]),
-            converged=bool(p["converged"]),
-        )
-    return OvoModel(classes=list(doc["classes"]), models=models)
+    """Read a model written by save_model.
+
+    Raises CorruptFileError for anything else: malformed JSON, a missing
+    key, class indices outside the class list, arrays of the wrong shape or
+    non-finite parameters.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        classes = doc["classes"]
+        if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+            raise ValueError("classes must be a list of strings")
+        models, dim = {}, None
+        for p in doc["pairs"]:
+            key = (p["a"], p["b"])
+            if (not all(type(i) is int for i in key)
+                    or not 0 <= key[0] < key[1] < len(classes) or key in models):
+                raise ValueError(f"bad class pair {key}")
+            m = BinarySvmModel(
+                support_vectors=np.array(p["support_vectors"], dtype=float),
+                dual_coef=np.array(p["dual_coef"], dtype=float),
+                b=float(p["bias"]),
+                gamma=float(p["gamma"]),
+                C=float(p["C"]),
+                converged=bool(p["converged"]),
+            )
+            sv, coef = m.support_vectors, m.dual_coef
+            if sv.ndim != 2 or coef.shape != (len(sv),) or dim not in (None, sv.shape[1]):
+                raise ValueError(f"pair {key}: support vectors {sv.shape} "
+                                 f"with coefficients {coef.shape}")
+            dim = sv.shape[1]
+            if not (np.isfinite(sv).all() and np.isfinite(coef).all()
+                    and np.isfinite([m.b, m.gamma, m.C]).all()):
+                raise ValueError(f"pair {key}: non-finite value")
+            models[key] = m
+        if not models:
+            raise ValueError("no class pairs")
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptFileError(
+            f"{path}: malformed model ({type(e).__name__}: {e})") from e
+    return OvoModel(classes=list(classes), models=models)

@@ -21,7 +21,7 @@ from .errors import (BadConfigError, DataError, EcgSparseError,
                      MaxIterationsError, ShapeMismatchError,
                      TooFewPerClassError, ValidationError)
 from .fileio import atomic_write_text
-from .sparse_coding import default_lambda
+from .sparse_coding import default_lambda, encode_all
 
 SCHEMA_VERSION = 1
 
@@ -269,23 +269,27 @@ def cmd_train_dict(args):
 
 def _encode_beats(beats, D, fb, w, s, wl, lam, method):
     mats = _beat_features(beats, fb, w, s, wl)
-    if mats and mats[0].d != D.shape[0]:
+    if not mats:
+        return []
+    if mats[0].d != D.shape[0]:
         raise ShapeMismatchError(
             f"features have d={mats[0].d} but dictionary d={D.shape[0]}")
+    if method == "sparse":
+        # one encode_all call over every beat's windows, split back per beat
+        X = encode_all(D, np.hstack([fm.columns for fm in mats]), lam)
+        ends = np.cumsum([fm.omega for fm in mats])[:-1]
+        return [codec.SparseCode.from_dense(Xb, label=beat.label,
+                                            source_id=_beat_source_id(beat))
+                for beat, Xb in zip(beats, np.split(X, ends, axis=1))]
     codes = []
-    for beat, fm in zip(beats, mats):
-        sid = _beat_source_id(beat)
-        if method == "sparse":
-            codes.append(codec.compress(D, fm, lam, label=beat.label,
-                                        source_id=sid))
-        else:  # vq: cardinality-1 codes, coefficient 1
-            d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
-                  - 2.0 * fm.columns.T @ D + np.sum(D * D, axis=0)[None, :])
-            assign = np.argmin(d2, axis=1)
-            X = np.zeros((D.shape[1], fm.omega))
-            X[assign, np.arange(fm.omega)] = 1.0
-            codes.append(codec.SparseCode.from_dense(X, label=beat.label,
-                                                     source_id=sid))
+    for beat, fm in zip(beats, mats):  # vq: cardinality-1 codes, coefficient 1
+        d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
+              - 2.0 * fm.columns.T @ D + np.sum(D * D, axis=0)[None, :])
+        assign = np.argmin(d2, axis=1)
+        X = np.zeros((D.shape[1], fm.omega))
+        X[assign, np.arange(fm.omega)] = 1.0
+        codes.append(codec.SparseCode.from_dense(X, label=beat.label,
+                                                 source_id=_beat_source_id(beat)))
     return codes
 
 

@@ -239,4 +239,6 @@ def load_dictionary(path):
         raise CorruptFileError(
             f"{path}: expected {need} bytes for {d}x{k} dictionary, got {len(blob)}")
     D = np.frombuffer(blob[12:], dtype="<f8").reshape((d, k), order="F")
+    if not np.isfinite(D).all():
+        raise CorruptFileError(f"{path}: dictionary holds NaN or inf")
     return D.copy()

@@ -1,9 +1,12 @@
 """RBF kernel, SMO dual solver, OVO voting, cross-validation, and PSO."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ecgsparse.errors import BadConfigError, ShapeMismatchError, SingleClassError, TooFewPerClassError
+from ecgsparse.errors import (BadConfigError, CorruptFileError, ShapeMismatchError,
+                              SingleClassError, TooFewPerClassError)
 from ecgsparse.classify import (
     BinarySvmModel,
     PsoConfig,
@@ -326,3 +329,28 @@ def test_model_json_roundtrip(tmp_path):
     assert loaded.classes == model.classes
     probes = rng.standard_normal((30, 2)) * 2
     assert ovo_predict_batch(loaded, probes) == ovo_predict_batch(model, probes)
+
+
+def test_load_model_rejects_malformed(tmp_path):
+    rng = np.random.default_rng(15)
+    Z, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 10)
+    path = tmp_path / "model.json"
+    save_model(path, ovo_train(Z, labels, C=4.0, gamma=1.0))
+    text = path.read_text()
+    doc = json.loads(text)
+    pair = doc["pairs"][0]
+    broken = [
+        text[:len(text) // 2],                                      # truncated
+        json.dumps({"classes": doc["classes"]}),                    # no pairs
+        json.dumps({**doc, "pairs": []}),
+        json.dumps({**doc, "pairs": [{**pair, "a": 0, "b": 3}]}),   # no class 3
+        json.dumps({**doc, "pairs": [{**pair, "dual_coef": pair["dual_coef"][1:]}]}),
+        json.dumps({**doc, "pairs": [{**pair, "support_vectors": [[0.0], [1.0, 2.0]]}]}),
+        json.dumps({**doc, "pairs": [{**pair, "bias": float("nan")}]}),
+        json.dumps({**doc, "pairs": [{k: v for k, v in pair.items() if k != "gamma"}]}),
+        json.dumps([1, 2]),
+    ]
+    for bad in broken:
+        path.write_text(bad)
+        with pytest.raises(CorruptFileError):
+            load_model(path)

@@ -8,7 +8,7 @@ import pytest
 
 from ecgsparse.errors import BadConfigError, TooFewPerClassError
 from ecgsparse.cli import run_command, split_dataset
-from ecgsparse.dictionary import load_dictionary
+from ecgsparse.dictionary import load_dictionary, save_dictionary
 from ecgsparse.codec import load_codes
 from ecgsparse.fileio import atomic_write_bytes, atomic_write_text
 from ecgsparse.ingest import read_beats_csv
@@ -189,6 +189,19 @@ def test_encode_deterministic_bytes(capsys, small_chain, tmp_path):
     assert again.read_bytes() == codes_path.read_bytes()
 
 
+def test_encode_non_finite_dictionary_exits_2(capsys, small_chain, tmp_path):
+    _, beats_csv, dict_path, _ = small_chain
+    D = load_dictionary(dict_path)
+    D[3, 7] = np.nan
+    bad = tmp_path / "nan.sbd"
+    save_dictionary(bad, D)
+    out = tmp_path / "nan.sbc"
+    status, _, err = run(capsys, "encode", "--beats", str(beats_csv),
+                         "--dict", str(bad), "--out", str(out))
+    assert status == 2
+    assert "CorruptFileError" in err and not out.exists()
+
+
 def test_metrics_outputs(capsys, small_chain, tmp_path):
     _, beats_csv, dict_path, codes_path = small_chain
     out_json = tmp_path / "metrics.json"
@@ -265,6 +278,24 @@ def test_train_svm_and_evaluate(capsys, small_chain, tmp_path):
     assert doc["accuracy"] == 1.0  # evaluated on its own training set
     grid = [r.split(",") for r in confusion.read_text().splitlines()]
     assert len(grid) == 7 and len(grid[1]) == 7
+
+
+def test_evaluate_malformed_model_exits_2(capsys, small_chain, tmp_path):
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    model = tmp_path / "model.json"
+    status, _, _ = run(capsys, "train-svm", "--features", str(feats),
+                       "--C", "8", "--gamma", "2", "--out", str(model))
+    assert status == 0
+    text = model.read_text()
+    no_pairs = {k: v for k, v in json.loads(text).items() if k != "pairs"}
+    for bad in (text[:1000], json.dumps(no_pairs)):
+        model.write_text(bad)
+        status, _, err = run(capsys, "evaluate", "--model", str(model),
+                             "--features", str(feats))
+        assert status == 2
+        assert "CorruptFileError" in err and "Traceback" not in err
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

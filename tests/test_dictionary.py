@@ -224,6 +224,15 @@ def test_sbd1_bad_magic(tmp_path):
         load_dictionary(path)
 
 
+def test_sbd1_non_finite(tmp_path):
+    D = np.eye(4)
+    D[2, 1] = np.nan
+    path = tmp_path / "nan.sbd"
+    save_dictionary(path, D)
+    with pytest.raises(CorruptFileError):
+        load_dictionary(path)
+
+
 def test_sbd1_truncated(tmp_path):
     rng = np.random.default_rng(10)
     path = tmp_path / "trunc.sbd"

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from ecgsparse import sparse_coding
 from ecgsparse.errors import (
     BadConfigError,
+    DegenerateInputError,
     MaxIterationsError,
     ShapeMismatchError,
 )
 from ecgsparse.sparse_coding import (
+    BLOCK_COLUMNS,
     CodingProblem,
     SparseVector,
     check_optimality,
@@ -46,6 +49,27 @@ def test_coding_problem_validation():
         CodingProblem(dictionary=D, target=np.ones(4), lam=0.1)
     with pytest.raises(BadConfigError):
         CodingProblem(dictionary=2.0 * D, target=y, lam=0.1)  # columns too long
+
+
+def test_non_finite_input_rejected():
+    # a NaN norm passes the unit-ball test, so it must be caught on its own
+    rng = np.random.default_rng(12)
+    D = rng.standard_normal((20, 40))
+    D /= np.linalg.norm(D, axis=0, keepdims=True)
+    Y = rng.standard_normal((20, 5))
+    assert np.count_nonzero(encode_all(D, Y, 0.1)) > 0
+    bad_D = D.copy()
+    bad_D[3, 7] = np.nan
+    bad_Y = Y.copy()
+    bad_Y[2, 4] = np.inf
+    with pytest.raises(DegenerateInputError):
+        encode_all(bad_D, Y, 0.1)
+    with pytest.raises(DegenerateInputError):
+        encode_all(D, bad_Y, 0.1)
+    with pytest.raises(DegenerateInputError):
+        CodingProblem(dictionary=bad_D, target=Y[:, 0], lam=0.1)
+    with pytest.raises(DegenerateInputError):
+        CodingProblem(dictionary=D, target=np.where(Y[:, 0] > 0, np.nan, 0.0), lam=0.1)
 
 
 # --- objective ----------------------------------------------------------------
@@ -180,8 +204,114 @@ def test_encode_all_matches_per_column():
     X = encode_all(D, Y, lam=0.15)
     for i in range(5):
         p = CodingProblem(dictionary=D, target=Y[:, i], lam=0.15)
-        np.testing.assert_allclose(X[:, i], feature_sign(p).to_dense(),
-                                   atol=1e-12)
+        np.testing.assert_array_equal(X[:, i], feature_sign(p).to_dense())
+
+
+def _reference_loop(G, b, lam, c0, max_iter):
+    """Feature-sign search on one column, one NumPy call at a time: the
+    reference the lockstep solver must reproduce bit for bit."""
+    tol, ridge = sparse_coding.OPT_TOL, sparse_coding.RIDGE
+    k = len(b)
+    x, theta, active = np.zeros(k), np.zeros(k), np.zeros(k, dtype=bool)
+
+    def objective(Gaa, ba, xa):
+        return 0.5 * c0 - ba @ xa + 0.5 * xa @ (Gaa @ xa) + lam * np.abs(xa).sum()
+
+    for _ in range(max_iter):
+        grad = G @ x - b
+        if np.any(~active):
+            cand = np.where(~active, np.abs(grad), -np.inf)
+            j = int(np.argmax(cand))
+            if cand[j] <= lam + tol:
+                return x
+            theta[j] = -np.sign(grad[j])
+            active[j] = True
+        elif np.all(np.abs(grad + lam * theta) <= tol):
+            return x
+        for _ in range(max_iter):
+            idx = np.flatnonzero(active)
+            Gaa = G[np.ix_(idx, idx)] + ridge * np.eye(len(idx))
+            ba = b[idx]
+            xnew = np.linalg.solve(Gaa, ba - lam * theta[idx])
+            if np.all(np.sign(xnew) == theta[idx]):
+                x[idx] = xnew
+                break
+            xa = x[idx]
+            best_x, best_obj = xnew, objective(Gaa, ba, xnew)
+            for m in np.flatnonzero((xa != 0) & (np.sign(xa) != np.sign(xnew))):
+                t = xa[m] / (xa[m] - xnew[m])
+                if 0.0 < t <= 1.0:
+                    xt = xa + t * (xnew - xa)
+                    xt[m] = 0.0
+                    obj = objective(Gaa, ba, xt)
+                    if obj < best_obj:
+                        best_obj, best_x = obj, xt
+            x[idx] = best_x
+            active[idx[best_x == 0.0]] = False
+            theta[idx] = np.sign(best_x)
+            if not np.any(active):
+                break
+        else:
+            raise MaxIterationsError("inner loop cap")
+    raise MaxIterationsError("activation cap")
+
+
+def _per_column(D, Y, lam):
+    return np.column_stack([
+        feature_sign(CodingProblem(dictionary=D, target=Y[:, i], lam=lam)).to_dense()
+        for i in range(Y.shape[1])])
+
+
+def test_encode_all_blocks_bit_identical_to_feature_sign(monkeypatch):
+    # lockstep blocks give each column exactly the code it gets alone,
+    # whichever columns share its block and wherever the block ends
+    W = BLOCK_COLUMNS
+    searched = []
+    line_search = sparse_coding._line_search
+
+    def spy(*args):
+        searched.append(len(args[4]))
+        return line_search(*args)
+
+    monkeypatch.setattr(sparse_coding, "_line_search", spy)
+    rng = np.random.default_rng(13)
+    D = rng.standard_normal((8, 16))
+    D /= np.linalg.norm(D, axis=0, keepdims=True)
+    Y = rng.standard_normal((8, 2 * W + 3))
+    Y[:, [0, W - 1, W, 2 * W + 2]] = 0.0
+    lam = 0.05
+    ref = _per_column(D, Y, lam)
+    assert sum(searched) > 0  # some columns reach the line search
+    G = D.T @ D
+    loop = np.column_stack([_reference_loop(G, D.T @ y, lam, float(y @ y), 64)
+                            for y in Y.T])
+    np.testing.assert_array_equal(ref, loop)
+    assert np.all(ref[:, W] == 0.0)
+    for width in (W - 1, W, W + 1, 2 * W + 3):
+        np.testing.assert_array_equal(encode_all(D, Y[:, :width], lam),
+                                      ref[:, :width])
+
+    # k <= d: every atom of a column becomes active
+    D = rng.standard_normal((10, 6))
+    D /= np.linalg.norm(D, axis=0, keepdims=True)
+    Y = rng.standard_normal((10, W + 1))
+    X = encode_all(D, Y, 1e-3)
+    assert np.all(X[:, -1] != 0.0)
+    np.testing.assert_array_equal(X, _per_column(D, Y, 1e-3))
+
+
+def test_encode_all_iteration_cap_names_caller_column():
+    # with one activation allowed, zero columns finish and the others fail;
+    # the error names the first failing column of the caller's matrix
+    W = BLOCK_COLUMNS
+    rng = np.random.default_rng(6)
+    p = random_problem(rng, lam=0.01)
+    Y = np.zeros((len(p.target), 2 * W))
+    Y[:, [W + 5, W + 9]] = p.target[:, None]
+    np.testing.assert_array_equal(encode_all(p.dictionary, Y[:, :W], 0.01, max_iter=1),
+                                  np.zeros((12, W)))
+    with pytest.raises(MaxIterationsError, match=rf"^column {W + 5}: "):
+        encode_all(p.dictionary, Y, 0.01, max_iter=1)
 
 
 def test_default_lambda():
