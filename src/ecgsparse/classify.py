@@ -10,21 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadConfigError, CorruptFileError, ShapeMismatchError,
-                     SingleClassError, TooFewPerClassError)
+from .errors import (BadConfigError, CorruptFileError, DegenerateInputError,
+                     ShapeMismatchError, SingleClassError, TooFewPerClassError)
 from .fileio import atomic_write_text
 
 KKT_TOL = 1e-3
-
-
-def rbf_kernel(a, b, gamma):
-    """K(a, b) = exp(-gamma * ||a - b||^2)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.exp(-gamma * (diff @ diff)))
 
 
 def kernel_matrix(A, B, gamma):
@@ -68,8 +58,12 @@ def smo_train(Z, y, C, gamma, tol=KKT_TOL, max_updates=1_000_000):
         raise BadConfigError("labels must be +1/-1")
     if np.all(y == y[0]):
         raise SingleClassError("both classes must be present")
-    if C <= 0:
+    if not C > 0:
         raise BadConfigError("C must be positive")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise BadConfigError(f"gamma must be finite and >= 0, got {gamma}")
+    if not np.isfinite(Z).all():
+        raise DegenerateInputError("features hold NaN or inf")
 
     n = len(y)
     K = kernel_matrix(Z, Z, gamma)
@@ -77,36 +71,57 @@ def smo_train(Z, y, C, gamma, tol=KKT_TOL, max_updates=1_000_000):
     F = -y.copy()  # F_t = f_raw(z_t) - y_t with f_raw = sum alpha_j y_j K_jt
     converged = False
 
+    # An update changes alpha only at i and j, so the working sets are held
+    # as masks and re-tested at those two indices alone.  The pair step runs
+    # on Python floats (alpha mirrored as a list) with the same operations in
+    # the same order as an array version, so every iterate is bit-identical.
+    c = float(C)
+    top = c - 1e-12
+    up = ((y > 0) & (alpha < top)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < top))
+    a, ys, kd = alpha.tolist(), y.tolist(), K.diagonal().tolist()
+    step, step_j = np.empty(n), np.empty(n)
+
     for _ in range(max_updates):
-        up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
-        if not (np.any(up) and np.any(low)):
+        # F is finite, so the masked argmin/argmax pick the first index of
+        # the extreme F within the set; a pick outside it means the set is empty
+        i = int(np.where(up, F, np.inf).argmin())
+        j = int(np.where(low, F, -np.inf).argmax())
+        if not (up[i] and low[j]):
             converged = True
             break
-        i = int(np.flatnonzero(up)[np.argmin(F[up])])
-        j = int(np.flatnonzero(low)[np.argmax(F[low])])
-        b_up, b_low = F[i], F[j]
+        b_up, b_low = F.item(i), F.item(j)
         if b_low - b_up <= tol:
             converged = True
             break
 
-        if y[i] != y[j]:
-            L = max(0.0, alpha[j] - alpha[i])
-            H = min(C, C + alpha[j] - alpha[i])
+        ai_old, aj_old, yi, yj = a[i], a[j], ys[i], ys[j]
+        if yi != yj:
+            L = max(0.0, aj_old - ai_old)
+            H = min(c, c + aj_old - ai_old)
         else:
-            L = max(0.0, alpha[i] + alpha[j] - C)
-            H = min(C, alpha[i] + alpha[j])
-        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
-        aj = np.clip(alpha[j] + y[j] * (F[i] - F[j]) / eta, L, H)
-        dj = aj - alpha[j]
+            L = max(0.0, ai_old + aj_old - c)
+            H = min(c, ai_old + aj_old)
+        eta = max(kd[i] + kd[j] - 2.0 * K.item(i, j), 1e-12)
+        aj = min(max(aj_old + yj * (b_up - b_low) / eta, L), H)
+        dj = aj - aj_old
         if abs(dj) < 1e-14:
             # numerically stuck pair; no progress possible from here
             break
-        ai = alpha[i] + y[i] * y[j] * (-dj)
-        di = ai - alpha[i]
-        alpha[i], alpha[j] = ai, aj
-        F += y[i] * di * K[i] + y[j] * dj * K[j]
+        ai = ai_old + yi * yj * (-dj)
+        di = ai - ai_old
+        a[i], a[j] = ai, aj
+        for t in (i, j):
+            if ys[t] > 0:
+                up[t], low[t] = a[t] < top, a[t] > 1e-12
+            else:
+                up[t], low[t] = a[t] > 1e-12, a[t] < top
+        np.multiply(K[i], yi * di, out=step)
+        np.multiply(K[j], yj * dj, out=step_j)
+        step += step_j
+        F += step
 
+    alpha = np.array(a)
     up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
     low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
     b_up = float(np.min(F[up])) if np.any(up) else 0.0
@@ -131,12 +146,6 @@ def svm_decision(model, Z):
         return np.full(Z.shape[0], model.b)
     K = kernel_matrix(Z, model.support_vectors, model.gamma)
     return K @ model.dual_coef + model.b
-
-
-def svm_predict(model, z):
-    """(decision value, +/-1 label) for a single vector; f=0 maps to +1."""
-    f = float(svm_decision(model, np.asarray(z, dtype=float)[None, :])[0])
-    return f, (1 if f >= 0.0 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +199,6 @@ def ovo_predict_batch(model, Z):
             tied = tied[mags == mags.max()]
         out.append(model.classes[int(tied[0])])
     return out
-
-
-def ovo_predict(model, z):
-    return ovo_predict_batch(model, np.asarray(z, dtype=float)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +306,17 @@ def pso_search(Z, labels, cfg):
     Returns (C, gamma, best cv accuracy).
     """
     Z = np.asarray(Z, dtype=float)
+    scores = {}  # clipped position -> CV accuracy
 
     def fitness(x):
-        return cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
-                              folds=cfg.folds, seed=cfg.seed)
+        # the swarm revisits points (the global-best particle never moves
+        # until another particle beats it), and cross-validation is
+        # deterministic, so each distinct point is scored once
+        key = tuple(x.tolist())
+        if key not in scores:
+            scores[key] = cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
+                                         folds=cfg.folds, seed=cfg.seed)
+        return scores[key]
 
     best, fit, _ = pso_optimize(
         fitness, [cfg.log2c_bounds, cfg.log2g_bounds],

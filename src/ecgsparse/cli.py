@@ -439,7 +439,13 @@ def cmd_train_svm(args):
     classify.save_model(args.out, model)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-svm",
            "classes": model.classes, "pairs": len(model.models),
+           "unconverged_pairs": _unconverged_pairs(model),
            "C": C, "gamma": gamma, "cv_accuracy": cv_acc, "out": args.out})
+
+
+def _unconverged_pairs(model):
+    """Pairs whose SMO hit its update cap or a stuck pair before the KKT gap closed."""
+    return sum(not m.converged for m in model.models.values())
 
 
 def _evaluate(model, hists):
@@ -573,7 +579,8 @@ def cmd_pipeline(args):
     _emit({"schema_version": SCHEMA_VERSION, "command": "pipeline",
            "beats": len(beats), "train": len(train), "test": len(test),
            "err_mean": err_mean, "cr_mean": cr_mean, "accuracy": accuracy,
-           "C": C, "gamma": gamma, "out_dir": str(out_dir)})
+           "C": C, "gamma": gamma, "unconverged_pairs": _unconverged_pairs(model),
+           "out_dir": str(out_dir)})
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ def parse_features_csv(lines):
             z = np.array([float(v) for v in parts[1:]])
         except ValueError as e:
             raise ParseError(f"bad value: {e}", line_no=i)
+        if not np.isfinite(z).all():
+            raise ParseError("non-finite value", line_no=i)
         if width is None:
             width = len(z)
         elif len(z) != width:

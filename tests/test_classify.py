@@ -5,24 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from ecgsparse.errors import (BadConfigError, CorruptFileError, ShapeMismatchError,
-                              SingleClassError, TooFewPerClassError)
+from ecgsparse import classify
+from ecgsparse.errors import (BadConfigError, CorruptFileError, DegenerateInputError,
+                              ShapeMismatchError, SingleClassError, TooFewPerClassError)
 from ecgsparse.classify import (
     BinarySvmModel,
+    OvoModel,
     PsoConfig,
     cross_validate,
     kernel_matrix,
     load_model,
-    ovo_predict,
     ovo_predict_batch,
     ovo_train,
     pso_optimize,
-    rbf_kernel,
+    pso_search,
     save_model,
     smo_train,
     stratified_folds,
     svm_decision,
-    svm_predict,
 )
 
 
@@ -63,15 +63,15 @@ def model_kkt_violation(model, Z, y, C, tol):
 
 def test_rbf_worked_examples():
     a = np.array([0.3, -1.2, 4.0])
-    assert rbf_kernel(a, a, 2.5) == pytest.approx(1.0)
-    assert rbf_kernel(np.zeros(2), np.array([1.0, 0.0]), 1.0) == \
+    assert kernel_matrix(a, a, 2.5)[0, 0] == pytest.approx(1.0)
+    assert kernel_matrix(np.zeros(2), np.array([1.0, 0.0]), 1.0)[0, 0] == \
         pytest.approx(np.exp(-1.0))
-    assert rbf_kernel(a, a + 5.0, 0.0) == pytest.approx(1.0)
+    assert kernel_matrix(a, a + 5.0, 0.0)[0, 0] == pytest.approx(1.0)
 
 
 def test_rbf_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        rbf_kernel(np.zeros(2), np.zeros(3), 1.0)
+        kernel_matrix(np.zeros(2), np.zeros(3), 1.0)
 
 
 def test_kernel_matrix_symmetric_unit_diagonal_psd():
@@ -95,8 +95,8 @@ def test_smo_two_point_symmetry():
     assert a1 == pytest.approx(a2, rel=1e-9)
     assert a1 > 0
     for z, label in zip(Z, y):
-        f, pred = svm_predict(model, z)
-        assert pred == label
+        f = svm_decision(model, z)[0]
+        assert (1 if f >= 0.0 else -1) == label
 
 
 def test_smo_separable_blobs_train_accuracy():
@@ -153,14 +153,131 @@ def test_smo_rejects_bad_inputs():
         smo_train(Z, np.array([1.0, -1.0, 1.0, -1.0]), C=0.0, gamma=1.0)
     with pytest.raises(BadConfigError):
         smo_train(Z, np.array([1.0, 2.0, -1.0, -1.0]), C=1.0, gamma=1.0)
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    for C, gamma in ((np.nan, 1.0), (1.0, np.nan), (1.0, np.inf), (1.0, -1.0)):
+        with pytest.raises(BadConfigError):
+            smo_train(Z, y, C=C, gamma=gamma)
+    for bad in (np.nan, np.inf):
+        Zb = Z.copy()
+        Zb[2, 1] = bad
+        with pytest.raises(DegenerateInputError):
+            smo_train(Zb, y, C=1.0, gamma=1.0)
+
+
+def _reference_smo(Z, y, C, gamma, tol=1e-3, max_updates=1_000_000):
+    """The SMO loop as it was before its working sets were kept incrementally:
+    both masks rebuilt and F fancy-indexed on every update.  smo_train must
+    reproduce it bit for bit.  Also returns which of its rare exits ran."""
+    Z = np.asarray(Z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    K = kernel_matrix(Z, Z, gamma)
+    alpha = np.zeros(n)
+    F = -y.copy()
+    converged = False
+    seen = {"eta_floor": False, "stuck": False}
+    for _ in range(max_updates):
+        up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
+        if not (np.any(up) and np.any(low)):
+            converged = True
+            break
+        i = int(np.flatnonzero(up)[np.argmin(F[up])])
+        j = int(np.flatnonzero(low)[np.argmax(F[low])])
+        b_up, b_low = F[i], F[j]
+        if b_low - b_up <= tol:
+            converged = True
+            break
+        if y[i] != y[j]:
+            L = max(0.0, alpha[j] - alpha[i])
+            H = min(C, C + alpha[j] - alpha[i])
+        else:
+            L = max(0.0, alpha[i] + alpha[j] - C)
+            H = min(C, alpha[i] + alpha[j])
+        seen["eta_floor"] |= K[i, i] + K[j, j] - 2.0 * K[i, j] < 1e-12
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        aj = np.clip(alpha[j] + y[j] * (F[i] - F[j]) / eta, L, H)
+        dj = aj - alpha[j]
+        if abs(dj) < 1e-14:
+            seen["stuck"] = True
+            break
+        ai = alpha[i] + y[i] * y[j] * (-dj)
+        di = ai - alpha[i]
+        alpha[i], alpha[j] = ai, aj
+        F += y[i] * di * K[i] + y[j] * dj * K[j]
+    up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
+    b_up = float(np.min(F[up])) if np.any(up) else 0.0
+    b_low = float(np.max(F[low])) if np.any(low) else 0.0
+    keep = alpha > 1e-12
+    model = BinarySvmModel(support_vectors=Z[keep].copy(), dual_coef=(alpha * y)[keep],
+                           b=-(b_up + b_low) / 2.0, gamma=gamma, C=C,
+                           converged=converged)
+    return model, seen
+
+
+def _random_smo_problem(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 40)), int(rng.integers(1, 5))
+    Z = rng.standard_normal((n, d))
+    if seed % 2:
+        Z = np.vstack([Z, Z[: n // 2]])  # duplicate rows
+    y = np.where(rng.random(len(Z)) < 0.5, 1.0, -1.0)
+    y[0], y[1] = 1.0, -1.0
+    return Z, y, float(2.0 ** rng.uniform(-8, 30)), float(2.0 ** rng.uniform(-6, 6))
+
+
+def _duplicates_with_flipped_labels():
+    rng = np.random.default_rng(1)
+    Z = rng.standard_normal((10, 2))
+    y = np.where(np.arange(14) % 2 == 0, 1.0, -1.0)
+    y[10:] = -y[:4]
+    return np.vstack([Z, Z[:4]]), y
+
+
+@pytest.mark.parametrize("case", [
+    "tiny_C", "small_C_at_bound", "eta_floor", "update_cap", "stuck_pair", "sweep"])
+def test_smo_matches_reference_loop(case):
+    rng = np.random.default_rng(16)
+    Zb, lb = blobs(rng, [(0, 0), (1, 1)], 20, spread=0.7)
+    yb = np.where(np.array(lb) == "c0", 1.0, -1.0)
+    problems = {
+        "tiny_C": [(Zb, yb, 1e-13, 1.0, {})],
+        "small_C_at_bound": [(Zb, yb, 0.05, 1.0, {})],
+        "eta_floor": [(*_duplicates_with_flipped_labels(), 4.0, 1.0, {})],
+        "update_cap": [(Zb, yb, 10.0, 2.0, {"max_updates": 5})],
+        "stuck_pair": [(*_random_smo_problem(184), {})],
+        "sweep": [(*_random_smo_problem(seed), {"max_updates": 3000})
+                  for seed in range(40)],
+    }[case]
+    for Z, y, C, gamma, kw in problems:
+        want, seen = _reference_smo(Z, y, C, gamma, **kw)
+        got = smo_train(Z, y, C, gamma, **kw)
+        np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
+        np.testing.assert_array_equal(got.dual_coef, want.dual_coef)
+        assert got.b == want.b
+        assert got.converged == want.converged
+    # each case reaches the branch it is named for
+    if case == "tiny_C":
+        assert got.converged and got.dual_coef.size == 0
+    elif case == "small_C_at_bound":
+        assert np.sum(np.abs(got.dual_coef) >= 0.05 - 1e-12) >= 10
+    elif case == "eta_floor":
+        assert seen["eta_floor"]
+    elif case == "update_cap":
+        assert not got.converged and not seen["stuck"]
+    elif case == "stuck_pair":
+        assert seen["stuck"] and not got.converged
 
 
 def test_svm_predict_zero_maps_to_positive():
     model = BinarySvmModel(support_vectors=np.zeros((0, 2)),
                            dual_coef=np.zeros(0), b=0.0, gamma=1.0, C=1.0)
-    f, label = svm_predict(model, np.array([5.0, -1.0]))
-    assert f == 0.0
-    assert label == 1
+    z = np.array([5.0, -1.0])
+    assert svm_decision(model, z)[0] == 0.0
+    # the pair (0, 1) trains class 0 as +1, so f = 0 votes for class 0
+    ovo = OvoModel(classes=["pos", "neg"], models={(0, 1): model})
+    assert ovo_predict_batch(ovo, z) == ["pos"]
 
 
 def test_svm_free_support_vectors_on_margin():
@@ -234,8 +351,8 @@ def test_ovo_predict_single_vector():
     rng = np.random.default_rng(10)
     Z, labels = blobs(rng, [(0, 0), (4, 4)], 10)
     model = ovo_train(Z, labels, C=5.0, gamma=1.0)
-    assert ovo_predict(model, np.array([0.1, -0.1])) == "c0"
-    assert ovo_predict(model, np.array([4.1, 3.9])) == "c1"
+    assert ovo_predict_batch(model, np.array([0.1, -0.1])) == ["c0"]
+    assert ovo_predict_batch(model, np.array([4.1, 3.9])) == ["c1"]
 
 
 # --- cross-validation --------------------------------------------------------------
@@ -306,6 +423,31 @@ def test_pso_clamps_to_bounds():
         swarm_size=8, iterations=20, seed=2)
     assert -1.0 <= best[0] <= 1.0
     assert -2.0 <= best[1] <= 0.5
+
+
+def test_pso_search_scores_each_point_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    Z, labels = blobs(rng, [(0, 0), (1.5, 0), (0, 1.5)], 8, spread=0.6)
+    cfg = PsoConfig(swarm_size=4, iterations=4, folds=3, seed=2)
+    calls = []
+
+    def counting_cv(*args, **kwargs):
+        calls.append((args[2], args[3]))
+        return cross_validate(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "cross_validate", counting_cv)
+    C, gamma, fit = pso_search(Z, labels, cfg)
+    monkeypatch.undo()
+    assert len(calls) == len(set(calls))
+    # the global-best particle never moves, so the swarm revisits points
+    assert len(calls) < cfg.swarm_size * (cfg.iterations + 1)
+
+    best, want_fit, _ = pso_optimize(
+        lambda x: cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
+                                 folds=cfg.folds, seed=cfg.seed),
+        [cfg.log2c_bounds, cfg.log2g_bounds], swarm_size=cfg.swarm_size,
+        iterations=cfg.iterations, w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
+    assert (C, gamma, fit) == (2.0 ** best[0], 2.0 ** best[1], want_fit)
 
 
 def test_pso_config_validation():

@@ -267,6 +267,7 @@ def test_train_svm_and_evaluate(capsys, small_chain, tmp_path):
                              "--out", str(model))
     assert status == 0
     assert "cv_accuracy" in summary
+    assert summary["unconverged_pairs"] == 0
     report = tmp_path / "report.json"
     confusion = tmp_path / "confusion.csv"
     status, summary, _ = run(capsys, "evaluate", "--model", str(model),
@@ -296,6 +297,46 @@ def test_evaluate_malformed_model_exits_2(capsys, small_chain, tmp_path):
                              "--features", str(feats))
         assert status == 2
         assert "CorruptFileError" in err and "Traceback" not in err
+
+
+def test_non_finite_features_exit_2(capsys, small_chain, tmp_path):
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    model = tmp_path / "model.json"
+    status, _, _ = run(capsys, "train-svm", "--features", str(feats),
+                       "--C", "8", "--gamma", "1", "--out", str(model))
+    assert status == 0
+    rows = feats.read_text().splitlines()
+    for bad in ("nan", "inf", "-inf"):
+        cells = rows[3].split(",")
+        cells[5] = bad
+        broken = tmp_path / f"feats_{bad}.csv"
+        broken.write_text("\n".join(rows[:3] + [",".join(cells)] + rows[4:]) + "\n")
+        out = tmp_path / f"model_{bad}.json"
+        status, _, err = run(capsys, "train-svm", "--features", str(broken),
+                             "--C", "8", "--gamma", "1", "--out", str(out))
+        assert status == 2 and "line 4" in err and "Traceback" not in err
+        assert not out.exists()
+        status, _, err = run(capsys, "evaluate", "--model", str(model),
+                             "--features", str(broken))
+        assert status == 2 and "line 4" in err
+
+
+def test_train_svm_reports_unconverged_pairs(capsys, small_chain, tmp_path, monkeypatch):
+    from functools import partial
+    from ecgsparse import classify
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    model = tmp_path / "model.json"
+    monkeypatch.setattr(classify, "smo_train",
+                        partial(classify.smo_train, max_updates=2))
+    status, summary, _ = run(capsys, "train-svm", "--features", str(feats),
+                             "--C", "8", "--gamma", "1", "--out", str(model))
+    assert status == 0
+    pairs = json.loads(model.read_text())["pairs"]
+    assert summary["unconverged_pairs"] == sum(not p["converged"] for p in pairs) > 0
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -344,3 +385,4 @@ def test_pipeline_end_to_end(capsys, tmp_path):
     assert "accuracy" in report
     assert summary["err_mean"] == metrics["err_mean"]
     assert summary["train"] == 18 and summary["test"] == 18
+    assert summary["unconverged_pairs"] == 0
