@@ -12,7 +12,7 @@ from ecgsparse.classify import ovo_predict_batch, ovo_train
 from ecgsparse.cli import split_dataset
 from ecgsparse.codec import compress
 from ecgsparse.dictionary import TrainConfig, train_online
-from ecgsparse.features import PyramidConfig, bow_histogram, tpm_feature
+from ecgsparse.features import PyramidConfig, bow_feature, tpm_feature
 from ecgsparse.sparse_coding import default_lambda
 
 from ecgsparse.synthetic import shifted_trio_beats
@@ -51,15 +51,7 @@ def tpm_matrix(codes, levels=2):
 
 def bow_matrix(codes):
     # hard-assign every window to its strongest atom, histogram, normalize
-    rows = []
-    for c in codes:
-        X = np.abs(c.to_dense())
-        filled = np.flatnonzero(X.sum(axis=0) > 0)
-        assign = np.argmax(X[:, filled], axis=0) if filled.size else []
-        h = bow_histogram(assign, c.k)
-        norm = np.linalg.norm(h)
-        rows.append(h / norm if norm > 0 else h)
-    return np.vstack(rows)
+    return np.vstack([bow_feature(c).z for c in codes])
 
 
 truth = np.array([c.label for c in codes_test])

@@ -174,17 +174,13 @@ def ovo_train(Z, labels, C, gamma, tol=KKT_TOL):
     return OvoModel(classes=classes, models=models)
 
 
-def ovo_decision_table(model, Z):
-    """Per-pair decision values for rows of Z: dict (ia, ib) -> vector."""
-    return {pair: svm_decision(m, Z) for pair, m in model.models.items()}
-
-
 def ovo_predict_batch(model, Z):
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     nc = len(model.classes)
     votes = np.zeros((Z.shape[0], nc))
     magnitude = np.zeros((Z.shape[0], nc))
-    for (ia, ib), f in ovo_decision_table(model, Z).items():
+    for (ia, ib), m in model.models.items():
+        f = svm_decision(m, Z)
         wins_a = f >= 0.0
         votes[wins_a, ia] += 1
         votes[~wins_a, ib] += 1

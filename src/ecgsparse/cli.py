@@ -18,8 +18,7 @@ import numpy as np
 
 from . import classify, codec, dictionary, features, ingest, synthetic, wavelet
 from .errors import (BadConfigError, DataError, EcgSparseError,
-                     MaxIterationsError, ShapeMismatchError,
-                     TooFewPerClassError, ValidationError)
+                     ShapeMismatchError, TooFewPerClassError, ValidationError)
 from .fileio import atomic_write_text
 from .sparse_coding import default_lambda, encode_all
 
@@ -388,25 +387,16 @@ def cmd_featurize(args):
     p = Params(args)
     codes = codec.load_codes(args.codes)
     method = p.get("method", str, "tpm")
+    normalize = not getattr(args, "no_normalize", False)
     if method == "tpm":
         cfg = features.PyramidConfig(
             levels=p.get("levels", int, 2),
             mode=p.get("mode", str, "expectation"),
             seed=p.get("seed", int, 0),
-            normalize_output=not getattr(args, "no_normalize", False))
+            normalize_output=normalize)
         hists = [features.tpm_feature(c, cfg) for c in codes]
     elif method == "bow":
-        hists = []
-        for c in codes:
-            X = np.abs(c.to_dense())
-            filled = np.flatnonzero(X.sum(axis=0) > 0)
-            assign = np.argmax(X[:, filled], axis=0) if filled.size else []
-            h = features.bow_histogram(assign, c.k)
-            if not getattr(args, "no_normalize", False):
-                norm = np.linalg.norm(h)
-                if norm > 0:
-                    h = h / norm
-            hists.append(features.PyramidHistogram(z=h, label=c.label))
+        hists = [features.bow_feature(c, normalize) for c in codes]
     else:
         raise BadConfigError(f"unknown featurize method {method!r}")
     atomic_write_text(args.out, features.format_features_csv(hists))
@@ -724,16 +714,16 @@ def run_command(argv):
     except ValidationError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (DataError, MaxIterationsError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
     except FileNotFoundError as e:
         print(f"error: missing file: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except EcgSparseError as e:
+    # data errors, solver caps, input that is not UTF-8 text, and input
+    # that asks for more memory than there is (an SBC1 header may claim
+    # billions of atoms)
+    except (EcgSparseError, UnicodeDecodeError, MemoryError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ averaging.  Err and Cr follow the usual definitions:
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,17 @@ from .wavelet import FeatureMatrix, Pyramid, dwt, idwt
 class SparseCode:
     """Sparse k x Omega coefficient matrix for one beat.
 
-    Triplets are canonical: sorted by (col, row), unique, no zero values.
-    source_id identifies the beat for seeding purposes and is not part of
-    the stored payload (equality ignores it).
+    rows, cols and vals are parallel arrays in canonical order: sorted by
+    (col, row), unique, no zero values.  source_id identifies the beat for
+    seeding purposes and is not part of the stored payload (equality
+    ignores it).
     """
 
     k: int
     omega: int
-    triplets: list
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     label: str = OTHER_LABEL
     source_id: str = ""
 
@@ -40,26 +43,27 @@ class SparseCode:
         if not isinstance(other, SparseCode):
             return NotImplemented
         return (self.k == other.k and self.omega == other.omega
-                and self.label == other.label and self.triplets == other.triplets)
+                and self.label == other.label
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.vals, other.vals))
 
     @property
     def nnz(self):
-        return len(self.triplets)
+        return self.vals.size
 
     def to_dense(self):
         X = np.zeros((self.k, self.omega))
-        for r, c, v in self.triplets:
-            X[r, c] = v
+        X[self.rows, self.cols] = self.vals
         return X
 
     @classmethod
     def from_dense(cls, X, label=OTHER_LABEL, source_id=""):
         X = np.asarray(X, dtype=float)
         k, omega = X.shape
-        cols, rows = np.nonzero(X.T)  # iterate column-major for (col, row) order
-        triplets = [(int(r), int(c), float(X[r, c])) for c, r in zip(cols, rows)]
-        return cls(k=k, omega=omega, triplets=triplets, label=label,
-                   source_id=source_id)
+        cols, rows = np.nonzero(X.T)  # column-major walk gives (col, row) order
+        return cls(k=k, omega=omega, rows=rows, cols=cols, vals=X[rows, cols],
+                   label=label, source_id=source_id)
 
 
 def compress(D, beat_features, lam, label=None, source_id=None):
@@ -161,6 +165,8 @@ def cr_metric(codes, n=BEAT_LENGTH):
 
 
 MAGIC_SBC1 = b"SBC1"
+# one stored coefficient: (u32 row, u32 col, f32 value), 12 bytes, no padding
+TRIPLET = np.dtype([("row", "<u4"), ("col", "<u4"), ("val", "<f4")])
 
 
 def serialize_codes(codes):
@@ -168,19 +174,28 @@ def serialize_codes(codes):
     u32 nnz, then (u32 row, u32 col, f32 value) triplets in canonical order.
 
     Values are quantized to f32 on disk; triplets whose f32 image is exactly
-    zero are dropped so every stored value is nonzero.
+    zero are dropped so every stored value is nonzero, and a value that is
+    not finite as f32 raises DegenerateInputError.  A beat has at most
+    BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by it.
     """
     k = codes[0].k if codes else 0
     out = [MAGIC_SBC1, struct.pack("<II", k, len(codes))]
-    for code in codes:
+    for i, code in enumerate(codes):
         if code.k != k:
             raise ShapeMismatchError(f"inconsistent k: {code.k} vs {k}")
-        kept = [(r, c, np.float32(v)) for r, c, v in code.triplets
-                if np.float32(v) != 0.0]
+        if code.omega > BEAT_LENGTH:
+            raise ShapeMismatchError(
+                f"beat {i}: {code.omega} windows exceed {BEAT_LENGTH} samples")
+        with np.errstate(over="ignore"):
+            vals = code.vals.astype(np.float32)
+        if not np.isfinite(vals).all():
+            raise DegenerateInputError(f"beat {i}: value not finite as float32")
+        kept = vals != 0.0
+        rec = np.empty(np.count_nonzero(kept), dtype=TRIPLET)
+        rec["row"], rec["col"], rec["val"] = code.rows[kept], code.cols[kept], vals[kept]
         label_code = LABEL_CODES.get(code.label, LABEL_CODES[OTHER_LABEL])
-        out.append(struct.pack("<IBI", code.omega, label_code, len(kept)))
-        for r, c, v in kept:
-            out.append(struct.pack("<IIf", r, c, v))
+        out.append(struct.pack("<IBI", code.omega, label_code, rec.size))
+        out.append(rec.tobytes())
     return b"".join(out)
 
 
@@ -199,23 +214,30 @@ def parse_codes(blob):
         pos += 9
         if label_code not in CODE_LABELS:
             raise CorruptFileError(f"beat {i}: unknown label code {label_code}")
-        if pos + 12 * nnz > len(blob):
+        if omega > BEAT_LENGTH:
+            raise CorruptFileError(
+                f"beat {i}: {omega} windows exceed {BEAT_LENGTH} samples")
+        if pos + TRIPLET.itemsize * nnz > len(blob):
             raise CorruptFileError(f"beat {i}: triplets truncated")
-        triplets = []
-        prev = None
-        for _ in range(nnz):
-            r, c, v = struct.unpack("<IIf", blob[pos:pos + 12])
-            pos += 12
-            if r >= k or c >= omega:
-                raise CorruptFileError(f"beat {i}: triplet ({r},{c}) out of range")
-            if v == 0.0:
-                raise CorruptFileError(f"beat {i}: zero-valued triplet stored")
-            key = (c, r)
-            if prev is not None and key <= prev:
-                raise CorruptFileError(f"beat {i}: triplets not in canonical order")
-            prev = key
-            triplets.append((r, c, float(v)))
-        codes.append(SparseCode(k=k, omega=omega, triplets=triplets,
+        rec = np.frombuffer(blob, dtype=TRIPLET, count=nnz, offset=pos)
+        pos += rec.nbytes
+        # int64 copies: differences of u32 indices must not wrap
+        rows = rec["row"].astype(np.int64)
+        cols = rec["col"].astype(np.int64)
+        vals = rec["val"].astype(float)
+        outside = np.flatnonzero((rows >= k) | (cols >= omega))
+        if outside.size:
+            j = outside[0]
+            raise CorruptFileError(f"beat {i}: triplet ({rows[j]},{cols[j]}) out of range")
+        if not vals.all():
+            raise CorruptFileError(f"beat {i}: zero-valued triplet stored")
+        if not np.isfinite(vals).all():
+            raise CorruptFileError(f"beat {i}: non-finite value stored")
+        # strictly increasing (col, row), compared field by field
+        dc, dr = np.diff(cols), np.diff(rows)
+        if ((dc < 0) | ((dc == 0) & (dr <= 0))).any():
+            raise CorruptFileError(f"beat {i}: triplets not in canonical order")
+        codes.append(SparseCode(k=k, omega=omega, rows=rows, cols=cols, vals=vals,
                                 label=CODE_LABELS[label_code], source_id=str(i)))
     if pos != len(blob):
         raise CorruptFileError(f"{len(blob) - pos} trailing bytes")
@@ -229,7 +251,3 @@ def save_codes(path, codes):
 def load_codes(path):
     with open(path, "rb") as fh:
         return parse_codes(fh.read())
-
-
-def code_file_roundtrip(codes):
-    return parse_codes(serialize_codes(codes))

@@ -40,8 +40,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
-    atom_update_passes: int = 1
-    diag_sparsity_T: int = None  # optional diagnostic only, never enforced
 
     def __post_init__(self):
         if self.k < 1:
@@ -52,8 +50,6 @@ class TrainConfig:
             raise BadConfigError("batch_size must be >= 1")
         if self.epochs < 1:
             raise BadConfigError("epochs must be >= 1")
-        if self.atom_update_passes < 1:
-            raise BadConfigError("atom_update_passes must be >= 1")
 
 
 @dataclass
@@ -162,7 +158,7 @@ def train_online(Y, cfg):
             obj = 0.5 * np.sum(R * R, axis=0) + cfg.lam * np.sum(np.abs(Xb), axis=0)
             log.append(float(obj.mean()))
             stats = update_stats(stats, Xb, Yb)
-            D = update_atoms(D, stats, Yb, Xb, passes=cfg.atom_update_passes)
+            D = update_atoms(D, stats, Yb, Xb)
     return TrainResult(dictionary=D, objective_log=log)
 
 
@@ -204,11 +200,6 @@ def kmeans_vq(Y, k, seed=0, iters=50):
             break
         assign = new_assign
     return C, assign
-
-
-def vq_inertia(Y, C, assign):
-    diff = Y - C[:, assign]
-    return float(np.sum(diff * diff))
 
 
 # ---------------------------------------------------------------------------

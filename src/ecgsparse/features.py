@@ -117,6 +117,23 @@ def bow_histogram(assignments, k):
     return np.bincount(assignments, minlength=k).astype(float)
 
 
+def bow_feature(code, normalize=True):
+    """Bag-of-words baseline for one SparseCode: each window votes for the
+    atom of its largest |coefficient| (ties to the lowest atom); windows
+    with no coefficient cast no vote.  The histogram is l2-normalized
+    unless it is all zero or normalize is False.
+    """
+    X = np.abs(code.to_dense())
+    filled = np.flatnonzero(X.sum(axis=0) > 0)
+    assign = np.argmax(X[:, filled], axis=0) if filled.size else []
+    h = bow_histogram(assign, code.k)
+    if normalize:
+        norm = np.linalg.norm(h)
+        if norm > 0:
+            h = h / norm
+    return PyramidHistogram(z=h, label=code.label)
+
+
 # ---------------------------------------------------------------------------
 # CSV export of featurized beats (one row: label, z_1..z_k)
 

@@ -274,6 +274,8 @@ def read_beats_csv(lines, source_id="csv"):
             vals = np.array([float(v) for v in parts[1:]])
         except ValueError as e:
             raise ParseError(f"bad value: {e}", line_no=i)
+        if not np.isfinite(vals).all():
+            raise ParseError("non-finite value", line_no=i)
         beats.append(Beat(values=normalize_beat(vals), label=label,
                           source=(source_id, i)))
     return beats

@@ -32,30 +32,6 @@ def default_lambda(d):
 
 
 @dataclass
-class SparseVector:
-    """Sparse coefficient vector: (index, value) entries, zeros omitted."""
-
-    k: int
-    entries: list
-
-    def to_dense(self):
-        x = np.zeros(self.k)
-        for i, v in self.entries:
-            x[i] = v
-        return x
-
-    @classmethod
-    def from_dense(cls, x):
-        x = np.asarray(x, dtype=float)
-        return cls(k=len(x), entries=[(int(i), float(x[i]))
-                                      for i in np.flatnonzero(x)])
-
-    @property
-    def nnz(self):
-        return len(self.entries)
-
-
-@dataclass
 class CodingProblem:
     dictionary: np.ndarray
     target: np.ndarray
@@ -86,10 +62,6 @@ def _check_dictionary(D, lam):
 
 
 def _as_dense(x, k):
-    if isinstance(x, SparseVector):
-        if x.k != k:
-            raise ShapeMismatchError(f"code dimension {x.k} != dictionary k {k}")
-        return x.to_dense()
     x = np.asarray(x, dtype=float)
     if x.shape != (k,):
         raise ShapeMismatchError(f"code shape {x.shape} != ({k},)")
@@ -271,7 +243,7 @@ def _feature_sign_block(D, G, Y, lam, max_iter):
 
 
 def feature_sign(problem, max_iter=None):
-    """Solve the coding problem; returns a SparseVector.
+    """Solve the coding problem; returns the dense length-k code.
 
     The result satisfies the LASSO subgradient conditions at OPT_TOL:
     |D_j'(Dx - y) + lam*sign(x_j)| <= tol on the active set and
@@ -285,7 +257,7 @@ def feature_sign(problem, max_iter=None):
     X, failure = _feature_sign_block(D, D.T @ D, y[:, None], lam, max_iter)
     if failure:
         raise MaxIterationsError(failure[1])
-    return SparseVector.from_dense(X[0])
+    return X[0]
 
 
 def encode_all(D, Y, lam, max_iter=None):
@@ -326,7 +298,7 @@ def oracle_solve(problem, max_sweeps=10000, tol=1e-12):
 
     Exact per-coordinate soft-threshold updates, swept cyclically until the
     largest coordinate change in a sweep is below tol.  Returns the final
-    iterate even if the sweep cap is reached.
+    iterate, a dense length-k vector, even if the sweep cap is reached.
     """
     D, y, lam = problem.dictionary, problem.target, problem.lam
     k = D.shape[1]
@@ -345,7 +317,7 @@ def oracle_solve(problem, max_sweeps=10000, tol=1e-12):
             x[j] = new
         if delta < tol:
             break
-    return SparseVector.from_dense(x)
+    return x
 
 
 def check_optimality(problem, x, tol=OPT_TOL):

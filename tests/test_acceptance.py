@@ -148,9 +148,9 @@ def test_acceptance_4_metric_exactness(capsys):
     M = N.copy()
     M[1] = 4.5
     err = err_metric([M], [N])
-    code135 = SparseCode(k=600, omega=11,
-                         triplets=[(i % 600, i % 11, 1.0 + i)
-                                   for i in range(135)])
+    i = np.arange(135)
+    code135 = SparseCode(k=600, omega=11, rows=i % 600, cols=i % 11,
+                         vals=1.0 + i)
     cr = cr_metric([code135])
     ok = abs(err - 0.10) <= 1e-12 and abs(cr - 0.55) <= 1e-12
     report(capsys, 4, ok,

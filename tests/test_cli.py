@@ -118,6 +118,17 @@ def test_ingest_synthetic(capsys, tmp_path):
     assert all(len(b.values) == 300 for b in beats)
 
 
+def test_ingest_non_finite_beat_exits_2(capsys, tmp_path):
+    beats_csv = tmp_path / "beats.csv"
+    cells = ["N"] + ["0.5"] * 300
+    cells[40] = "nan"
+    beats_csv.write_text("V," + ",".join(["0.25"] * 300) + "\n" + ",".join(cells) + "\n")
+    out = tmp_path / "out.csv"
+    status, _, err = run(capsys, "ingest", "--beats", str(beats_csv), "--out", str(out))
+    assert status == 2 and "line 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ingest_from_record(capsys, tmp_path):
     from ecgsparse.ingest import encode_212
 
@@ -337,6 +348,44 @@ def test_train_svm_reports_unconverged_pairs(capsys, small_chain, tmp_path, monk
     assert status == 0
     pairs = json.loads(model.read_text())["pairs"]
     assert summary["unconverged_pairs"] == sum(not p["converged"] for p in pairs) > 0
+
+
+def _mutants(rng, blob, count):
+    """count seeded damaged copies of blob: a truncation or 1-3 byte flips."""
+    for _ in range(count):
+        if rng.random() < 0.3:
+            yield blob[:int(rng.integers(len(blob)))]
+        else:
+            damaged = bytearray(blob)
+            for pos in rng.integers(len(blob), size=int(rng.integers(1, 4))):
+                damaged[pos] ^= int(rng.integers(1, 256))
+            yield bytes(damaged)
+
+
+def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
+    # truncated and byte-flipped SBC1 and beats CSV files: every command
+    # exits 0 or 2, raises nothing past run_command (no traceback) and
+    # leaves no output file when it exits 2
+    _, beats_csv, dict_path, codes_path = small_chain
+    rng = np.random.default_rng(7)
+    calls = []
+    for i, blob in enumerate(_mutants(rng, codes_path.read_bytes(), 10)):
+        bad = tmp_path / f"bad{i}.sbc"
+        bad.write_bytes(blob)
+        calls.append(("metrics", "--beats", str(beats_csv), "--dict", str(dict_path),
+                      "--codes", str(bad), "--out-json"))
+        calls.append(("featurize", "--codes", str(bad), "--out"))
+    for i, blob in enumerate(_mutants(rng, beats_csv.read_bytes(), 10)):
+        bad = tmp_path / f"bad{i}.csv"
+        bad.write_bytes(blob)
+        calls.append(("ingest", "--beats", str(bad), "--out"))
+        calls.append(("encode", "--beats", str(bad), "--dict", str(dict_path), "--out"))
+    for n, argv in enumerate(calls):
+        out = tmp_path / f"out{n}"
+        status, _, err = run(capsys, *argv, str(out))
+        assert status in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        assert out.exists() == (status == 0), (argv, err)
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -1,12 +1,13 @@
 """Sparse codec: triplet codes, beat reconstruction, metrics, SBC1 format."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from ecgsparse.errors import CorruptFileError, DegenerateInputError
+from ecgsparse.errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from ecgsparse.codec import (
     SparseCode,
-    code_file_roundtrip,
     compress,
     cr_metric,
     decompress,
@@ -47,7 +48,7 @@ def test_from_dense_canonical_order():
     X[1, 0] = 2.0
     X[0, 2] = -1.0
     code = SparseCode.from_dense(X)
-    assert [(t[0], t[1]) for t in code.triplets] == [(1, 0), (3, 0), (0, 2)]
+    assert list(zip(code.rows, code.cols)) == [(1, 0), (3, 0), (0, 2)]
     np.testing.assert_array_equal(code.to_dense(), X)
     assert code.nnz == 3
 
@@ -56,7 +57,7 @@ def test_compress_zero_features():
     rng = np.random.default_rng(0)
     D = unit_dict(rng, 5, 8)
     code = compress(D, np.zeros((5, 3)), lam=0.1)
-    assert code.triplets == []
+    assert code.nnz == 0
     assert code.omega == 3
 
 
@@ -80,9 +81,10 @@ def test_compress_densify_matches_encode_all():
 def test_decompress_empty_and_single_triplet():
     rng = np.random.default_rng(3)
     D = unit_dict(rng, 5, 7)
-    empty = SparseCode(k=7, omega=2, triplets=[])
+    empty = SparseCode.from_dense(np.zeros((7, 2)))
     np.testing.assert_array_equal(decompress(D, empty), np.zeros((5, 2)))
-    one = SparseCode(k=7, omega=2, triplets=[(4, 1, 2.5)])
+    one = SparseCode(k=7, omega=2, rows=np.array([4]), cols=np.array([1]),
+                     vals=np.array([2.5]))
     out = decompress(D, one)
     np.testing.assert_array_equal(out[:, 0], np.zeros(5))
     np.testing.assert_allclose(out[:, 1], 2.5 * D[:, 4], atol=1e-12)
@@ -97,9 +99,15 @@ def test_codec_adds_no_error():
     Yhat = decompress(D, compress(D, Y, lam))
     for i in range(5):
         x = feature_sign(CodingProblem(dictionary=D, target=Y[:, i], lam=lam))
-        direct = np.linalg.norm(Y[:, i] - D @ x.to_dense())
+        direct = np.linalg.norm(Y[:, i] - D @ x)
         via_codec = np.linalg.norm(Y[:, i] - Yhat[:, i])
         assert abs(direct - via_codec) <= 1e-12
+
+
+def test_sbc1_refuses_more_windows_than_samples():
+    with pytest.raises(ShapeMismatchError, match="^beat 0: 301 windows"):
+        serialize_codes([SparseCode.from_dense(np.ones((2, 301)))])
+    assert parse_codes(serialize_codes([SparseCode.from_dense(np.ones((2, 300)))]))[0].omega == 300
 
 
 # --- beat reconstruction ---------------------------------------------------------
@@ -160,10 +168,11 @@ def test_err_metric_permutation_invariant():
 
 
 def test_cr_metric_worked_examples():
-    code135 = SparseCode(k=600, omega=11,
-                         triplets=[(i % 600, i % 11, 1.0 + i) for i in range(135)])
+    i = np.arange(135)
+    code135 = SparseCode(k=600, omega=11, rows=i % 600, cols=i % 11,
+                         vals=1.0 + i)
     assert cr_metric([code135]) == pytest.approx(0.55, abs=1e-12)
-    empty = SparseCode(k=10, omega=5, triplets=[])
+    empty = SparseCode.from_dense(np.zeros((10, 5)))
     assert cr_metric([empty]) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -192,7 +201,7 @@ def test_err_cr_tradeoff_monotone_in_lambda():
 def test_sbc1_roundtrip_exact():
     rng = np.random.default_rng(8)
     codes = random_codes(rng, 5)
-    out = code_file_roundtrip(codes)
+    out = parse_codes(serialize_codes(codes))
     assert out == codes
 
 
@@ -210,9 +219,26 @@ def test_sbc1_serialization_canonical():
 
 def test_sbc1_drops_float32_zero_values():
     # a value that underflows to zero in float32 cannot be stored faithfully
-    code = SparseCode(k=4, omega=2, triplets=[(0, 0, 1e-50), (2, 1, 1.0)])
-    out = parse_codes(serialize_codes([code]))[0]
-    assert [(t[0], t[1]) for t in out.triplets] == [(2, 1)]
+    X = np.zeros((4, 2))
+    X[0, 0], X[2, 1] = 1e-50, 1.0
+    out = parse_codes(serialize_codes([SparseCode.from_dense(X)]))[0]
+    assert list(zip(out.rows, out.cols)) == [(2, 1)]
+
+
+def test_sbc1_refuses_non_finite_values():
+    # a value that overflows float32, or is NaN, would be refused on reading
+    for bad in (1e300, np.nan, -np.inf):
+        code = SparseCode(k=3, omega=2, rows=np.array([0, 2]), cols=np.array([0, 1]),
+                          vals=np.array([1.0, bad]))
+        with pytest.raises(DegenerateInputError, match="^beat 0: "):
+            serialize_codes([code])
+
+
+def sbc1_record(k, omega, triplets, label_code=0):
+    """One-beat SBC1 file built field by field with struct."""
+    body = b"".join(struct.pack("<IIf", r, c, v) for r, c, v in triplets)
+    return (b"SBC1" + struct.pack("<II", k, 1)
+            + struct.pack("<IBI", omega, label_code, len(triplets)) + body)
 
 
 def test_sbc1_corrupt_inputs():
@@ -224,11 +250,28 @@ def test_sbc1_corrupt_inputs():
         parse_codes(blob[:-3])          # truncated
     with pytest.raises(CorruptFileError):
         parse_codes(blob + b"\x00")     # trailing garbage
+    assert parse_codes(sbc1_record(3, 2, [(0, 0, 1.0), (2, 1, -2.0)]))[0].nnz == 2
+    top = 2 ** 32 - 1
+    for what, bad in [
+            ("out of range", sbc1_record(3, 2, [(3, 0, 1.0)])),
+            ("out of range", sbc1_record(3, 2, [(0, 2, 1.0)])),
+            ("zero", sbc1_record(3, 2, [(0, 0, 1.0), (1, 0, 0.0)])),
+            ("non-finite", sbc1_record(3, 2, [(1, 1, float("nan"))])),
+            ("non-finite", sbc1_record(3, 2, [(0, 0, float("inf"))])),
+            ("canonical", sbc1_record(3, 2, [(1, 0, 1.0), (1, 0, 1.0)])),
+            ("label", sbc1_record(3, 2, [(0, 0, 1.0)], label_code=7)),
+            ("windows exceed", sbc1_record(3, 301, [(0, 300, 1.0)])),
+            # k and Omega near 2**32, where a flattened col * k + row key
+            # would wrap int64 and see these descending columns as ascending
+            ("windows exceed", sbc1_record(top, top, [(0, 2 ** 31 + 1, 1.0),
+                                                      (0, 2 ** 31, 1.0)])),
+            ("canonical", sbc1_record(top, 300, [(top - 1, 5, 1.0), (0, 4, 1.0)]))]:
+        with pytest.raises(CorruptFileError, match=f"^beat 0: .*{what}"):
+            parse_codes(bad)
 
 
 def test_sbc1_rejects_non_canonical_order():
-    good = serialize_codes([SparseCode(k=3, omega=2,
-                                       triplets=[(0, 0, 1.0), (1, 0, 2.0)])])
+    good = serialize_codes([SparseCode.from_dense([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])])
     # swap the two 12-byte triplet records after the 21-byte headers
     start = 4 + 4 + 4 + 4 + 1 + 4
     a = good[start:start + 12]

@@ -7,6 +7,7 @@ from ecgsparse.errors import BadConfigError
 from ecgsparse.codec import SparseCode
 from ecgsparse.features import (
     PyramidConfig,
+    bow_feature,
     bow_histogram,
     build_blocks,
     format_features_csv,
@@ -178,6 +179,24 @@ def test_bow_all_windows_one_atom():
     expect = np.zeros(8)
     expect[3] = 11
     np.testing.assert_array_equal(h, expect)
+
+
+def test_bow_feature_hand_built_code():
+    # window 0: atom 2 strongest; window 1: empty; window 2: |-3| ties
+    # between atoms 1 and 4 and goes to atom 1; window 3: atom 4
+    X = np.zeros((5, 4))
+    X[0, 0], X[2, 0] = 0.5, -2.0
+    X[1, 2], X[3, 2], X[4, 2] = -3.0, 1.0, 3.0
+    X[4, 3] = 0.1
+    code = make_code(X, label="V")
+    raw = bow_feature(code, normalize=False)
+    np.testing.assert_array_equal(raw.z, [0.0, 1.0, 1.0, 0.0, 1.0])
+    assert raw.label == "V"
+    np.testing.assert_allclose(bow_feature(code).z,
+                               np.array([0.0, 1.0, 1.0, 0.0, 1.0]) / np.sqrt(3.0),
+                               rtol=0, atol=1e-15)
+    empty = bow_feature(make_code(np.zeros((5, 3))))
+    np.testing.assert_array_equal(empty.z, np.zeros(5))
 
 
 def test_bow_count_conservation():

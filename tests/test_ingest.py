@@ -234,3 +234,12 @@ def test_beats_csv_roundtrip():
 def test_beats_csv_wrong_column_count():
     with pytest.raises(ParseError):
         read_beats_csv("N,1.0,2.0\n")
+
+
+def test_beats_csv_rejects_non_finite():
+    good = "N," + ",".join(["0.5"] * 300)
+    for bad in ("nan", "inf", "-inf"):
+        cells = ["V"] + ["0.25"] * 300
+        cells[17] = bad
+        with pytest.raises(ParseError, match="^line 3: "):
+            read_beats_csv("\n".join([good, "# comment", ",".join(cells)]))

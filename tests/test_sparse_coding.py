@@ -13,7 +13,6 @@ from ecgsparse.errors import (
 from ecgsparse.sparse_coding import (
     BLOCK_COLUMNS,
     CodingProblem,
-    SparseVector,
     check_optimality,
     default_lambda,
     encode_all,
@@ -30,15 +29,7 @@ def random_problem(rng, d=8, k=12, lam=0.1):
     return CodingProblem(dictionary=D, target=y, lam=lam)
 
 
-# --- SparseVector -------------------------------------------------------------
-
-def test_sparse_vector_roundtrip():
-    x = np.array([0.0, -2.5, 0.0, 1.0, 0.0])
-    sv = SparseVector.from_dense(x)
-    assert sv.nnz == 2
-    assert all(v != 0 for _, v in sv.entries)
-    np.testing.assert_array_equal(sv.to_dense(), x)
-
+# --- CodingProblem -------------------------------------------------------------
 
 def test_coding_problem_validation():
     D = np.eye(3)
@@ -76,13 +67,13 @@ def test_non_finite_input_rejected():
 
 def test_objective_empty_code():
     p = CodingProblem(dictionary=np.eye(2), target=np.array([3.0, 4.0]), lam=0.1)
-    x = SparseVector.from_dense(np.zeros(2))
+    x = np.zeros(2)
     assert lasso_objective(p, x) == pytest.approx(12.5)  # 0.5 * 25
 
 
 def test_objective_exact_fit():
     p = CodingProblem(dictionary=np.eye(2), target=np.array([1.0, 0.0]), lam=0.1)
-    x = SparseVector.from_dense(np.array([1.0, 0.0]))
+    x = np.array([1.0, 0.0])
     assert lasso_objective(p, x) == pytest.approx(0.1)
 
 
@@ -90,7 +81,7 @@ def test_objective_nonnegative():
     rng = np.random.default_rng(0)
     p = random_problem(rng)
     for _ in range(10):
-        x = SparseVector.from_dense(rng.standard_normal(12))
+        x = rng.standard_normal(12)
         assert lasso_objective(p, x) >= 0.0
 
 
@@ -103,12 +94,12 @@ def test_feature_sign_zero_when_lambda_large():
     y = rng.standard_normal(4)
     lam = float(np.max(np.abs(D.T @ y))) + 0.01
     x = feature_sign(CodingProblem(dictionary=D, target=y, lam=lam))
-    assert x.nnz == 0
+    assert np.count_nonzero(x) == 0
 
 
 def test_feature_sign_orthonormal_soft_threshold():
     p = CodingProblem(dictionary=np.eye(2), target=np.array([1.0, 0.2]), lam=0.5)
-    x = feature_sign(p).to_dense()
+    x = feature_sign(p)
     np.testing.assert_allclose(x, [0.5, 0.0], atol=1e-12)
 
 
@@ -135,8 +126,8 @@ def test_feature_sign_homogeneity():
     D = rng.standard_normal((6, 10))
     D /= np.linalg.norm(D, axis=0, keepdims=True)
     y = rng.standard_normal(6)
-    x1 = feature_sign(CodingProblem(dictionary=D, target=y, lam=0.2)).to_dense()
-    x3 = feature_sign(CodingProblem(dictionary=D, target=3 * y, lam=0.6)).to_dense()
+    x1 = feature_sign(CodingProblem(dictionary=D, target=y, lam=0.2))
+    x3 = feature_sign(CodingProblem(dictionary=D, target=3 * y, lam=0.6))
     np.testing.assert_allclose(x3, 3.0 * x1, atol=1e-8)
 
 
@@ -148,14 +139,14 @@ def test_feature_sign_sparsity_monotone_in_lambda():
         for base in problems:
             p = CodingProblem(dictionary=base.dictionary, target=base.target,
                               lam=lam)
-            totals[lam] += feature_sign(p).nnz
+            totals[lam] += np.count_nonzero(feature_sign(p))
     assert totals[0.4] <= totals[0.05]
 
 
 def test_feature_sign_iteration_cap():
     rng = np.random.default_rng(6)
     p = random_problem(rng, lam=0.01)
-    assert feature_sign(p).nnz >= 2  # needs several activations
+    assert np.count_nonzero(feature_sign(p)) >= 2  # needs several activations
     with pytest.raises(MaxIterationsError):
         feature_sign(p, max_iter=1)
 
@@ -164,13 +155,13 @@ def test_feature_sign_iteration_cap():
 
 def test_oracle_trivial_cases():
     p = CodingProblem(dictionary=np.eye(2), target=np.array([1.0, 0.2]), lam=0.5)
-    np.testing.assert_allclose(oracle_solve(p).to_dense(), [0.5, 0.0], atol=1e-10)
+    np.testing.assert_allclose(oracle_solve(p), [0.5, 0.0], atol=1e-10)
     rng = np.random.default_rng(7)
     D = rng.standard_normal((4, 6))
     D /= np.linalg.norm(D, axis=0, keepdims=True)
     y = rng.standard_normal(4)
     lam = float(np.max(np.abs(D.T @ y))) + 0.01
-    assert oracle_solve(CodingProblem(dictionary=D, target=y, lam=lam)).nnz == 0
+    assert np.count_nonzero(oracle_solve(CodingProblem(dictionary=D, target=y, lam=lam))) == 0
 
 
 def test_oracle_satisfies_optimality():
@@ -182,7 +173,7 @@ def test_oracle_satisfies_optimality():
 def test_check_optimality_flags_bad_points():
     rng = np.random.default_rng(9)
     p = random_problem(rng)
-    x = SparseVector.from_dense(rng.standard_normal(12))
+    x = rng.standard_normal(12)
     assert check_optimality(p, x) > 1e-3
 
 
@@ -204,7 +195,7 @@ def test_encode_all_matches_per_column():
     X = encode_all(D, Y, lam=0.15)
     for i in range(5):
         p = CodingProblem(dictionary=D, target=Y[:, i], lam=0.15)
-        np.testing.assert_array_equal(X[:, i], feature_sign(p).to_dense())
+        np.testing.assert_array_equal(X[:, i], feature_sign(p))
 
 
 def _reference_loop(G, b, lam, c0, max_iter):
@@ -258,7 +249,7 @@ def _reference_loop(G, b, lam, c0, max_iter):
 
 def _per_column(D, Y, lam):
     return np.column_stack([
-        feature_sign(CodingProblem(dictionary=D, target=Y[:, i], lam=lam)).to_dense()
+        feature_sign(CodingProblem(dictionary=D, target=Y[:, i], lam=lam))
         for i in range(Y.shape[1])])
 
 
