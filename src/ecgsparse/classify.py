@@ -15,6 +15,11 @@ from .errors import (BadConfigError, CorruptFileError, DegenerateInputError,
 from .fileio import atomic_write_text
 
 KKT_TOL = 1e-3
+# bytes of padded kernel matrices one lockstep SMO chunk holds; bounds the
+# working memory of a cross-validation batch
+SMO_CHUNK_BYTES = 4 << 20
+# smo_train's default update cap, also used for cross-validation
+SMO_MAX_UPDATES = 1_000_000
 
 
 def kernel_matrix(A, B, gamma):
@@ -23,9 +28,15 @@ def kernel_matrix(A, B, gamma):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ShapeMismatchError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    sq = (np.sum(A * A, axis=1)[:, None] - 2.0 * (A @ B.T)
-          + np.sum(B * B, axis=1)[None, :])
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (np.sum(A * A, axis=1)[:, None] - 2.0 * (A @ B.T)
+              + np.sum(B * B, axis=1)[None, :])
+        K = np.exp(-gamma * np.maximum(sq, 0.0))
+    if not np.isfinite(K).all():
+        # squared norms overflowed (inf - inf): SMO would spin on NaN to its
+        # update cap and prediction would vote on NaN
+        raise DegenerateInputError("RBF kernel is not finite: feature values too large")
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +53,8 @@ class BinarySvmModel:
     converged: bool = True
 
 
-def smo_train(Z, y, C, gamma, tol=KKT_TOL, max_updates=1_000_000):
-    """Solve the SVM dual by sequential minimal optimization.
-
-    Working pairs are chosen by maximal KKT violation (largest b_low - b_up
-    gap); convergence is declared when the gap drops to tol, at which point
-    every KKT condition holds within tol.  Hitting the update cap returns
-    the best iterate with converged=False rather than raising.
-    """
+def _check_problem(Z, y, C, gamma):
+    """smo_train's input rules; returns Z and y as float arrays."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     if Z.ndim != 2 or len(y) != Z.shape[0]:
@@ -58,70 +63,159 @@ def smo_train(Z, y, C, gamma, tol=KKT_TOL, max_updates=1_000_000):
         raise BadConfigError("labels must be +1/-1")
     if np.all(y == y[0]):
         raise SingleClassError("both classes must be present")
-    if not C > 0:
-        raise BadConfigError("C must be positive")
+    if not (np.isfinite(C) and C > 0):
+        # load_model refuses a non-finite C, so no model may be trained with one
+        raise BadConfigError(f"C must be finite and positive, got {C}")
     if not (np.isfinite(gamma) and gamma >= 0):
         raise BadConfigError(f"gamma must be finite and >= 0, got {gamma}")
     if not np.isfinite(Z).all():
         raise DegenerateInputError("features hold NaN or inf")
+    return Z, y
 
-    n = len(y)
-    K = kernel_matrix(Z, Z, gamma)
-    alpha = np.zeros(n)
-    F = -y.copy()  # F_t = f_raw(z_t) - y_t with f_raw = sum alpha_j y_j K_jt
-    converged = False
 
-    # An update changes alpha only at i and j, so the working sets are held
-    # as masks and re-tested at those two indices alone.  The pair step runs
-    # on Python floats (alpha mirrored as a list) with the same operations in
-    # the same order as an array version, so every iterate is bit-identical.
-    c = float(C)
-    top = c - 1e-12
-    up = ((y > 0) & (alpha < top)) | ((y < 0) & (alpha > 1e-12))
-    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < top))
-    a, ys, kd = alpha.tolist(), y.tolist(), K.diagonal().tolist()
-    step, step_j = np.empty(n), np.empty(n)
+def smo_train(Z, y, C, gamma, tol=KKT_TOL, max_updates=SMO_MAX_UPDATES):
+    """Solve the SVM dual by sequential minimal optimization.
 
-    for _ in range(max_updates):
-        # F is finite, so the masked argmin/argmax pick the first index of
-        # the extreme F within the set; a pick outside it means the set is empty
-        i = int(np.where(up, F, np.inf).argmin())
-        j = int(np.where(low, F, -np.inf).argmax())
-        if not (up[i] and low[j]):
-            converged = True
-            break
-        b_up, b_low = F.item(i), F.item(j)
-        if b_low - b_up <= tol:
-            converged = True
-            break
+    Working pairs are chosen by maximal KKT violation (largest b_low - b_up
+    gap); convergence is declared when the gap drops to tol, at which point
+    every KKT condition holds within tol.  Hitting the update cap returns
+    the best iterate with converged=False rather than raising.
+    """
+    Z, y = _check_problem(Z, y, C, gamma)
+    (result,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)], tol)
+    return _svm_model(Z, y, C, gamma, *result)
 
-        ai_old, aj_old, yi, yj = a[i], a[j], ys[i], ys[j]
-        if yi != yj:
-            L = max(0.0, aj_old - ai_old)
-            H = min(c, c + aj_old - ai_old)
-        else:
-            L = max(0.0, ai_old + aj_old - c)
-            H = min(c, ai_old + aj_old)
-        eta = max(kd[i] + kd[j] - 2.0 * K.item(i, j), 1e-12)
-        aj = min(max(aj_old + yj * (b_up - b_low) / eta, L), H)
-        dj = aj - aj_old
-        if abs(dj) < 1e-14:
-            # numerically stuck pair; no progress possible from here
-            break
-        ai = ai_old + yi * yj * (-dj)
-        di = ai - ai_old
-        a[i], a[j] = ai, aj
-        for t in (i, j):
-            if ys[t] > 0:
-                up[t], low[t] = a[t] < top, a[t] > 1e-12
+
+def _smo_lockstep(problems, tol):
+    """SMO on many checked problems (Z, y, C, gamma, max_updates) at once.
+
+    Returns one (alpha, F, converged) per problem, in order, for
+    _svm_model, and the number of pair updates made.  Consecutive problems
+    run together in chunks whose padded kernel stack stays within
+    SMO_CHUNK_BYTES.
+    """
+    results, updates, start = [], 0, 0
+    while start < len(problems):
+        stop, n = start + 1, len(problems[start][1])
+        while stop < len(problems):
+            wider = max(n, len(problems[stop][1]))
+            if (stop + 1 - start) * wider * wider * 8 > SMO_CHUNK_BYTES:
+                break
+            stop, n = stop + 1, wider
+        chunk_results, chunk_updates = _smo_chunk(problems[start:stop], tol)
+        results += chunk_results
+        updates += chunk_updates
+        start = stop
+    return results, updates
+
+
+def _smo_chunk(problems, tol):
+    """Lockstep SMO: every live problem takes one pair update per step.
+
+    S stacks, per problem, F_t = f_raw(z_t) - y_t and F restricted to the up
+    and low sets (+inf and -inf outside them), so one argmin and one argmax
+    pick every problem's maximal violating pair; an empty set reads as
+    b_up = +inf or b_low = -inf, which passes the convergence test.  Padding
+    lies outside both sets and its kernel entries are zero.  The pair step
+    runs on Python floats with every expression of the one-problem loop in
+    its order, and F takes the same two kernel-row products, so each
+    problem's iterates are bit-identical to solving it alone.  A problem
+    leaves on convergence, on a stuck pair and on its update cap.
+    """
+    P = len(problems)
+    width = max(len(y) for _, y, _, _, _ in problems)
+    K = np.zeros((P, width, width))
+    S = np.empty((P, 3, width))
+    S[:, 0], S[:, 1], S[:, 2] = 0.0, np.inf, -np.inf
+    alphas, consts = [], []
+    for p, (Z, y, C, gamma, cap) in enumerate(problems):
+        n = len(y)
+        K[p, :n, :n] = kernel_matrix(Z, Z, gamma)
+        c = float(C)
+        top = c - 1e-12
+        alpha = np.zeros(n)
+        up = ((y > 0) & (alpha < top)) | ((y < 0) & (alpha > 1e-12))
+        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < top))
+        S[p, 0, :n] = -y
+        S[p, 1, :n] = np.where(up, -y, np.inf)
+        S[p, 2, :n] = np.where(low, -y, -np.inf)
+        alphas.append(alpha.tolist())
+        consts.append((y.tolist(), K[p].diagonal()[:n].tolist(), c, top, cap, p * width))
+
+    updates, converged, F_out = [0] * P, [False] * P, [None] * P
+    K_rows = K.reshape(P * width, width)
+    live = list(range(P))  # problem of each row of S
+    up_at, low_at = width, 2 * width  # the rows of S, as flat offsets
+    while live:
+        S_flat = S.reshape(-1)
+        pick_i = S[:, 1].argmin(axis=1).tolist()
+        pick_j = S[:, 2].argmax(axis=1).tolist()
+        stay, leave, rows, coefs, at, values = [], [], [], [], [], []
+        for q, (p, i, j) in enumerate(zip(live, pick_i, pick_j)):
+            a = alphas[p]
+            ys, kd, c, top, cap, row = consts[p]
+            b_up = S_flat.item(3 * width * q + up_at + i)
+            b_low = S_flat.item(3 * width * q + low_at + j)
+            if updates[p] == cap:
+                leave.append(q)
+                continue
+            if b_low - b_up <= tol:
+                converged[p] = True
+                leave.append(q)
+                continue
+            # max() and min() spelled out as the comparisons they make
+            # (max(a, b) is b if b > a else a), which saves the calls
+            ai_old, aj_old, yi, yj = a[i], a[j], ys[i], ys[j]
+            if yi != yj:
+                L = aj_old - ai_old
+                H = c + aj_old - ai_old
             else:
-                up[t], low[t] = a[t] > 1e-12, a[t] < top
-        np.multiply(K[i], yi * di, out=step)
-        np.multiply(K[j], yj * dj, out=step_j)
-        step += step_j
-        F += step
+                L = ai_old + aj_old - c
+                H = ai_old + aj_old
+            L = L if L > 0.0 else 0.0
+            H = H if H < c else c
+            eta = kd[i] + kd[j] - 2.0 * K.item(p, i, j)
+            eta = 1e-12 if 1e-12 > eta else eta
+            aj = aj_old + yj * (b_up - b_low) / eta
+            aj = L if L > aj else aj
+            aj = H if H < aj else aj
+            dj = aj - aj_old
+            if abs(dj) < 1e-14:
+                # numerically stuck pair; no progress possible from here
+                leave.append(q)
+                continue
+            ai = ai_old + yi * yj * (-dj)
+            di = ai - ai_old
+            a[i], a[j] = ai, aj
+            updates[p] += 1
+            rows += (row + i, row + j)
+            coefs += (yi * di, yj * dj)
+            # the up and low rows at i and j before F moves: F there is b_up
+            # and b_low, or +-inf where the index has left the set
+            up_i, low_i = (ai < top, ai > 1e-12) if yi > 0 else (ai > 1e-12, ai < top)
+            up_j, low_j = (aj < top, aj > 1e-12) if yj > 0 else (aj > 1e-12, aj < top)
+            base = 3 * width * len(stay)
+            at += (base + up_at + i, base + up_at + j, base + low_at + i, base + low_at + j)
+            values += (b_up if up_i else np.inf, b_low if up_j else np.inf,
+                       b_up if low_i else -np.inf, b_low if low_j else -np.inf)
+            stay.append(q)
+        if leave:
+            for q in leave:
+                p = live[q]
+                F_out[p] = S[q, 0, :len(alphas[p])].copy()
+            S, live = S[stay], [live[q] for q in stay]
+            if not live:
+                break
+        S.reshape(-1)[at] = values
+        step = K_rows[rows]
+        step *= np.array(coefs)[:, None]
+        S += (step[0::2] + step[1::2])[:, None, :]
 
-    alpha = np.array(a)
+    return list(zip(map(np.array, alphas), F_out, converged)), sum(updates)
+
+
+def _svm_model(Z, y, C, gamma, alpha, F, converged):
+    """The model of a finished SMO run: bias from the KKT gap, retained vectors."""
     up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
     low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
     b_up = float(np.min(F[up])) if np.any(up) else 0.0
@@ -158,19 +252,26 @@ class OvoModel:
     models: dict = field(default_factory=dict)  # (ia, ib) -> BinarySvmModel
 
 
-def ovo_train(Z, labels, C, gamma, tol=KKT_TOL):
-    Z = np.asarray(Z, dtype=float)
+def _ovo_pairs(Z, labels):
+    """Sorted classes, and per one-vs-one pair (ia, ib) its rows of Z and
+    its labels (+1 for class ia, -1 for class ib)."""
     labels = list(labels)
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise SingleClassError(f"need >= 2 classes, got {classes}")
     lab = np.array(labels)
-    models = {}
+    pairs = []
     for ia in range(len(classes)):
         for ib in range(ia + 1, len(classes)):
             mask = (lab == classes[ia]) | (lab == classes[ib])
             y = np.where(lab[mask] == classes[ia], 1.0, -1.0)
-            models[(ia, ib)] = smo_train(Z[mask], y, C, gamma, tol=tol)
+            pairs.append(((ia, ib), Z[mask], y))
+    return classes, pairs
+
+
+def ovo_train(Z, labels, C, gamma, tol=KKT_TOL):
+    classes, pairs = _ovo_pairs(np.asarray(Z, dtype=float), labels)
+    models = {key: smo_train(Zp, y, C, gamma, tol=tol) for key, Zp, y in pairs}
     return OvoModel(classes=classes, models=models)
 
 
@@ -186,15 +287,11 @@ def ovo_predict_batch(model, Z):
         votes[~wins_a, ib] += 1
         magnitude[wins_a, ia] += np.abs(f[wins_a])
         magnitude[~wins_a, ib] += np.abs(f[~wins_a])
-    out = []
-    for r in range(Z.shape[0]):
-        best = np.max(votes[r])
-        tied = np.flatnonzero(votes[r] == best)
-        if len(tied) > 1:
-            mags = magnitude[r, tied]
-            tied = tied[mags == mags.max()]
-        out.append(model.classes[int(tied[0])])
-    return out
+    # most votes wins; a tie goes to the larger summed |f|, then the lower index
+    tied = votes == votes.max(axis=1, keepdims=True)
+    mags = np.where(tied, magnitude, -np.inf)
+    best = tied & (mags == mags.max(axis=1, keepdims=True))
+    return [model.classes[c] for c in best.argmax(axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +317,41 @@ def stratified_folds(labels, folds, seed):
 
 def cross_validate(Z, labels, C, gamma, folds=5, seed=0):
     """Mean held-out accuracy over stratified seeded folds."""
+    (score,), _ = _cross_validate_many(Z, labels, [(C, gamma)], folds, seed)
+    return score
+
+
+def _cross_validate_many(Z, labels, points, folds, seed):
+    """cross_validate at every (C, gamma) of points over the same folds.
+
+    Every (point, fold, pair) SVM is trained in one lockstep SMO batch.
+    Returns the accuracies, in the order of points, and the number of SMO
+    pair updates made.
+    """
     Z = np.asarray(Z, dtype=float)
     labels = np.array(list(labels))
     fold_of = stratified_folds(labels, folds, seed)
-    accs = []
+    splits = []
     for f in range(folds):
         test = fold_of == f
-        model = ovo_train(Z[~test], labels[~test], C, gamma)
-        pred = ovo_predict_batch(model, Z[test])
-        accs.append(float(np.mean(pred == labels[test])))
-    return float(np.mean(accs))
+        splits.append((test, *_ovo_pairs(Z[~test], labels[~test])))
+    problems = [(*_check_problem(Zp, y, C, gamma), C, gamma, SMO_MAX_UPDATES)
+                for C, gamma in points
+                for _, _, pairs in splits
+                for _, Zp, y in pairs]
+    results, updates = _smo_lockstep(problems, KKT_TOL)
+    solved = iter(results)
+    scores = []
+    for C, gamma in points:
+        accs = []
+        for test, classes, pairs in splits:
+            model = OvoModel(classes=classes, models={
+                key: _svm_model(Zp, y, C, gamma, *next(solved))
+                for key, Zp, y in pairs})
+            pred = ovo_predict_batch(model, Z[test])
+            accs.append(float(np.mean(pred == labels[test])))
+        scores.append(float(np.mean(accs)))
+    return scores, updates
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +384,9 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
                  c1=1.49, c2=1.49, seed=0, init_positions=None):
     """Global-best PSO maximizing `fitness` over box `bounds`.
 
-    Returns (best_x, best_fit, history) with history the incumbent fitness
-    after each iteration (non-decreasing by construction).
+    `fitness(X)` scores a whole swarm: one value per row of X.  Returns
+    (best_x, best_fit, history) with history the incumbent fitness after
+    each iteration (non-decreasing by construction).
     """
     bounds = np.asarray(bounds, dtype=float)
     dim = bounds.shape[0]
@@ -275,7 +398,7 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
         X = lo + rng.random((swarm_size, dim)) * (hi - lo)
     V = np.zeros_like(X)
     pbest = X.copy()
-    pfit = np.array([fitness(x) for x in X], dtype=float)
+    pfit = np.array(fitness(X), dtype=float)
     g = int(np.argmax(pfit))
     gbest, gfit = pbest[g].copy(), float(pfit[g])
     history = []
@@ -284,8 +407,9 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
         r2 = rng.random((X.shape[0], dim))
         V = w * V + c1 * r1 * (pbest - X) + c2 * r2 * (gbest - X)
         X = np.clip(X + V, lo, hi)
+        fits = fitness(X)
         for p in range(X.shape[0]):
-            fit = fitness(X[p])
+            fit = fits[p]
             if fit > pfit[p]:
                 pfit[p] = fit
                 pbest[p] = X[p].copy()
@@ -299,26 +423,37 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
 def pso_search(Z, labels, cfg):
     """PSO over (log2 C, log2 gamma) with CV accuracy as fitness.
 
-    Returns (C, gamma, best cv accuracy).
+    Returns (C, gamma, best cv accuracy, counts), counts holding
+    `pso_evaluations` (distinct points cross-validated) and `smo_updates`
+    (SMO pair updates made while scoring them).
     """
     Z = np.asarray(Z, dtype=float)
     scores = {}  # clipped position -> CV accuracy
+    counts = {"pso_evaluations": 0, "smo_updates": 0}
 
-    def fitness(x):
+    def fitness(X):
         # the swarm revisits points (the global-best particle never moves
         # until another particle beats it), and cross-validation is
-        # deterministic, so each distinct point is scored once
-        key = tuple(x.tolist())
-        if key not in scores:
-            scores[key] = cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
-                                         folds=cfg.folds, seed=cfg.seed)
-        return scores[key]
+        # deterministic, so each distinct point is scored once; an
+        # iteration's new points are cross-validated in one batch
+        keys = [tuple(x.tolist()) for x in X]
+        new = {}
+        for key, x in zip(keys, X):
+            if key not in scores and key not in new:
+                new[key] = (2.0 ** x[0], 2.0 ** x[1])
+        if new:
+            accs, updates = _cross_validate_many(Z, labels, list(new.values()),
+                                                 cfg.folds, cfg.seed)
+            scores.update(zip(new, accs))
+            counts["pso_evaluations"] += len(new)
+            counts["smo_updates"] += updates
+        return [scores[key] for key in keys]
 
     best, fit, _ = pso_optimize(
         fitness, [cfg.log2c_bounds, cfg.log2g_bounds],
         swarm_size=cfg.swarm_size, iterations=cfg.iterations,
         w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
-    return 2.0 ** best[0], 2.0 ** best[1], fit
+    return 2.0 ** best[0], 2.0 ** best[1], fit, counts
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +484,8 @@ def load_model(path):
     """Read a model written by save_model.
 
     Raises CorruptFileError for anything else: malformed JSON, a missing
-    key, class indices outside the class list, arrays of the wrong shape or
-    non-finite parameters.
+    key, class indices outside the class list, arrays of the wrong shape,
+    non-finite parameters, C <= 0 or gamma < 0.
     """
     try:
         with open(path) as fh:
@@ -380,6 +515,9 @@ def load_model(path):
             if not (np.isfinite(sv).all() and np.isfinite(coef).all()
                     and np.isfinite([m.b, m.gamma, m.C]).all()):
                 raise ValueError(f"pair {key}: non-finite value")
+            if not (m.C > 0 and m.gamma >= 0):
+                # the rules smo_train applies: no trainer writes such a pair
+                raise ValueError(f"pair {key}: C = {m.C}, gamma = {m.gamma}")
             models[key] = m
         if not models:
             raise ValueError("no class pairs")

@@ -405,20 +405,28 @@ def cmd_featurize(args):
            "k": int(hists[0].z.shape[0]) if hists else 0, "out": args.out})
 
 
+def _read_features(path):
+    hists = features.parse_features_csv(Path(path).read_text())
+    if not hists:
+        raise DataError(f"{path}: no feature rows")
+    return hists
+
+
 def cmd_train_svm(args):
     p = Params(args)
-    hists = features.parse_features_csv(Path(args.features).read_text())
+    hists = _read_features(args.features)
     Z = np.vstack([h.z for h in hists])
     labels = [h.label for h in hists]
     seed = p.get("seed", int, 0)
     folds = p.get("folds", int, 5)
     cv_acc = None
+    counts = {"pso_evaluations": None, "smo_updates": None}
     if getattr(args, "pso", False):
         cfg = classify.PsoConfig(
             swarm_size=p.get("swarm", int, 20),
             iterations=p.get("iters", int, 30),
             folds=folds, seed=seed)
-        C, gamma, cv_acc = classify.pso_search(Z, labels, cfg)
+        C, gamma, cv_acc, counts = classify.pso_search(Z, labels, cfg)
     else:
         C = p.get("C", float, 8.0)
         gamma = p.get("gamma", float, 1.0)
@@ -430,7 +438,8 @@ def cmd_train_svm(args):
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-svm",
            "classes": model.classes, "pairs": len(model.models),
            "unconverged_pairs": _unconverged_pairs(model),
-           "C": C, "gamma": gamma, "cv_accuracy": cv_acc, "out": args.out})
+           "C": C, "gamma": gamma, "cv_accuracy": cv_acc, **counts,
+           "out": args.out})
 
 
 def _unconverged_pairs(model):
@@ -466,8 +475,8 @@ def _confusion_csv(classes, confusion):
 
 def cmd_evaluate(args):
     model = classify.load_model(args.model)
-    hists = features.parse_features_csv(Path(args.features).read_text())
-    if hists and hists[0].z.shape[0] != model.models[min(model.models)].support_vectors.shape[1]:
+    hists = _read_features(args.features)
+    if hists[0].z.shape[0] != model.models[min(model.models)].support_vectors.shape[1]:
         raise ShapeMismatchError(
             f"features have dim {hists[0].z.shape[0]} but model expects "
             f"{model.models[min(model.models)].support_vectors.shape[1]}")
@@ -553,7 +562,7 @@ def cmd_pipeline(args):
             swarm_size=p.get("swarm", int, 10),
             iterations=p.get("iters", int, 10),
             folds=p.get("folds", int, 3), seed=seed)
-        C, gamma, _ = classify.pso_search(Z, labels, pso_cfg)
+        C, gamma, _, _ = classify.pso_search(Z, labels, pso_cfg)
     else:
         C = p.get("C", float, 8.0)
         gamma = p.get("gamma", float, 1.0)

@@ -270,7 +270,8 @@ def test_acceptance_7_pso_sanity(capsys):
     # On a quadratic surrogate the swarm incumbent lands within 0.1 of the
     # optimum in 50 iterations, and its fitness never decreases.
     target = np.array([3.0, -2.0])
-    fitness = lambda x: -((x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2)
+    f = lambda x: -((x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2)
+    fitness = lambda X: [f(x) for x in X]
     bounds = [(-5.0, 15.0), (-15.0, 3.0)]
     best, _, history = pso_optimize(fitness, bounds, swarm_size=20,
                                     iterations=50, seed=0)

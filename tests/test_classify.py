@@ -74,6 +74,15 @@ def test_rbf_shape_mismatch():
         kernel_matrix(np.zeros(2), np.zeros(3), 1.0)
 
 
+def test_rbf_overflow_rejected():
+    # |z|^2 overflows to inf and inf - inf is NaN: refused, not trained on
+    Z = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DegenerateInputError):
+        kernel_matrix(Z, Z, 1.0)
+    with pytest.raises(DegenerateInputError):
+        smo_train(Z, np.array([1.0, -1.0, 1.0]), C=1.0, gamma=1.0)
+
+
 def test_kernel_matrix_symmetric_unit_diagonal_psd():
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((50, 6))
@@ -270,6 +279,66 @@ def test_smo_matches_reference_loop(case):
         assert seen["stuck"] and not got.converged
 
 
+def _reference_batch():
+    """The problems of test_smo_matches_reference_loop as one list of
+    (Z, y, C, gamma, max_updates): mixed n, C, gamma and caps."""
+    rng = np.random.default_rng(16)
+    Zb, lb = blobs(rng, [(0, 0), (1, 1)], 20, spread=0.7)
+    yb = np.where(np.array(lb) == "c0", 1.0, -1.0)
+    cap = classify.SMO_MAX_UPDATES
+    return ([(Zb, yb, 1e-13, 1.0, cap), (Zb, yb, 0.05, 1.0, cap),
+             (*_duplicates_with_flipped_labels(), 4.0, 1.0, cap),
+             (Zb, yb, 10.0, 2.0, 5), (*_random_smo_problem(184), cap)]
+            + [(*_random_smo_problem(seed), 3000) for seed in range(40)])
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 4 * 60 * 60 * 8])
+def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
+    problems = _reference_batch()
+    if chunk_bytes is not None:
+        monkeypatch.setattr(classify, "SMO_CHUNK_BYTES", chunk_bytes)
+    chunks = []
+    run_chunk = classify._smo_chunk
+
+    def counting_chunk(batch, tol):
+        chunks.append(len(batch))
+        return run_chunk(batch, tol)
+
+    monkeypatch.setattr(classify, "_smo_chunk", counting_chunk)
+    batch = [(*classify._check_problem(Z, y, C, gamma), C, gamma, cap)
+             for Z, y, C, gamma, cap in problems]
+    results, updates = classify._smo_lockstep(batch, classify.KKT_TOL)
+    assert sum(chunks) == len(problems)
+    assert (len(chunks) == 1) == (chunk_bytes is None)
+    for (Z, y, C, gamma, cap), result in zip(problems, results):
+        got = classify._svm_model(Z, np.asarray(y, dtype=float), C, gamma, *result)
+        want, _ = _reference_smo(Z, y, C, gamma, max_updates=cap)
+        np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
+        np.testing.assert_array_equal(got.dual_coef, want.dual_coef)
+        assert got.b == want.b
+        assert got.converged == want.converged
+    # the update count is the sum of the problems solved one at a time
+    alone = [classify._smo_lockstep([p], classify.KKT_TOL)[1] for p in batch]
+    assert updates == sum(alone) and alone[3] == 5
+
+
+def test_cross_validate_many_matches_per_fold_training():
+    rng = np.random.default_rng(18)
+    Z, labels = blobs(rng, [(0, 0), (1.2, 0), (0, 1.2)], 9, spread=0.7)
+    points = [(0.5, 0.25), (8.0, 2.0), (100.0, 0.05)]
+    scores, updates = classify._cross_validate_many(Z, labels, points, 3, 4)
+    lab = np.array(labels)
+    fold_of = stratified_folds(labels, 3, 4)
+    for (C, gamma), score in zip(points, scores):
+        accs = []
+        for f in range(3):
+            test = fold_of == f
+            model = ovo_train(Z[~test], lab[~test], C, gamma)
+            accs.append(float(np.mean(ovo_predict_batch(model, Z[test]) == lab[test])))
+        assert score == float(np.mean(accs))
+    assert updates > 0
+
+
 def test_svm_predict_zero_maps_to_positive():
     model = BinarySvmModel(support_vectors=np.zeros((0, 2)),
                            dual_coef=np.zeros(0), b=0.0, gamma=1.0, C=1.0)
@@ -347,6 +416,21 @@ def test_ovo_single_class_rejected():
         ovo_train(np.zeros((4, 2)), ["N"] * 4, 1.0, 1.0)
 
 
+def test_ovo_vote_ties_go_to_larger_magnitude():
+    # constant decision functions (no support vectors): every class wins
+    # one vote; the summed |f| breaks the tie, then the lower class index
+    def pair(b):
+        return BinarySvmModel(support_vectors=np.zeros((0, 1)), dual_coef=np.zeros(0),
+                              b=b, gamma=1.0, C=1.0)
+
+    z = np.zeros((2, 1))
+    ovo = OvoModel(classes=["x", "y", "z"],
+                   models={(0, 1): pair(0.5), (0, 2): pair(-0.25), (1, 2): pair(2.0)})
+    assert ovo_predict_batch(ovo, z) == ["y", "y"]
+    ovo.models = {(0, 1): pair(1.0), (0, 2): pair(-1.0), (1, 2): pair(1.0)}
+    assert ovo_predict_batch(ovo, z) == ["x", "x"]
+
+
 def test_ovo_predict_single_vector():
     rng = np.random.default_rng(10)
     Z, labels = blobs(rng, [(0, 0), (4, 4)], 10)
@@ -401,7 +485,7 @@ def test_cross_validate_deterministic():
 def test_pso_degenerate_swarm_stays_put():
     start = np.array([2.0, -1.0])
     best, fit, _ = pso_optimize(
-        lambda x: -float(np.sum(x ** 2)), [(-5, 5), (-5, 5)],
+        lambda X: [-float(np.sum(x ** 2)) for x in X], [(-5, 5), (-5, 5)],
         swarm_size=4, iterations=10, w=0.5, c1=0.0, c2=0.0, seed=0,
         init_positions=np.tile(start, (4, 1)))
     np.testing.assert_allclose(best, start, atol=1e-12)
@@ -410,7 +494,7 @@ def test_pso_degenerate_swarm_stays_put():
 
 def test_pso_quadratic_surrogate():
     best, _, history = pso_optimize(
-        lambda x: -((x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2),
+        lambda X: [-((x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2) for x in X],
         [(-5.0, 15.0), (-15.0, 3.0)], swarm_size=20, iterations=50, seed=0)
     assert np.linalg.norm(best - np.array([3.0, -2.0])) <= 0.1
     assert all(b >= a for a, b in zip(history, history[1:]))
@@ -419,7 +503,7 @@ def test_pso_quadratic_surrogate():
 def test_pso_clamps_to_bounds():
     # optimum far outside the box: incumbent must stay inside it
     best, _, _ = pso_optimize(
-        lambda x: float(x[0] + x[1]), [(-1.0, 1.0), (-2.0, 0.5)],
+        lambda X: [float(x[0] + x[1]) for x in X], [(-1.0, 1.0), (-2.0, 0.5)],
         swarm_size=8, iterations=20, seed=2)
     assert -1.0 <= best[0] <= 1.0
     assert -2.0 <= best[1] <= 0.5
@@ -430,21 +514,22 @@ def test_pso_search_scores_each_point_once(monkeypatch):
     Z, labels = blobs(rng, [(0, 0), (1.5, 0), (0, 1.5)], 8, spread=0.6)
     cfg = PsoConfig(swarm_size=4, iterations=4, folds=3, seed=2)
     calls = []
+    batch_scorer = classify._cross_validate_many
 
-    def counting_cv(*args, **kwargs):
-        calls.append((args[2], args[3]))
-        return cross_validate(*args, **kwargs)
+    def counting_cv(Z, labels, points, folds, seed):
+        calls.extend((float(C), float(gamma)) for C, gamma in points)
+        return batch_scorer(Z, labels, points, folds, seed)
 
-    monkeypatch.setattr(classify, "cross_validate", counting_cv)
-    C, gamma, fit = pso_search(Z, labels, cfg)
+    monkeypatch.setattr(classify, "_cross_validate_many", counting_cv)
+    C, gamma, fit, counts = pso_search(Z, labels, cfg)
     monkeypatch.undo()
     assert len(calls) == len(set(calls))
     # the global-best particle never moves, so the swarm revisits points
     assert len(calls) < cfg.swarm_size * (cfg.iterations + 1)
 
     best, want_fit, _ = pso_optimize(
-        lambda x: cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
-                                 folds=cfg.folds, seed=cfg.seed),
+        lambda X: [cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
+                                  folds=cfg.folds, seed=cfg.seed) for x in X],
         [cfg.log2c_bounds, cfg.log2g_bounds], swarm_size=cfg.swarm_size,
         iterations=cfg.iterations, w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
     assert (C, gamma, fit) == (2.0 ** best[0], 2.0 ** best[1], want_fit)
@@ -490,6 +575,10 @@ def test_load_model_rejects_malformed(tmp_path):
         json.dumps({**doc, "pairs": [{**pair, "support_vectors": [[0.0], [1.0, 2.0]]}]}),
         json.dumps({**doc, "pairs": [{**pair, "bias": float("nan")}]}),
         json.dumps({**doc, "pairs": [{k: v for k, v in pair.items() if k != "gamma"}]}),
+        json.dumps({**doc, "pairs": [{**pair, "gamma": -pair["gamma"]}]}),
+        json.dumps({**doc, "pairs": [{**pair, "gamma": -50.0}]}),
+        json.dumps({**doc, "pairs": [{**pair, "C": -1.0}]}),
+        json.dumps({**doc, "pairs": [{**pair, "C": 0.0}]}),
         json.dumps([1, 2]),
     ]
     for bad in broken:

@@ -302,7 +302,9 @@ def test_evaluate_malformed_model_exits_2(capsys, small_chain, tmp_path):
     assert status == 0
     text = model.read_text()
     no_pairs = {k: v for k, v in json.loads(text).items() if k != "pairs"}
-    for bad in (text[:1000], json.dumps(no_pairs)):
+    doc = json.loads(text)
+    negative_gamma = {**doc, "pairs": [{**p, "gamma": -p["gamma"]} for p in doc["pairs"]]}
+    for bad in (text[:1000], json.dumps(no_pairs), json.dumps(negative_gamma)):
         model.write_text(bad)
         status, _, err = run(capsys, "evaluate", "--model", str(model),
                              "--features", str(feats))
@@ -334,6 +336,41 @@ def test_non_finite_features_exit_2(capsys, small_chain, tmp_path):
         assert status == 2 and "line 4" in err
 
 
+def test_empty_or_overflowing_features_exit_2(capsys, small_chain, tmp_path):
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    model = tmp_path / "model.json"
+    run(capsys, "train-svm", "--features", str(feats), "--C", "8", "--gamma", "1",
+        "--out", str(model))
+    rows = feats.read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[5] = "1e200"  # finite, but its squared norm overflows the kernel
+    overflow = "\n".join(rows[:3] + [",".join(cells)] + rows[4:]) + "\n"
+    for name, text in (("empty", ""), ("comments", "# no rows\n"), ("overflow", overflow)):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        out = tmp_path / f"model_{name}.json"
+        status, _, err = run(capsys, "train-svm", "--features", str(bad),
+                             "--C", "8", "--gamma", "1", "--out", str(out))
+        assert status == 2 and "Traceback" not in err and not out.exists(), (name, err)
+        if name != "overflow":
+            status, _, err = run(capsys, "evaluate", "--model", str(model),
+                                 "--features", str(bad))
+            assert status == 2 and "no feature rows" in err
+
+
+def test_train_svm_infinite_C_exits_1(capsys, small_chain, tmp_path):
+    # load_model refuses a non-finite C, so train-svm must not write one
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    out = tmp_path / "model.json"
+    status, _, err = run(capsys, "train-svm", "--features", str(feats),
+                         "--C", "inf", "--gamma", "1", "--out", str(out))
+    assert status == 1 and "BadConfigError" in err and not out.exists()
+
+
 def test_train_svm_reports_unconverged_pairs(capsys, small_chain, tmp_path, monkeypatch):
     from functools import partial
     from ecgsparse import classify
@@ -350,6 +387,30 @@ def test_train_svm_reports_unconverged_pairs(capsys, small_chain, tmp_path, monk
     assert summary["unconverged_pairs"] == sum(not p["converged"] for p in pairs) > 0
 
 
+def test_train_svm_pso_reports_evaluations(capsys, small_chain, tmp_path, monkeypatch):
+    from ecgsparse import classify
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    points, updates = [], []
+    batch_scorer = classify._cross_validate_many
+
+    def counting_cv(Z, labels, batch, folds, seed):
+        points.extend((float(C), float(gamma)) for C, gamma in batch)
+        scores, made = batch_scorer(Z, labels, batch, folds, seed)
+        updates.append(made)
+        return scores, made
+
+    monkeypatch.setattr(classify, "_cross_validate_many", counting_cv)
+    status, summary, _ = run(capsys, "train-svm", "--features", str(feats), "--pso",
+                             "--swarm", "4", "--iters", "3", "--folds", "2",
+                             "--out", str(tmp_path / "model.json"))
+    assert status == 0
+    assert summary["pso_evaluations"] == len(set(points)) == len(points) > 0
+    assert summary["smo_updates"] == sum(updates) > 0
+    assert "pso_evaluations" not in (tmp_path / "model.json").read_text()
+
+
 def _mutants(rng, blob, count):
     """count seeded damaged copies of blob: a truncation or 1-3 byte flips."""
     for _ in range(count):
@@ -363,9 +424,9 @@ def _mutants(rng, blob, count):
 
 
 def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
-    # truncated and byte-flipped SBC1 and beats CSV files: every command
-    # exits 0 or 2, raises nothing past run_command (no traceback) and
-    # leaves no output file when it exits 2
+    # truncated and byte-flipped SBC1, beats CSV, features CSV and model
+    # JSON files: every command exits 0 or 2, raises nothing past
+    # run_command (no traceback) and leaves no output file when it exits 2
     _, beats_csv, dict_path, codes_path = small_chain
     rng = np.random.default_rng(7)
     calls = []
@@ -380,6 +441,22 @@ def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
         bad.write_bytes(blob)
         calls.append(("ingest", "--beats", str(bad), "--out"))
         calls.append(("encode", "--beats", str(bad), "--dict", str(dict_path), "--out"))
+    feats, model = tmp_path / "feats.csv", tmp_path / "model.json"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    run(capsys, "train-svm", "--features", str(feats), "--C", "8", "--gamma", "2",
+        "--out", str(model))
+    for i, blob in enumerate(_mutants(rng, feats.read_bytes(), 10)):
+        bad = tmp_path / f"bad{i}_feats.csv"
+        bad.write_bytes(blob)
+        calls.append(("train-svm", "--features", str(bad), "--C", "8", "--gamma", "2",
+                      "--out"))
+        calls.append(("evaluate", "--model", str(model), "--features", str(bad),
+                      "--out-json"))
+    for i, blob in enumerate(_mutants(rng, model.read_bytes(), 10)):
+        bad = tmp_path / f"bad{i}_model.json"
+        bad.write_bytes(blob)
+        calls.append(("evaluate", "--model", str(bad), "--features", str(feats),
+                      "--out-json"))
     for n, argv in enumerate(calls):
         out = tmp_path / f"out{n}"
         status, _, err = run(capsys, *argv, str(out))
