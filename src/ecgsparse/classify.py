@@ -485,7 +485,8 @@ def load_model(path):
 
     Raises CorruptFileError for anything else: malformed JSON, a missing
     key, class indices outside the class list, arrays of the wrong shape,
-    non-finite parameters, C <= 0 or gamma < 0.
+    a parameter of the wrong JSON type, non-finite parameters, C <= 0 or
+    gamma < 0.
     """
     try:
         with open(path) as fh:
@@ -499,13 +500,18 @@ def load_model(path):
             if (not all(type(i) is int for i in key)
                     or not 0 <= key[0] < key[1] < len(classes) or key in models):
                 raise ValueError(f"bad class pair {key}")
+            # float() and bool() would read "1" as 1.0 and "no" as True
+            if (not all(type(p[f]) in (int, float) for f in ("bias", "gamma", "C"))
+                    or type(p["converged"]) is not bool):
+                raise ValueError(f"pair {key}: bias, gamma and C must be JSON numbers "
+                                 "and converged a JSON bool")
             m = BinarySvmModel(
                 support_vectors=np.array(p["support_vectors"], dtype=float),
                 dual_coef=np.array(p["dual_coef"], dtype=float),
                 b=float(p["bias"]),
                 gamma=float(p["gamma"]),
                 C=float(p["C"]),
-                converged=bool(p["converged"]),
+                converged=p["converged"],
             )
             sv, coef = m.support_vectors, m.dual_coef
             if sv.ndim != 2 or coef.shape != (len(sv),) or dim not in (None, sv.shape[1]):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, codec, dictionary, features, ingest, synthetic, wavelet
-from .errors import (BadConfigError, DataError, EcgSparseError,
+from .errors import (BadConfigError, CorruptFileError, DataError, EcgSparseError,
                      ShapeMismatchError, TooFewPerClassError, ValidationError)
 from .fileio import atomic_write_text
 from .sparse_coding import default_lambda, encode_all
@@ -51,21 +51,6 @@ def load_config(path):
     return cfg
 
 
-def _cast(value, kind, key):
-    try:
-        if kind is bool:
-            if isinstance(value, bool):
-                return value
-            if str(value).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(value).lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        return kind(value)
-    except ValueError as e:
-        raise BadConfigError(f"bad value for {key}: {e}")
-
-
 class Params:
     """Flag > config-file > default resolution for one command invocation."""
 
@@ -74,12 +59,15 @@ class Params:
         self.config = load_config(args.config) if getattr(args, "config", None) else {}
 
     def get(self, key, kind, default=None):
-        flag = getattr(self.args, key.replace("-", "_"), None)
-        if flag is not None:
-            return _cast(flag, kind, key)
-        if key in self.config:
-            return _cast(self.config[key], kind, key)
-        return default
+        value = getattr(self.args, key.replace("-", "_"), None)
+        if value is None:
+            value = self.config.get(key)
+        if value is None:
+            return default
+        try:
+            return kind(value)
+        except ValueError as e:
+            raise BadConfigError(f"bad value for {key}: {e}")
 
 
 def _geometry(p):
@@ -93,10 +81,6 @@ def _geometry(p):
     if lam is None:
         lam = default_lambda(d)
     return fb, w, s, wl, d, lam
-
-
-def _beat_source_id(beat):
-    return f"{beat.source[0]}:{beat.source[1]}"
 
 
 def _beat_features(beats, fb, w, s, wl):
@@ -183,39 +167,169 @@ def split_dataset(beats, train_total=None, train_per_class=None,
 # beat loading shared by several commands
 
 
-def _load_beats(p, require=True):
+def _load_beats(p):
     args = p.args
-    beats = []
     if getattr(args, "synthetic", None):
         n = p.get("synthetic", int)
         seed = p.get("seed", int, 0)
         if getattr(args, "trio", False):
-            beats = synthetic.shifted_trio_beats(n, seed=seed)
-        elif getattr(args, "amp_vary", False):
-            beats = synthetic.amplitude_varying_beats(n, seed=seed)
-        else:
-            beats = synthetic.synthetic_beats(n, seed=seed)
-    elif getattr(args, "beats", None):
-        beats = ingest.read_beats_csv(
-            Path(args.beats).read_text(), source_id=Path(args.beats).name)
-    elif getattr(args, "record", None):
+            return synthetic.shifted_trio_beats(n, seed=seed), 0
+        if getattr(args, "amp_vary", False):
+            return synthetic.amplitude_varying_beats(n, seed=seed), 0
+        return synthetic.synthetic_beats(n, seed=seed), 0
+    if getattr(args, "beats", None):
+        return ingest.read_beats_csv(
+            Path(args.beats).read_text(), source_id=Path(args.beats).name), 0
+    if getattr(args, "record", None):
         if not getattr(args, "annotations", None):
             raise BadConfigError("--record requires --annotations")
         record = ingest.read_wfdb(args.record)
         anns = ingest.read_annotations(Path(args.annotations).read_text())
-        beats, skipped = ingest.process_record(
+        return ingest.process_record(
             record, anns,
             pre_s=p.get("pre", float, 0.25),
             post_s=p.get("post", float, 0.45),
             channel=p.get("channel", int, 0))
-        return beats, skipped
-    elif require:
-        raise BadConfigError("no beat source given (--beats / --record / --synthetic)")
-    return beats, 0
+    raise BadConfigError("no beat source given (--beats / --record / --synthetic)")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each runs in memory and is shared by its subcommand and `pipeline`;
+# the default arguments differ by command and are passed in by the caller
+
+
+def _train_dictionary(p, beats, geometry, method, max_cols, epochs):
+    """ODL or VQ dictionary; returns (D, training columns, final objective)."""
+    fb, w, s, wl, d, lam = geometry
+    seed = p.get("seed", int, 0)
+    k = p.get("k", int, 2 * d)
+    Y = np.hstack([fm.columns for fm in _beat_features(beats, fb, w, s, wl)])
+    max_cols = p.get("max-cols", int, max_cols)
+    if max_cols and Y.shape[1] > max_cols:
+        rng = np.random.default_rng(seed)
+        Y = Y[:, rng.choice(Y.shape[1], size=max_cols, replace=False)]
+    if method == "odl":
+        cfg = dictionary.TrainConfig(
+            k=k, lam=lam, batch_size=p.get("batch-size", int, 64),
+            epochs=p.get("epochs", int, epochs), seed=seed)
+        result = dictionary.train_online(Y, cfg)
+        final_obj = result.objective_log[-1] if result.objective_log else None
+        return result.dictionary, Y, final_obj
+    if method == "vq":
+        D, _ = dictionary.kmeans_vq(Y, k, seed=seed, iters=p.get("epochs", int, 50))
+        return D, Y, None
+    raise BadConfigError(f"unknown training method {method!r}")
+
+
+def _encode_beats(beats, D, geometry, method):
+    fb, w, s, wl, _, lam = geometry
+    mats = _beat_features(beats, fb, w, s, wl)
+    if not mats:
+        return []
+    if mats[0].d != D.shape[0]:
+        raise ShapeMismatchError(
+            f"features have d={mats[0].d} but dictionary d={D.shape[0]}")
+    if method == "sparse":
+        # one encode_all call over every beat's windows, split back per beat
+        X = encode_all(D, np.hstack([fm.columns for fm in mats]), lam)
+        blocks = np.split(X, np.cumsum([fm.omega for fm in mats])[:-1], axis=1)
+    else:
+        blocks = []
+        for fm in mats:  # vq: cardinality-1 codes, coefficient 1
+            d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
+                  - 2.0 * fm.columns.T @ D + np.sum(D * D, axis=0)[None, :])
+            X = np.zeros((D.shape[1], fm.omega))
+            X[np.argmin(d2, axis=1), np.arange(fm.omega)] = 1.0
+            blocks.append(X)
+    return [codec.SparseCode.from_dense(X, label=beat.label,
+                                        source_id=f"{beat.source[0]}:{beat.source[1]}")
+            for beat, X in zip(beats, blocks)]
+
+
+def _reconstruct_all(D, codes, geometry):
+    fb, w, s, wl = geometry[:4]
+    return [codec.reconstruct_beat(codec.decompress(D, code), (w, s, fb, wl))
+            for code in codes]
+
+
+def _waveforms_csv(beats, recons):
+    rows = ["beat_id,sample,original,reconstructed"]
+    for bi, (beat, recon) in enumerate(zip(beats, recons)):
+        rows += [f"{bi},{t},{orig:.9g},{rec:.9g}"
+                 for t, (orig, rec) in enumerate(zip(beat.values, recon))]
+    return "\n".join(rows) + "\n"
+
+
+def _featurize(p, codes, method, normalize):
+    if method == "tpm":
+        cfg = features.PyramidConfig(
+            levels=p.get("levels", int, 2),
+            mode=p.get("mode", str, "expectation"),
+            seed=p.get("seed", int, 0),
+            normalize_output=normalize)
+        return [features.tpm_feature(c, cfg) for c in codes]
+    if method == "bow":
+        return [features.bow_feature(c, normalize) for c in codes]
+    raise BadConfigError(f"unknown featurize method {method!r}")
+
+
+def _train_svm(p, hists, swarm, iters, folds):
+    """PSO, --cv or fixed (C, gamma) -> (model, C, gamma, CV accuracy, PSO counts)."""
+    Z = np.vstack([h.z for h in hists])
+    labels = [h.label for h in hists]
+    seed = p.get("seed", int, 0)
+    folds = p.get("folds", int, folds)
+    cv_acc = None
+    counts = {"pso_evaluations": None, "smo_updates": None}
+    if getattr(p.args, "pso", False):
+        cfg = classify.PsoConfig(
+            swarm_size=p.get("swarm", int, swarm),
+            iterations=p.get("iters", int, iters),
+            folds=folds, seed=seed)
+        C, gamma, cv_acc, counts = classify.pso_search(Z, labels, cfg)
+    else:
+        C = p.get("C", float, 8.0)
+        gamma = p.get("gamma", float, 1.0)
+        if getattr(p.args, "cv", False):
+            cv_acc = classify.cross_validate(Z, labels, C, gamma,
+                                             folds=folds, seed=seed)
+    return classify.ovo_train(Z, labels, C, gamma), C, gamma, cv_acc, counts
+
+
+def _unconverged_pairs(model):
+    """Pairs whose SMO hit its update cap or a stuck pair before the KKT gap closed."""
+    return sum(not m.converged for m in model.models.values())
+
+
+def _evaluate(model, hists):
+    """Returns (accuracy, per-class accuracy, confusion matrix as CSV text)."""
+    Z = np.vstack([h.z for h in hists])
+    truth = [h.label for h in hists]
+    pred = classify.ovo_predict_batch(model, Z)
+    classes = model.classes
+    idx = {c: i for i, c in enumerate(classes)}
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    for t, q in zip(truth, pred):
+        if t in idx:
+            confusion[idx[t], idx[q]] += 1
+    accuracy = float(np.mean([t == q for t, q in zip(truth, pred)]))
+    per_class = {}
+    for c in classes:
+        members = [i for i, t in enumerate(truth) if t == c]
+        if members:
+            per_class[c] = float(np.mean([pred[i] == c for i in members]))
+    rows = ["true\\pred," + ",".join(classes)]
+    rows += [c + "," + ",".join(str(v) for v in confusion[i])
+             for i, c in enumerate(classes)]
+    return accuracy, per_class, "\n".join(rows) + "\n"
+
+
+def _write_json(path, doc):
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# subcommands: load inputs, run the stage, write and emit
 
 
 def cmd_ingest(args):
@@ -226,139 +340,79 @@ def cmd_ingest(args):
            "beats": len(beats), "skipped": skipped, "out": args.out})
 
 
-def _train_columns(beats, fb, w, s, wl, max_cols, seed):
-    mats = _beat_features(beats, fb, w, s, wl)
-    Y = np.hstack([fm.columns for fm in mats])
-    if max_cols and Y.shape[1] > max_cols:
-        rng = np.random.default_rng(seed)
-        Y = Y[:, rng.choice(Y.shape[1], size=max_cols, replace=False)]
-    return Y
-
-
 def cmd_train_dict(args):
     p = Params(args)
     beats, _ = _load_beats(p)
-    fb, w, s, wl, d, lam = _geometry(p)
-    seed = p.get("seed", int, 0)
+    geometry = _geometry(p)
     method = p.get("method", str, "odl")
-    k = p.get("k", int, 2 * d)
-    max_cols = p.get("max-cols", int, 0)
-    Y = _train_columns(beats, fb, w, s, wl, max_cols, seed)
-    if method == "odl":
-        cfg = dictionary.TrainConfig(
-            k=k, lam=lam,
-            batch_size=p.get("batch-size", int, 64),
-            epochs=p.get("epochs", int, 10),
-            seed=seed)
-        result = dictionary.train_online(Y, cfg)
-        D = result.dictionary
-        final_obj = result.objective_log[-1] if result.objective_log else None
-    elif method == "vq":
-        D, _ = dictionary.kmeans_vq(Y, k, seed=seed,
-                                    iters=p.get("epochs", int, 50))
-        final_obj = None
-    else:
-        raise BadConfigError(f"unknown training method {method!r}")
+    D, Y, final_obj = _train_dictionary(p, beats, geometry, method,
+                                        max_cols=0, epochs=10)
     dictionary.save_dictionary(args.out, D)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-dict",
            "method": method, "d": int(D.shape[0]), "k": int(D.shape[1]),
-           "columns": int(Y.shape[1]), "lam": lam,
+           "columns": int(Y.shape[1]), "lam": geometry[5],
            "final_objective": final_obj, "out": args.out})
-
-
-def _encode_beats(beats, D, fb, w, s, wl, lam, method):
-    mats = _beat_features(beats, fb, w, s, wl)
-    if not mats:
-        return []
-    if mats[0].d != D.shape[0]:
-        raise ShapeMismatchError(
-            f"features have d={mats[0].d} but dictionary d={D.shape[0]}")
-    if method == "sparse":
-        # one encode_all call over every beat's windows, split back per beat
-        X = encode_all(D, np.hstack([fm.columns for fm in mats]), lam)
-        ends = np.cumsum([fm.omega for fm in mats])[:-1]
-        return [codec.SparseCode.from_dense(Xb, label=beat.label,
-                                            source_id=_beat_source_id(beat))
-                for beat, Xb in zip(beats, np.split(X, ends, axis=1))]
-    codes = []
-    for beat, fm in zip(beats, mats):  # vq: cardinality-1 codes, coefficient 1
-        d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
-              - 2.0 * fm.columns.T @ D + np.sum(D * D, axis=0)[None, :])
-        assign = np.argmin(d2, axis=1)
-        X = np.zeros((D.shape[1], fm.omega))
-        X[assign, np.arange(fm.omega)] = 1.0
-        codes.append(codec.SparseCode.from_dense(X, label=beat.label,
-                                                 source_id=_beat_source_id(beat)))
-    return codes
 
 
 def cmd_encode(args):
     p = Params(args)
     beats, _ = _load_beats(p)
-    fb, w, s, wl, d, lam = _geometry(p)
+    geometry = _geometry(p)
     method = p.get("method", str, "sparse")
     if method not in ("sparse", "vq"):
         raise BadConfigError(f"unknown encode method {method!r}")
     D = dictionary.load_dictionary(args.dict)
-    codes = _encode_beats(beats, D, fb, w, s, wl, lam, method)
+    if method == "sparse":
+        # encode_all's unit-ball rule: a file that breaks it is damaged data
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf
+            norm = np.linalg.norm(D, axis=0).max(initial=0.0)
+        if norm > 1.0 + 1e-9:
+            raise CorruptFileError(
+                f"{args.dict}: atom norm {norm:.6g} outside the unit ball")
+    codes = _encode_beats(beats, D, geometry, method)
     codec.save_codes(args.out, codes)
     nnz = [c.nnz for c in codes]
     _emit({"schema_version": SCHEMA_VERSION, "command": "encode",
-           "method": method, "beats": len(codes), "lam": lam,
+           "method": method, "beats": len(codes), "lam": geometry[5],
            "mean_nnz": float(np.mean(nnz)) if nnz else 0.0, "out": args.out})
 
 
-def _reconstruct_all(D, codes, geometry):
-    w, s, fb, wl = geometry
-    recons = []
-    for code in codes:
-        Y_hat = codec.decompress(D, code)
-        recons.append(codec.reconstruct_beat(Y_hat, (w, s, fb, wl)))
-    return recons
-
-
-def cmd_reconstruct(args):
-    p = Params(args)
-    fb, w, s, wl, _, _ = _geometry(p)
-    D = dictionary.load_dictionary(args.dict)
-    codes = codec.load_codes(args.codes)
-    beats, _ = _load_beats(p)
-    if len(beats) != len(codes):
-        raise ShapeMismatchError(
-            f"{len(beats)} beats but {len(codes)} codes")
-    limit = p.get("limit", int, 10)
-    picked = list(range(len(codes)))[:limit] if limit else range(len(codes))
-    rows = ["beat_id,sample,original,reconstructed"]
-    for bi in picked:
-        recon = _reconstruct_all(D, [codes[bi]], (w, s, fb, wl))[0]
-        orig = beats[bi].values
-        for t in range(len(recon)):
-            rows.append(f"{bi},{t},{orig[t]:.9g},{recon[t]:.9g}")
-    atomic_write_text(args.out, "\n".join(rows) + "\n")
-    _emit({"schema_version": SCHEMA_VERSION, "command": "reconstruct",
-           "beats": len(list(picked)), "out": args.out})
-
-
-def cmd_metrics(args):
-    p = Params(args)
-    fb, w, s, wl, _, _ = _geometry(p)
-    D = dictionary.load_dictionary(args.dict)
-    codes = codec.load_codes(args.codes)
+def _load_coded_beats(p):
+    """Geometry, dictionary, codes and the beats they code, checked to agree."""
+    geometry = _geometry(p)
+    D = dictionary.load_dictionary(p.args.dict)
+    codes = codec.load_codes(p.args.codes)
     if codes and codes[0].k != D.shape[1]:
         raise ShapeMismatchError(
             f"dictionary has k={D.shape[1]} but codes expect k={codes[0].k}")
     beats, _ = _load_beats(p)
     if len(beats) != len(codes):
         raise ShapeMismatchError(f"{len(beats)} beats but {len(codes)} codes")
-    recons = _reconstruct_all(D, codes, (w, s, fb, wl))
+    return geometry, D, codes, beats
+
+
+def cmd_reconstruct(args):
+    p = Params(args)
+    geometry, D, codes, beats = _load_coded_beats(p)
+    limit = p.get("limit", int, 10)
+    picked = codes[:limit] if limit else codes
+    recons = _reconstruct_all(D, picked, geometry)
+    atomic_write_text(args.out, _waveforms_csv(beats[:len(picked)], recons))
+    _emit({"schema_version": SCHEMA_VERSION, "command": "reconstruct",
+           "beats": len(picked), "out": args.out})
+
+
+def cmd_metrics(args):
+    p = Params(args)
+    geometry, D, codes, beats = _load_coded_beats(p)
+    recons = _reconstruct_all(D, codes, geometry)
     originals = [b.values for b in beats]
     err_mean = codec.err_metric(recons, originals)
     cr_mean = codec.cr_metric(codes)
-    per_beat = []
+    errs = [float(np.linalg.norm(m - n) / np.linalg.norm(n))
+            for m, n in zip(recons, originals)]
     per_class = {}
-    for i, (code, m, n) in enumerate(zip(codes, recons, originals)):
-        err = float(np.linalg.norm(m - n) / np.linalg.norm(n))
-        per_beat.append((i, code.label, code.nnz, err))
+    for code, err in zip(codes, errs):
         bucket = per_class.setdefault(code.label, {"count": 0, "err": 0.0, "nnz": 0})
         bucket["count"] += 1
         bucket["err"] += err
@@ -375,10 +429,11 @@ def cmd_metrics(args):
            "beats": len(codes), "err_mean": err_mean, "cr_mean": cr_mean,
            "per_class": breakdown}
     if args.out_json:
-        atomic_write_text(args.out_json, json.dumps(doc, indent=2) + "\n")
+        _write_json(args.out_json, doc)
     if args.out_csv:
         rows = ["beat_id,label,nnz,err"]
-        rows += [f"{i},{lab},{nnz},{err:.9g}" for i, lab, nnz, err in per_beat]
+        rows += [f"{i},{code.label},{code.nnz},{err:.9g}"
+                 for i, (code, err) in enumerate(zip(codes, errs))]
         atomic_write_text(args.out_csv, "\n".join(rows) + "\n")
     _emit(doc)
 
@@ -387,18 +442,7 @@ def cmd_featurize(args):
     p = Params(args)
     codes = codec.load_codes(args.codes)
     method = p.get("method", str, "tpm")
-    normalize = not getattr(args, "no_normalize", False)
-    if method == "tpm":
-        cfg = features.PyramidConfig(
-            levels=p.get("levels", int, 2),
-            mode=p.get("mode", str, "expectation"),
-            seed=p.get("seed", int, 0),
-            normalize_output=normalize)
-        hists = [features.tpm_feature(c, cfg) for c in codes]
-    elif method == "bow":
-        hists = [features.bow_feature(c, normalize) for c in codes]
-    else:
-        raise BadConfigError(f"unknown featurize method {method!r}")
+    hists = _featurize(p, codes, method, normalize=not args.no_normalize)
     atomic_write_text(args.out, features.format_features_csv(hists))
     _emit({"schema_version": SCHEMA_VERSION, "command": "featurize",
            "method": method, "beats": len(hists),
@@ -415,25 +459,7 @@ def _read_features(path):
 def cmd_train_svm(args):
     p = Params(args)
     hists = _read_features(args.features)
-    Z = np.vstack([h.z for h in hists])
-    labels = [h.label for h in hists]
-    seed = p.get("seed", int, 0)
-    folds = p.get("folds", int, 5)
-    cv_acc = None
-    counts = {"pso_evaluations": None, "smo_updates": None}
-    if getattr(args, "pso", False):
-        cfg = classify.PsoConfig(
-            swarm_size=p.get("swarm", int, 20),
-            iterations=p.get("iters", int, 30),
-            folds=folds, seed=seed)
-        C, gamma, cv_acc, counts = classify.pso_search(Z, labels, cfg)
-    else:
-        C = p.get("C", float, 8.0)
-        gamma = p.get("gamma", float, 1.0)
-        if getattr(args, "cv", False):
-            cv_acc = classify.cross_validate(Z, labels, C, gamma,
-                                             folds=folds, seed=seed)
-    model = classify.ovo_train(Z, labels, C, gamma)
+    model, C, gamma, cv_acc, counts = _train_svm(p, hists, swarm=20, iters=30, folds=5)
     classify.save_model(args.out, model)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-svm",
            "classes": model.classes, "pairs": len(model.models),
@@ -442,148 +468,77 @@ def cmd_train_svm(args):
            "out": args.out})
 
 
-def _unconverged_pairs(model):
-    """Pairs whose SMO hit its update cap or a stuck pair before the KKT gap closed."""
-    return sum(not m.converged for m in model.models.values())
-
-
-def _evaluate(model, hists):
-    Z = np.vstack([h.z for h in hists])
-    truth = [h.label for h in hists]
-    pred = classify.ovo_predict_batch(model, Z)
-    classes = model.classes
-    idx = {c: i for i, c in enumerate(classes)}
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    for t, q in zip(truth, pred):
-        if t in idx:
-            confusion[idx[t], idx[q]] += 1
-    accuracy = float(np.mean([t == q for t, q in zip(truth, pred)]))
-    per_class = {}
-    for c in classes:
-        members = [i for i, t in enumerate(truth) if t == c]
-        if members:
-            per_class[c] = float(np.mean([pred[i] == c for i in members]))
-    return accuracy, per_class, confusion
-
-
-def _confusion_csv(classes, confusion):
-    rows = ["true\\pred," + ",".join(classes)]
-    for i, c in enumerate(classes):
-        rows.append(c + "," + ",".join(str(v) for v in confusion[i]))
-    return "\n".join(rows) + "\n"
-
-
 def cmd_evaluate(args):
     model = classify.load_model(args.model)
     hists = _read_features(args.features)
-    if hists[0].z.shape[0] != model.models[min(model.models)].support_vectors.shape[1]:
+    dim = model.models[min(model.models)].support_vectors.shape[1]
+    if hists[0].z.shape[0] != dim:
         raise ShapeMismatchError(
-            f"features have dim {hists[0].z.shape[0]} but model expects "
-            f"{model.models[min(model.models)].support_vectors.shape[1]}")
+            f"features have dim {hists[0].z.shape[0]} but model expects {dim}")
     accuracy, per_class, confusion = _evaluate(model, hists)
     doc = {"schema_version": SCHEMA_VERSION, "command": "evaluate",
            "beats": len(hists), "accuracy": accuracy, "per_class": per_class}
     if args.out_json:
-        atomic_write_text(args.out_json, json.dumps(doc, indent=2) + "\n")
+        _write_json(args.out_json, doc)
     if args.out_confusion:
-        atomic_write_text(args.out_confusion,
-                          _confusion_csv(model.classes, confusion))
+        atomic_write_text(args.out_confusion, confusion)
     _emit(doc)
 
 
 def cmd_pipeline(args):
+    """Split, then every stage in memory with pipeline's own defaults."""
     p = Params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     beats, _ = _load_beats(p)
     if not beats:
         raise DataError("no beats to process")
-    seed = p.get("seed", int, 0)
     train, test = split_dataset(
         beats,
         train_total=p.get("train-total", int, None),
         train_per_class=p.get("train-per-class", int, None),
         train_frac=p.get("train-frac", float, None),
-        seed=seed)
-    fb, w, s, wl, d, lam = _geometry(p)
-    paths = {name: str(out_dir / name) for name in (
-        "beats_train.csv", "beats_test.csv", "dict.sbd", "codes_train.sbc",
-        "codes_test.sbc", "metrics.json", "features_train.csv",
-        "features_test.csv", "model.json", "report.json", "confusion.csv",
-        "waveforms.csv")}
-    atomic_write_text(paths["beats_train.csv"], ingest.format_beats_csv(train))
-    atomic_write_text(paths["beats_test.csv"], ingest.format_beats_csv(test))
+        seed=p.get("seed", int, 0))
+    geometry = _geometry(p)
+    atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
+    atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
+    D, _, _ = _train_dictionary(p, train, geometry, "odl", max_cols=1500, epochs=3)
+    dictionary.save_dictionary(out_dir / "dict.sbd", D)
+    codes_train = _encode_beats(train, D, geometry, "sparse")
+    codes_test = _encode_beats(test, D, geometry, "sparse")
+    codec.save_codes(out_dir / "codes_train.sbc", codes_train)
+    codec.save_codes(out_dir / "codes_test.sbc", codes_test)
 
-    # dictionary
-    k = p.get("k", int, 2 * d)
-    Y = _train_columns(train, fb, w, s, wl, p.get("max-cols", int, 1500), seed)
-    cfg = dictionary.TrainConfig(
-        k=k, lam=lam, batch_size=p.get("batch-size", int, 64),
-        epochs=p.get("epochs", int, 3), seed=seed)
-    D = dictionary.train_online(Y, cfg).dictionary
-    dictionary.save_dictionary(paths["dict.sbd"], D)
-
-    # compress
-    codes_train = _encode_beats(train, D, fb, w, s, wl, lam, "sparse")
-    codes_test = _encode_beats(test, D, fb, w, s, wl, lam, "sparse")
-    codec.save_codes(paths["codes_train.sbc"], codes_train)
-    codec.save_codes(paths["codes_test.sbc"], codes_test)
-
-    # metrics + a small waveform dump on the test set
-    recons = _reconstruct_all(D, codes_test, (w, s, fb, wl))
-    originals = [b.values for b in test]
-    err_mean = codec.err_metric(recons, originals)
+    recons = _reconstruct_all(D, codes_test, geometry)
+    err_mean = codec.err_metric(recons, [b.values for b in test])
     cr_mean = codec.cr_metric(codes_test)
-    atomic_write_text(paths["metrics.json"], json.dumps(
-        {"schema_version": SCHEMA_VERSION, "err_mean": err_mean,
-         "cr_mean": cr_mean, "beats": len(codes_test)}, indent=2) + "\n")
-    rows = ["beat_id,sample,original,reconstructed"]
-    for bi in range(min(5, len(test))):
-        for t in range(ingest.BEAT_LENGTH):
-            rows.append(f"{bi},{t},{originals[bi][t]:.9g},{recons[bi][t]:.9g}")
-    atomic_write_text(paths["waveforms.csv"], "\n".join(rows) + "\n")
+    _write_json(out_dir / "metrics.json", {"schema_version": SCHEMA_VERSION,
+                                           "err_mean": err_mean, "cr_mean": cr_mean,
+                                           "beats": len(codes_test)})
+    atomic_write_text(out_dir / "waveforms.csv", _waveforms_csv(test[:5], recons))
 
-    # featurize
-    pyr = features.PyramidConfig(
-        levels=p.get("levels", int, 2), mode=p.get("mode", str, "expectation"),
-        seed=seed)
-    hists_train = [features.tpm_feature(c, pyr) for c in codes_train]
-    hists_test = [features.tpm_feature(c, pyr) for c in codes_test]
-    atomic_write_text(paths["features_train.csv"],
-                      features.format_features_csv(hists_train))
-    atomic_write_text(paths["features_test.csv"],
-                      features.format_features_csv(hists_test))
+    hists_train = _featurize(p, codes_train, "tpm", normalize=True)
+    hists_test = _featurize(p, codes_test, "tpm", normalize=True)
+    for part, hists in (("train", hists_train), ("test", hists_test)):
+        text = features.format_features_csv(hists)
+        atomic_write_text(out_dir / f"features_{part}.csv", text)
 
-    # classify
-    Z = np.vstack([h.z for h in hists_train])
-    labels = [h.label for h in hists_train]
-    if getattr(args, "pso", False):
-        pso_cfg = classify.PsoConfig(
-            swarm_size=p.get("swarm", int, 10),
-            iterations=p.get("iters", int, 10),
-            folds=p.get("folds", int, 3), seed=seed)
-        C, gamma, _, _ = classify.pso_search(Z, labels, pso_cfg)
-    else:
-        C = p.get("C", float, 8.0)
-        gamma = p.get("gamma", float, 1.0)
-    model = classify.ovo_train(Z, labels, C, gamma)
-    classify.save_model(paths["model.json"], model)
+    model, C, gamma, _, counts = _train_svm(p, hists_train, swarm=10, iters=10, folds=3)
+    classify.save_model(out_dir / "model.json", model)
     accuracy, per_class, confusion = _evaluate(model, hists_test)
-    atomic_write_text(paths["report.json"], json.dumps(
-        {"schema_version": SCHEMA_VERSION, "accuracy": accuracy,
-         "per_class": per_class}, indent=2) + "\n")
-    atomic_write_text(paths["confusion.csv"],
-                      _confusion_csv(model.classes, confusion))
-
+    _write_json(out_dir / "report.json", {"schema_version": SCHEMA_VERSION,
+                                          "accuracy": accuracy, "per_class": per_class})
+    atomic_write_text(out_dir / "confusion.csv", confusion)
     _emit({"schema_version": SCHEMA_VERSION, "command": "pipeline",
            "beats": len(beats), "train": len(train), "test": len(test),
            "err_mean": err_mean, "cr_mean": cr_mean, "accuracy": accuracy,
            "C": C, "gamma": gamma, "unconverged_pairs": _unconverged_pairs(model),
-           "out_dir": str(out_dir)})
+           **counts, "out_dir": str(out_dir)})
 
 
 # ---------------------------------------------------------------------------
 # parser
+# each group is declared once; a command takes the groups whose stages it runs
 
 
 def _add_common(sp, *groups):
@@ -607,6 +562,21 @@ def _add_common(sp, *groups):
         sp.add_argument("--pre", type=float, help="seconds before R (default 0.25)")
         sp.add_argument("--post", type=float, help="seconds after R (default 0.45)")
         sp.add_argument("--channel", type=int, help="record channel (default 0)")
+    if "dict" in groups:
+        sp.add_argument("--k", type=int, help="atom count (default 2d)")
+        sp.add_argument("--batch-size", type=int)
+        sp.add_argument("--epochs", type=int)
+        sp.add_argument("--max-cols", type=int, help="subsample training columns")
+    if "pyramid" in groups:
+        sp.add_argument("--levels", type=int)
+        sp.add_argument("--mode", choices=("expectation", "stochastic"))
+    if "svm" in groups:
+        sp.add_argument("--C", type=float)
+        sp.add_argument("--gamma", type=float)
+        sp.add_argument("--pso", action="store_true", help="PSO over (C, gamma)")
+        sp.add_argument("--folds", type=int)
+        sp.add_argument("--swarm", type=int)
+        sp.add_argument("--iters", type=int)
     sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
@@ -621,13 +591,9 @@ def build_parser():
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("train-dict", help="learn the dictionary (ODL or VQ)")
-    _add_common(sp, "source", "geometry")
+    _add_common(sp, "source", "geometry", "dict")
     sp.add_argument("--out", required=True)
     sp.add_argument("--method", choices=("odl", "vq"))
-    sp.add_argument("--k", type=int, help="atom count (default 2d)")
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--max-cols", type=int, help="subsample training columns")
     sp.set_defaults(func=cmd_train_dict)
 
     sp = sub.add_parser("encode", help="compress beats to sparse codes")
@@ -654,28 +620,18 @@ def build_parser():
     sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("featurize", help="pyramid (or BOW) features from codes")
-    sp.add_argument("--config", help="key = value config file")
+    _add_common(sp, "pyramid")
     sp.add_argument("--codes", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--method", choices=("tpm", "bow"))
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--mode", choices=("expectation", "stochastic"))
     sp.add_argument("--no-normalize", action="store_true")
-    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_featurize)
 
     sp = sub.add_parser("train-svm", help="train the OVO RBF SVM")
-    sp.add_argument("--config", help="key = value config file")
+    _add_common(sp, "svm")
     sp.add_argument("--features", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--pso", action="store_true", help="PSO over (C, gamma)")
     sp.add_argument("--cv", action="store_true", help="report CV accuracy")
-    sp.add_argument("--folds", type=int)
-    sp.add_argument("--swarm", type=int)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_train_svm)
 
     sp = sub.add_parser("evaluate", help="accuracy report + confusion matrix")
@@ -688,23 +644,11 @@ def build_parser():
 
     sp = sub.add_parser("pipeline", help="full chain: pretreat -> dict -> "
                         "compress -> featurize -> classify")
-    _add_common(sp, "source", "geometry")
+    _add_common(sp, "source", "geometry", "dict", "pyramid", "svm")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--max-cols", type=int)
     sp.add_argument("--train-total", type=int)
     sp.add_argument("--train-per-class", type=int)
     sp.add_argument("--train-frac", type=float)
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--mode", choices=("expectation", "stochastic"))
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--pso", action="store_true")
-    sp.add_argument("--folds", type=int)
-    sp.add_argument("--swarm", type=int)
-    sp.add_argument("--iters", type=int)
     sp.set_defaults(func=cmd_pipeline)
 
     return ap

@@ -81,12 +81,23 @@ def compress(D, beat_features, lam, label=None, source_id=None):
 
 
 def decompress(D, code):
-    """Dense feature approximation: column i of the result is D @ x_i."""
+    """Dense feature approximation: column i of the result is D @ x_i.
+
+    Raises DegenerateInputError when the result's energy (sum of squares)
+    is not finite, as from a damaged dictionary: Err and the reconstructed
+    beat are measured in that energy.
+    """
     D = np.asarray(D, dtype=float)
     if D.shape[1] != code.k:
         raise ShapeMismatchError(
             f"dictionary has k={D.shape[1]} atoms but code expects k={code.k}")
-    return D @ code.to_dense()
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = D @ code.to_dense()
+        energy = np.sum(Y * Y)
+    if not np.isfinite(energy):
+        raise DegenerateInputError(
+            "decompressed features overflow: dictionary values too large")
+    return Y
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,10 @@ def test_load_model_rejects_malformed(tmp_path):
         json.dumps({**doc, "pairs": [{**pair, "gamma": -50.0}]}),
         json.dumps({**doc, "pairs": [{**pair, "C": -1.0}]}),
         json.dumps({**doc, "pairs": [{**pair, "C": 0.0}]}),
+        json.dumps({**doc, "pairs": [{**pair, "converged": "no"}]}),   # bool("no") is True
+        json.dumps({**doc, "pairs": [{**pair, "bias": "1"}]}),
+        json.dumps({**doc, "pairs": [{**pair, "gamma": "2.5"}]}),
+        json.dumps({**doc, "pairs": [{**pair, "C": True}]}),
         json.dumps([1, 2]),
     ]
     for bad in broken:

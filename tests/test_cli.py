@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ecgsparse.errors import BadConfigError, TooFewPerClassError
-from ecgsparse.cli import run_command, split_dataset
+from ecgsparse.cli import build_parser, run_command, split_dataset
 from ecgsparse.dictionary import load_dictionary, save_dictionary
 from ecgsparse.codec import load_codes
 from ecgsparse.fileio import atomic_write_bytes, atomic_write_text
@@ -423,10 +423,12 @@ def _mutants(rng, blob, count):
             yield bytes(damaged)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
-    # truncated and byte-flipped SBC1, beats CSV, features CSV and model
-    # JSON files: every command exits 0 or 2, raises nothing past
-    # run_command (no traceback) and leaves no output file when it exits 2
+    # truncated and byte-flipped SBC1, SBD1, beats CSV, features CSV, model
+    # JSON and WFDB files: every command exits 0 or 2, raises nothing past
+    # run_command (no traceback, no NumPy warning) and leaves no output file
+    # when it exits 2
     _, beats_csv, dict_path, codes_path = small_chain
     rng = np.random.default_rng(7)
     calls = []
@@ -457,12 +459,67 @@ def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
         bad.write_bytes(blob)
         calls.append(("evaluate", "--model", str(bad), "--features", str(feats),
                       "--out-json"))
+    for i, blob in enumerate(_mutants(rng, dict_path.read_bytes(), 8)):
+        bad = tmp_path / f"bad{i}.sbd"
+        bad.write_bytes(blob)
+        calls += _dictionary_calls(beats_csv, bad, codes_path)
+    calls += _damaged_record_calls(rng, tmp_path)
     for n, argv in enumerate(calls):
         out = tmp_path / f"out{n}"
         status, _, err = run(capsys, *argv, str(out))
         assert status in (0, 2), (argv, err)
         assert "Traceback" not in err
         assert out.exists() == (status == 0), (argv, err)
+
+    # one entry read as 6.4e305 (an exponent-bit flip): Err would be
+    # Infinity; one atom of norm 1.5: encode's unit ball is broken, while
+    # reconstruction from it is still well defined
+    D = load_dictionary(dict_path)
+    huge, wide = D.copy(), D.copy()
+    huge[63, 32] = 6.4e305
+    wide[:, 5] *= 1.5 / np.linalg.norm(wide[:, 5])
+    for name, D_bad, refused_by in (("huge", huge, ("encode", "metrics", "reconstruct")),
+                                    ("wide", wide, ("encode",))):
+        bad = tmp_path / f"{name}.sbd"
+        save_dictionary(bad, D_bad)
+        for argv in _dictionary_calls(beats_csv, bad, codes_path):
+            out = tmp_path / f"out_{name}_{argv[0]}"
+            status, _, err = run(capsys, *argv, str(out))
+            assert status == (2 if argv[0] in refused_by else 0), (name, argv[0], err)
+            assert "Traceback" not in err
+            assert out.exists() == (status == 0)
+
+
+def _dictionary_calls(beats_csv, dict_path, codes_path):
+    """Every command that reads a dictionary, each missing its output path."""
+    return [("encode", "--beats", str(beats_csv), "--dict", str(dict_path), "--out"),
+            ("metrics", "--beats", str(beats_csv), "--dict", str(dict_path),
+             "--codes", str(codes_path), "--out-json"),
+            ("reconstruct", "--beats", str(beats_csv), "--dict", str(dict_path),
+             "--codes", str(codes_path), "--out")]
+
+
+def _damaged_record_calls(rng, tmp_path):
+    """ingest calls on 5 damaged .hea and 5 damaged .dat copies of one record."""
+    from ecgsparse.ingest import encode_212
+
+    n = 4000
+    ch = np.random.default_rng(0).integers(-900, 900, size=n).tolist()
+    dat = encode_212(ch, ch)
+    hea = (f"r9 2 360 {n}\nr9.dat 212 200 11 1024 0 0 0 MLII\n"
+           "r9.dat 212 200 11 1024 0 0 0 V5\n").encode()
+    anns = tmp_path / "r9.csv"
+    anns.write_text("500,N\n1500,V\n2500,A\n3500,L\n")
+    calls = []
+    for part in ("hea", "dat"):
+        for i, blob in enumerate(_mutants(rng, hea if part == "hea" else dat, 5)):
+            rec = tmp_path / f"wfdb_{part}{i}"
+            rec.mkdir()
+            (rec / "r9.hea").write_bytes(blob if part == "hea" else hea)
+            (rec / "r9.dat").write_bytes(blob if part == "dat" else dat)
+            calls.append(("ingest", "--record", str(rec / "r9.hea"),
+                          "--annotations", str(anns), "--out"))
+    return calls
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -512,3 +569,58 @@ def test_pipeline_end_to_end(capsys, tmp_path):
     assert summary["err_mean"] == metrics["err_mean"]
     assert summary["train"] == 18 and summary["test"] == 18
     assert summary["unconverged_pairs"] == 0
+
+
+PIPELINE_ARTIFACTS = ("beats_train.csv", "beats_test.csv", "dict.sbd", "codes_train.sbc",
+                      "codes_test.sbc", "metrics.json", "features_train.csv",
+                      "features_test.csv", "model.json", "report.json", "confusion.csv",
+                      "waveforms.csv")
+
+
+def test_pipeline_defaults_and_pso_counts(capsys, tmp_path):
+    # pipeline's own defaults (epochs 3, max-cols 1500, swarm/iters/folds
+    # 10/10/3) differ from train-dict's and train-svm's: spelled out, they
+    # give the same bytes; the summary carries the PSO counts as train-svm's does
+    argv = ["pipeline", "--synthetic", "6", "--seed", "1", "--k", "80",
+            "--train-frac", "0.5", "--pso"]
+    spelled = ["--epochs", "3", "--max-cols", "1500", "--swarm", "10", "--iters", "10",
+               "--folds", "3"]
+    summaries = []
+    for name, extra in (("default", []), ("spelled", spelled)):
+        status, summary, _ = run(capsys, *argv, *extra, "--out-dir", str(tmp_path / name))
+        assert status == 0
+        summaries.append(summary)
+    for name in PIPELINE_ARTIFACTS:
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "spelled" / name).read_bytes()), name
+    a, b = summaries
+    assert a["pso_evaluations"] == b["pso_evaluations"] > 0
+    assert a["smo_updates"] == b["smo_updates"] > 0
+
+
+def test_subcommand_flag_sets():
+    source = {"--beats", "--record", "--annotations", "--synthetic", "--trio",
+              "--amp-vary", "--pre", "--post", "--channel"}
+    geometry = {"--fb", "--window", "--stride", "--wl", "--lam"}
+    dict_flags = {"--k", "--batch-size", "--epochs", "--max-cols"}
+    svm = {"--C", "--gamma", "--pso", "--folds", "--swarm", "--iters"}
+    base = {"--config", "--seed"}
+    expected = {
+        "ingest": base | source | {"--out"},
+        "train-dict": base | source | geometry | dict_flags | {"--out", "--method"},
+        "encode": base | source | geometry | {"--dict", "--out", "--method"},
+        "reconstruct": base | source | geometry | {"--dict", "--codes", "--out", "--limit"},
+        "metrics": base | source | geometry | {"--dict", "--codes", "--out-json",
+                                               "--out-csv"},
+        "featurize": base | {"--codes", "--out", "--method", "--levels", "--mode",
+                             "--no-normalize"},
+        "train-svm": base | svm | {"--features", "--out", "--cv"},
+        "evaluate": {"--config", "--model", "--features", "--out-json", "--out-confusion"},
+        "pipeline": base | source | geometry | dict_flags | svm | {
+            "--out-dir", "--train-total", "--train-per-class", "--train-frac",
+            "--levels", "--mode"},
+    }
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    got = {name: {flag for action in sp._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, sp in sub.choices.items()}
+    assert got == expected
