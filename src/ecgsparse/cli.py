@@ -5,8 +5,9 @@ train-svm, evaluate, pipeline.  Every command writes its outputs atomically
 and prints a one-line JSON summary to stdout.  Exit codes: 0 success,
 1 validation/usage error, 2 data error.
 
-Options may come from a `key = value` config file (--config); explicit
-flags win over the file, which wins over built-in defaults.
+The parser holds each option's type and default.  A `key = value` config
+file (--config) replaces the defaults of the command's options that take a
+value; explicit flags win over the file.
 """
 
 import argparse
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import classify, codec, dictionary, features, ingest, synthetic, wavelet
 from .errors import (BadConfigError, CorruptFileError, DataError, EcgSparseError,
-                     ShapeMismatchError, TooFewPerClassError, ValidationError)
+                     NotEnoughDataError, ShapeMismatchError, TooFewPerClassError,
+                     ValidationError)
 from .fileio import atomic_write_text
 from .sparse_coding import default_lambda, encode_all
 
@@ -35,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config file + parameter resolution
+# config file and the options derived from others
 
 
 def load_config(path):
@@ -51,41 +53,16 @@ def load_config(path):
     return cfg
 
 
-class Params:
-    """Flag > config-file > default resolution for one command invocation."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key, kind, default=None):
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None:
-            value = self.config.get(key)
-        if value is None:
-            return default
-        try:
-            return kind(value)
-        except ValueError as e:
-            raise BadConfigError(f"bad value for {key}: {e}")
+def _geometry(args):
+    """(filter bank, feature dimension d, lambda), lambda by default from d."""
+    fb = wavelet.filter_bank(args.fb)
+    d = wavelet.feature_dimension(fb, args.window, args.wl)
+    return fb, d, default_lambda(d) if args.lam is None else args.lam
 
 
-def _geometry(p):
-    fb_name = p.get("fb", str, "bior2.6")
-    fb = wavelet.filter_bank(fb_name)
-    w = p.get("window", int, 50)
-    s = p.get("stride", int, 25)
-    wl = p.get("wl", int, 2)
-    d = wavelet.feature_dimension(fb, w, wl)
-    lam = p.get("lam", float, None)
-    if lam is None:
-        lam = default_lambda(d)
-    return fb, w, s, wl, d, lam
-
-
-def _beat_features(beats, fb, w, s, wl):
-    return [wavelet.extract_windows(b, fb, w, s, wl, beat_index=i)
-            for i, b in enumerate(beats)]
+def _beat_features(args, beats, fb):
+    return [wavelet.extract_windows(b, fb, args.window, args.stride, args.wl,
+                                    beat_index=i) for i, b in enumerate(beats)]
 
 
 def _emit(summary):
@@ -167,63 +144,61 @@ def split_dataset(beats, train_total=None, train_per_class=None,
 # beat loading shared by several commands
 
 
-def _load_beats(p):
-    args = p.args
-    if getattr(args, "synthetic", None):
-        n = p.get("synthetic", int)
-        seed = p.get("seed", int, 0)
-        if getattr(args, "trio", False):
-            return synthetic.shifted_trio_beats(n, seed=seed), 0
-        if getattr(args, "amp_vary", False):
-            return synthetic.amplitude_varying_beats(n, seed=seed), 0
-        return synthetic.synthetic_beats(n, seed=seed), 0
-    if getattr(args, "beats", None):
+def _load_beats(args):
+    """(beats, skipped) from the one beat source given."""
+    if sum(bool(s) for s in (args.synthetic, args.beats, args.record)) > 1:
+        raise BadConfigError("give only one of --synthetic / --beats / --record")
+    if args.synthetic:
+        make = (synthetic.shifted_trio_beats if args.trio
+                else synthetic.amplitude_varying_beats if args.amp_vary
+                else synthetic.synthetic_beats)
+        return make(args.synthetic, seed=args.seed), 0
+    if args.beats:
         return ingest.read_beats_csv(
             Path(args.beats).read_text(), source_id=Path(args.beats).name), 0
-    if getattr(args, "record", None):
-        if not getattr(args, "annotations", None):
+    if args.record:
+        if not args.annotations:
             raise BadConfigError("--record requires --annotations")
         record = ingest.read_wfdb(args.record)
         anns = ingest.read_annotations(Path(args.annotations).read_text())
-        return ingest.process_record(
-            record, anns,
-            pre_s=p.get("pre", float, 0.25),
-            post_s=p.get("post", float, 0.45),
-            channel=p.get("channel", int, 0))
+        return ingest.process_record(record, anns, pre_s=args.pre, post_s=args.post,
+                                     channel=args.channel)
     raise BadConfigError("no beat source given (--beats / --record / --synthetic)")
 
 
 # ---------------------------------------------------------------------------
 # stages: each runs in memory and is shared by its subcommand and `pipeline`;
-# the default arguments differ by command and are passed in by the caller
+# options come from `args`, whose defaults the parser sets per command
 
 
-def _train_dictionary(p, beats, geometry, method, max_cols, epochs):
+def _train_dictionary(args, beats, geometry, method):
     """ODL or VQ dictionary; returns (D, training columns, final objective)."""
-    fb, w, s, wl, d, lam = geometry
-    seed = p.get("seed", int, 0)
-    k = p.get("k", int, 2 * d)
-    Y = np.hstack([fm.columns for fm in _beat_features(beats, fb, w, s, wl)])
-    max_cols = p.get("max-cols", int, max_cols)
-    if max_cols and Y.shape[1] > max_cols:
-        rng = np.random.default_rng(seed)
-        Y = Y[:, rng.choice(Y.shape[1], size=max_cols, replace=False)]
+    fb, d, lam = geometry
+    k = 2 * d if args.k is None else args.k
+    columns = [fm.columns for fm in _beat_features(args, beats, fb)]
+    if not columns:
+        raise NotEnoughDataError("no beats to train a dictionary on")
+    Y = np.hstack(columns)
+    if args.max_cols and Y.shape[1] > args.max_cols:
+        rng = np.random.default_rng(args.seed)
+        Y = Y[:, rng.choice(Y.shape[1], size=args.max_cols, replace=False)]
     if method == "odl":
         cfg = dictionary.TrainConfig(
-            k=k, lam=lam, batch_size=p.get("batch-size", int, 64),
-            epochs=p.get("epochs", int, epochs), seed=seed)
+            k=k, lam=lam, batch_size=args.batch_size,
+            epochs=10 if args.epochs is None else args.epochs, seed=args.seed)
         result = dictionary.train_online(Y, cfg)
         final_obj = result.objective_log[-1] if result.objective_log else None
         return result.dictionary, Y, final_obj
     if method == "vq":
-        D, _ = dictionary.kmeans_vq(Y, k, seed=seed, iters=p.get("epochs", int, 50))
+        D, _ = dictionary.kmeans_vq(Y, k, seed=args.seed,
+                                    iters=50 if args.epochs is None else args.epochs)
         return D, Y, None
     raise BadConfigError(f"unknown training method {method!r}")
 
 
-def _encode_beats(beats, D, geometry, method):
-    fb, w, s, wl, _, lam = geometry
-    mats = _beat_features(beats, fb, w, s, wl)
+def _encode_beats(args, beats, D, geometry, method):
+    fb, _, lam = geometry
+    mats = _beat_features(args, beats, fb)
     if not mats:
         return []
     if mats[0].d != D.shape[0]:
@@ -235,9 +210,11 @@ def _encode_beats(beats, D, geometry, method):
         blocks = np.split(X, np.cumsum([fm.omega for fm in mats])[:-1], axis=1)
     else:
         blocks = []
+        energy = np.sum(D * D, axis=0)[None, :]
         for fm in mats:  # vq: cardinality-1 codes, coefficient 1
-            d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
-                  - 2.0 * fm.columns.T @ D + np.sum(D * D, axis=0)[None, :])
+            with np.errstate(over="ignore"):  # a distance too large reads inf
+                d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
+                      - 2.0 * fm.columns.T @ D + energy)
             X = np.zeros((D.shape[1], fm.omega))
             X[np.argmin(d2, axis=1), np.arange(fm.omega)] = 1.0
             blocks.append(X)
@@ -246,9 +223,9 @@ def _encode_beats(beats, D, geometry, method):
             for beat, X in zip(beats, blocks)]
 
 
-def _reconstruct_all(D, codes, geometry):
-    fb, w, s, wl = geometry[:4]
-    return [codec.reconstruct_beat(codec.decompress(D, code), (w, s, fb, wl))
+def _reconstruct_all(args, D, codes, fb):
+    return [codec.reconstruct_beat(codec.decompress(D, code),
+                                   (args.window, args.stride, fb, args.wl))
             for code in codes]
 
 
@@ -260,39 +237,29 @@ def _waveforms_csv(beats, recons):
     return "\n".join(rows) + "\n"
 
 
-def _featurize(p, codes, method, normalize):
+def _featurize(args, codes, method, normalize):
     if method == "tpm":
-        cfg = features.PyramidConfig(
-            levels=p.get("levels", int, 2),
-            mode=p.get("mode", str, "expectation"),
-            seed=p.get("seed", int, 0),
-            normalize_output=normalize)
+        cfg = features.PyramidConfig(levels=args.levels, mode=args.mode, seed=args.seed,
+                                     normalize_output=normalize)
         return [features.tpm_feature(c, cfg) for c in codes]
     if method == "bow":
         return [features.bow_feature(c, normalize) for c in codes]
     raise BadConfigError(f"unknown featurize method {method!r}")
 
 
-def _train_svm(p, hists, swarm, iters, folds):
+def _train_svm(args, hists):
     """PSO, --cv or fixed (C, gamma) -> (model, C, gamma, CV accuracy, PSO counts)."""
     Z = np.vstack([h.z for h in hists])
     labels = [h.label for h in hists]
-    seed = p.get("seed", int, 0)
-    folds = p.get("folds", int, folds)
-    cv_acc = None
+    C, gamma, cv_acc = args.C, args.gamma, None
     counts = {"pso_evaluations": None, "smo_updates": None}
-    if getattr(p.args, "pso", False):
-        cfg = classify.PsoConfig(
-            swarm_size=p.get("swarm", int, swarm),
-            iterations=p.get("iters", int, iters),
-            folds=folds, seed=seed)
+    if args.pso:
+        cfg = classify.PsoConfig(swarm_size=args.swarm, iterations=args.iters,
+                                 folds=args.folds, seed=args.seed)
         C, gamma, cv_acc, counts = classify.pso_search(Z, labels, cfg)
-    else:
-        C = p.get("C", float, 8.0)
-        gamma = p.get("gamma", float, 1.0)
-        if getattr(p.args, "cv", False):
-            cv_acc = classify.cross_validate(Z, labels, C, gamma,
-                                             folds=folds, seed=seed)
+    elif getattr(args, "cv", False):  # pipeline has no --cv
+        cv_acc = classify.cross_validate(Z, labels, C, gamma, folds=args.folds,
+                                         seed=args.seed)
     return classify.ovo_train(Z, labels, C, gamma), C, gamma, cv_acc, counts
 
 
@@ -333,79 +300,70 @@ def _write_json(path, doc):
 
 
 def cmd_ingest(args):
-    p = Params(args)
-    beats, skipped = _load_beats(p)
+    beats, skipped = _load_beats(args)
     atomic_write_text(args.out, ingest.format_beats_csv(beats))
     _emit({"schema_version": SCHEMA_VERSION, "command": "ingest",
            "beats": len(beats), "skipped": skipped, "out": args.out})
 
 
 def cmd_train_dict(args):
-    p = Params(args)
-    beats, _ = _load_beats(p)
-    geometry = _geometry(p)
-    method = p.get("method", str, "odl")
-    D, Y, final_obj = _train_dictionary(p, beats, geometry, method,
-                                        max_cols=0, epochs=10)
+    beats, _ = _load_beats(args)
+    geometry = _geometry(args)
+    D, Y, final_obj = _train_dictionary(args, beats, geometry, args.method)
     dictionary.save_dictionary(args.out, D)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-dict",
-           "method": method, "d": int(D.shape[0]), "k": int(D.shape[1]),
-           "columns": int(Y.shape[1]), "lam": geometry[5],
+           "method": args.method, "d": int(D.shape[0]), "k": int(D.shape[1]),
+           "columns": int(Y.shape[1]), "lam": geometry[2],
            "final_objective": final_obj, "out": args.out})
 
 
 def cmd_encode(args):
-    p = Params(args)
-    beats, _ = _load_beats(p)
-    geometry = _geometry(p)
-    method = p.get("method", str, "sparse")
-    if method not in ("sparse", "vq"):
-        raise BadConfigError(f"unknown encode method {method!r}")
+    beats, _ = _load_beats(args)
+    geometry = _geometry(args)
+    if args.method not in ("sparse", "vq"):
+        raise BadConfigError(f"unknown encode method {args.method!r}")
     D = dictionary.load_dictionary(args.dict)
-    if method == "sparse":
-        # encode_all's unit-ball rule: a file that breaks it is damaged data
-        with np.errstate(over="ignore"):  # an overflowing norm reads inf
-            norm = np.linalg.norm(D, axis=0).max(initial=0.0)
-        if norm > 1.0 + 1e-9:
-            raise CorruptFileError(
-                f"{args.dict}: atom norm {norm:.6g} outside the unit ball")
-    codes = _encode_beats(beats, D, geometry, method)
+    # encode_all's unit-ball rule, and finite VQ distances: a file that breaks
+    # them is damaged data
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf
+        norm = np.sqrt(np.sum(D * D, axis=0).max(initial=0.0))
+    if norm == np.inf or (args.method == "sparse" and norm > 1.0 + 1e-9):
+        raise CorruptFileError(f"{args.dict}: atom norm {norm:.6g} too large for "
+                               f"--method {args.method}")
+    codes = _encode_beats(args, beats, D, geometry, args.method)
     codec.save_codes(args.out, codes)
     nnz = [c.nnz for c in codes]
     _emit({"schema_version": SCHEMA_VERSION, "command": "encode",
-           "method": method, "beats": len(codes), "lam": geometry[5],
+           "method": args.method, "beats": len(codes), "lam": geometry[2],
            "mean_nnz": float(np.mean(nnz)) if nnz else 0.0, "out": args.out})
 
 
-def _load_coded_beats(p):
-    """Geometry, dictionary, codes and the beats they code, checked to agree."""
-    geometry = _geometry(p)
-    D = dictionary.load_dictionary(p.args.dict)
-    codes = codec.load_codes(p.args.codes)
+def _load_coded_beats(args):
+    """Filter bank, dictionary, codes and the beats they code, checked to agree."""
+    fb = _geometry(args)[0]
+    D = dictionary.load_dictionary(args.dict)
+    codes = codec.load_codes(args.codes)
     if codes and codes[0].k != D.shape[1]:
         raise ShapeMismatchError(
             f"dictionary has k={D.shape[1]} but codes expect k={codes[0].k}")
-    beats, _ = _load_beats(p)
+    beats, _ = _load_beats(args)
     if len(beats) != len(codes):
         raise ShapeMismatchError(f"{len(beats)} beats but {len(codes)} codes")
-    return geometry, D, codes, beats
+    return fb, D, codes, beats
 
 
 def cmd_reconstruct(args):
-    p = Params(args)
-    geometry, D, codes, beats = _load_coded_beats(p)
-    limit = p.get("limit", int, 10)
-    picked = codes[:limit] if limit else codes
-    recons = _reconstruct_all(D, picked, geometry)
+    fb, D, codes, beats = _load_coded_beats(args)
+    picked = codes[:args.limit] if args.limit else codes
+    recons = _reconstruct_all(args, D, picked, fb)
     atomic_write_text(args.out, _waveforms_csv(beats[:len(picked)], recons))
     _emit({"schema_version": SCHEMA_VERSION, "command": "reconstruct",
            "beats": len(picked), "out": args.out})
 
 
 def cmd_metrics(args):
-    p = Params(args)
-    geometry, D, codes, beats = _load_coded_beats(p)
-    recons = _reconstruct_all(D, codes, geometry)
+    fb, D, codes, beats = _load_coded_beats(args)
+    recons = _reconstruct_all(args, D, codes, fb)
     originals = [b.values for b in beats]
     err_mean = codec.err_metric(recons, originals)
     cr_mean = codec.cr_metric(codes)
@@ -439,13 +397,11 @@ def cmd_metrics(args):
 
 
 def cmd_featurize(args):
-    p = Params(args)
     codes = codec.load_codes(args.codes)
-    method = p.get("method", str, "tpm")
-    hists = _featurize(p, codes, method, normalize=not args.no_normalize)
+    hists = _featurize(args, codes, args.method, normalize=not args.no_normalize)
     atomic_write_text(args.out, features.format_features_csv(hists))
     _emit({"schema_version": SCHEMA_VERSION, "command": "featurize",
-           "method": method, "beats": len(hists),
+           "method": args.method, "beats": len(hists),
            "k": int(hists[0].z.shape[0]) if hists else 0, "out": args.out})
 
 
@@ -457,9 +413,8 @@ def _read_features(path):
 
 
 def cmd_train_svm(args):
-    p = Params(args)
     hists = _read_features(args.features)
-    model, C, gamma, cv_acc, counts = _train_svm(p, hists, swarm=20, iters=30, folds=5)
+    model, C, gamma, cv_acc, counts = _train_svm(args, hists)
     classify.save_model(args.out, model)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-svm",
            "classes": model.classes, "pairs": len(model.models),
@@ -487,29 +442,25 @@ def cmd_evaluate(args):
 
 def cmd_pipeline(args):
     """Split, then every stage in memory with pipeline's own defaults."""
-    p = Params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    beats, _ = _load_beats(p)
+    beats, _ = _load_beats(args)
     if not beats:
         raise DataError("no beats to process")
-    train, test = split_dataset(
-        beats,
-        train_total=p.get("train-total", int, None),
-        train_per_class=p.get("train-per-class", int, None),
-        train_frac=p.get("train-frac", float, None),
-        seed=p.get("seed", int, 0))
-    geometry = _geometry(p)
+    train, test = split_dataset(beats, train_total=args.train_total,
+                                train_per_class=args.train_per_class,
+                                train_frac=args.train_frac, seed=args.seed)
+    geometry = _geometry(args)
     atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
     atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
-    D, _, _ = _train_dictionary(p, train, geometry, "odl", max_cols=1500, epochs=3)
+    D, _, _ = _train_dictionary(args, train, geometry, "odl")
     dictionary.save_dictionary(out_dir / "dict.sbd", D)
-    codes_train = _encode_beats(train, D, geometry, "sparse")
-    codes_test = _encode_beats(test, D, geometry, "sparse")
+    codes_train = _encode_beats(args, train, D, geometry, "sparse")
+    codes_test = _encode_beats(args, test, D, geometry, "sparse")
     codec.save_codes(out_dir / "codes_train.sbc", codes_train)
     codec.save_codes(out_dir / "codes_test.sbc", codes_test)
 
-    recons = _reconstruct_all(D, codes_test, geometry)
+    recons = _reconstruct_all(args, D, codes_test, geometry[0])
     err_mean = codec.err_metric(recons, [b.values for b in test])
     cr_mean = codec.cr_metric(codes_test)
     _write_json(out_dir / "metrics.json", {"schema_version": SCHEMA_VERSION,
@@ -517,13 +468,13 @@ def cmd_pipeline(args):
                                            "beats": len(codes_test)})
     atomic_write_text(out_dir / "waveforms.csv", _waveforms_csv(test[:5], recons))
 
-    hists_train = _featurize(p, codes_train, "tpm", normalize=True)
-    hists_test = _featurize(p, codes_test, "tpm", normalize=True)
+    hists_train = _featurize(args, codes_train, "tpm", normalize=True)
+    hists_test = _featurize(args, codes_test, "tpm", normalize=True)
     for part, hists in (("train", hists_train), ("test", hists_test)):
         text = features.format_features_csv(hists)
         atomic_write_text(out_dir / f"features_{part}.csv", text)
 
-    model, C, gamma, _, counts = _train_svm(p, hists_train, swarm=10, iters=10, folds=3)
+    model, C, gamma, _, counts = _train_svm(args, hists_train)
     classify.save_model(out_dir / "model.json", model)
     accuracy, per_class, confusion = _evaluate(model, hists_test)
     _write_json(out_dir / "report.json", {"schema_version": SCHEMA_VERSION,
@@ -537,47 +488,52 @@ def cmd_pipeline(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
-# each group is declared once; a command takes the groups whose stages it runs
+# parser: each option's type and default are declared once, here; each group
+# is declared once, and a command takes the groups whose stages it runs
 
 
-def _add_common(sp, *groups):
-    sp.add_argument("--config", help="key = value config file")
+def _add_common(sp, *groups, methods=()):
+    add = sp.add_argument
+    add("--config", help="key = value file of option defaults")
     if "geometry" in groups:
-        sp.add_argument("--fb", help="filter bank: haar, db4, bior2.6")
-        sp.add_argument("--window", type=int, help="window length w")
-        sp.add_argument("--stride", type=int, help="window stride s")
-        sp.add_argument("--wl", type=int, help="per-window DWT levels")
-        sp.add_argument("--lam", type=float, help="sparsity weight lambda")
+        add("--fb", default="bior2.6", help="haar, db4, bior2.6 (default %(default)s)")
+        add("--window", type=int, default=50, help="window length (default %(default)s)")
+        add("--stride", type=int, default=25, help="window stride (default %(default)s)")
+        add("--wl", type=int, default=2, help="window DWT levels (default %(default)s)")
+        add("--lam", type=float, help="sparsity weight lambda (default from d)")
     if "source" in groups:
-        sp.add_argument("--beats", help="beats CSV (label, v1..v300)")
-        sp.add_argument("--record", help="WFDB .hea path (format 212)")
-        sp.add_argument("--annotations", help="annotation CSV for --record")
-        sp.add_argument("--synthetic", type=int,
-                        help="generate N synthetic beats per class")
-        sp.add_argument("--trio", action="store_true",
-                        help="use the 3-class time-shift synthetic set")
-        sp.add_argument("--amp-vary", action="store_true",
-                        help="use the amplitude-varying compression set")
-        sp.add_argument("--pre", type=float, help="seconds before R (default 0.25)")
-        sp.add_argument("--post", type=float, help="seconds after R (default 0.45)")
-        sp.add_argument("--channel", type=int, help="record channel (default 0)")
+        add("--beats", help="beats CSV (label, v1..v300)")
+        add("--record", help="WFDB .hea path (format 212)")
+        add("--annotations", help="annotation CSV for --record")
+        add("--synthetic", type=int, help="generate N synthetic beats per class")
+        add("--trio", action="store_true",
+            help="use the 3-class time-shift synthetic set")
+        add("--amp-vary", action="store_true",
+            help="use the amplitude-varying compression set")
+        add("--pre", type=float, default=0.25, help="sec before R (default %(default)s)")
+        add("--post", type=float, default=0.45, help="sec after R (default %(default)s)")
+        add("--channel", type=int, default=0, help="record channel (default %(default)s)")
     if "dict" in groups:
-        sp.add_argument("--k", type=int, help="atom count (default 2d)")
-        sp.add_argument("--batch-size", type=int)
-        sp.add_argument("--epochs", type=int)
-        sp.add_argument("--max-cols", type=int, help="subsample training columns")
+        add("--k", type=int, help="atom count (default 2d)")
+        add("--batch-size", type=int, default=64, help="ODL batch (default %(default)s)")
+        add("--epochs", type=int, help="ODL epochs or VQ iterations "
+            "(default %(default)s; train-dict: 10 for odl, 50 for vq)")
+        add("--max-cols", type=int, help="subsample training columns, 0 keeps all "
+            "(default %(default)s)")
     if "pyramid" in groups:
-        sp.add_argument("--levels", type=int)
-        sp.add_argument("--mode", choices=("expectation", "stochastic"))
+        add("--levels", type=int, default=2, help="TPM levels (default %(default)s)")
+        add("--mode", choices=("expectation", "stochastic"), default="expectation",
+            help="pooling (default %(default)s)")
     if "svm" in groups:
-        sp.add_argument("--C", type=float)
-        sp.add_argument("--gamma", type=float)
-        sp.add_argument("--pso", action="store_true", help="PSO over (C, gamma)")
-        sp.add_argument("--folds", type=int)
-        sp.add_argument("--swarm", type=int)
-        sp.add_argument("--iters", type=int)
-    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
+        add("--C", type=float, default=8.0, help="SVM cost C (default %(default)s)")
+        add("--gamma", type=float, default=1.0, help="RBF width (default %(default)s)")
+        add("--pso", action="store_true", help="PSO over (C, gamma)")
+        add("--folds", type=int, help="CV folds (default %(default)s)")
+        add("--swarm", type=int, help="PSO particles (default %(default)s)")
+        add("--iters", type=int, help="PSO iterations (default %(default)s)")
+    if methods:
+        add("--method", choices=methods, default=methods[0], help="(default %(default)s)")
+    add("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
 
 
 def build_parser():
@@ -591,16 +547,14 @@ def build_parser():
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("train-dict", help="learn the dictionary (ODL or VQ)")
-    _add_common(sp, "source", "geometry", "dict")
+    _add_common(sp, "source", "geometry", "dict", methods=("odl", "vq"))
     sp.add_argument("--out", required=True)
-    sp.add_argument("--method", choices=("odl", "vq"))
-    sp.set_defaults(func=cmd_train_dict)
+    sp.set_defaults(func=cmd_train_dict, max_cols=0)
 
     sp = sub.add_parser("encode", help="compress beats to sparse codes")
-    _add_common(sp, "source", "geometry")
+    _add_common(sp, "source", "geometry", methods=("sparse", "vq"))
     sp.add_argument("--dict", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--method", choices=("sparse", "vq"))
     sp.set_defaults(func=cmd_encode)
 
     sp = sub.add_parser("reconstruct", help="dump original vs reconstructed CSV")
@@ -608,7 +562,8 @@ def build_parser():
     sp.add_argument("--dict", required=True)
     sp.add_argument("--codes", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--limit", type=int, help="beats to dump (default 10)")
+    sp.add_argument("--limit", type=int, default=10,
+                    help="beats to dump, 0 for all (default %(default)s)")
     sp.set_defaults(func=cmd_reconstruct)
 
     sp = sub.add_parser("metrics", help="Err/Cr metrics for a code file")
@@ -620,10 +575,9 @@ def build_parser():
     sp.set_defaults(func=cmd_metrics)
 
     sp = sub.add_parser("featurize", help="pyramid (or BOW) features from codes")
-    _add_common(sp, "pyramid")
+    _add_common(sp, "pyramid", methods=("tpm", "bow"))
     sp.add_argument("--codes", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--method", choices=("tpm", "bow"))
     sp.add_argument("--no-normalize", action="store_true")
     sp.set_defaults(func=cmd_featurize)
 
@@ -632,10 +586,10 @@ def build_parser():
     sp.add_argument("--features", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--cv", action="store_true", help="report CV accuracy")
-    sp.set_defaults(func=cmd_train_svm)
+    sp.set_defaults(func=cmd_train_svm, swarm=20, iters=30, folds=5)
 
     sp = sub.add_parser("evaluate", help="accuracy report + confusion matrix")
-    sp.add_argument("--config", help="key = value config file")
+    sp.add_argument("--config", help="key = value file of option defaults")
     sp.add_argument("--model", required=True)
     sp.add_argument("--features", required=True)
     sp.add_argument("--out-json")
@@ -649,21 +603,33 @@ def build_parser():
     sp.add_argument("--train-total", type=int)
     sp.add_argument("--train-per-class", type=int)
     sp.add_argument("--train-frac", type=float)
-    sp.set_defaults(func=cmd_pipeline)
+    sp.set_defaults(func=cmd_pipeline, epochs=3, max_cols=1500, swarm=10, iters=10,
+                    folds=3)
 
     return ap
 
 
 def run_command(argv):
-    """Dispatch one CLI invocation; returns the process exit status."""
+    """Dispatch one CLI invocation; returns the process exit status.
+
+    A --config file's values become the defaults of the command's options
+    that take a value, and the arguments are parsed again: argparse converts
+    each value with the option's type, and an explicit flag still wins.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else int(e.code)
-    try:
+        if args.config:
+            cfg = load_config(args.config)
+            sub = next(a for a in parser._actions if a.dest == "command")
+            sp = sub.choices[args.command]
+            sp.set_defaults(**{a.dest: cfg[a.option_strings[0][2:]] for a in sp._actions
+                               if a.nargs != 0 and a.option_strings[0][2:] in cfg})
+            args = parser.parse_args(argv)
         args.func(args)
         return 0
+    except SystemExit as e:
+        return 0 if e.code in (0, None) else int(e.code)
     except ValidationError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

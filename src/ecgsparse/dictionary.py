@@ -6,7 +6,7 @@ across mini-batches and updates atoms by block coordinate descent:
     u_j = d_j + (b_j - D a_j) / A_jj,   d_j <- u_j / max(||u_j||_2, 1)
 
 The unit-ball projection (rather than forced unit norm) is what guarantees
-the surrogate 0.5*Tr(D'DA) - Tr(D'B) never increases across passes.
+the surrogate 0.5*Tr(D'DA) - Tr(D'B) never increases across atom updates.
 """
 
 import struct
@@ -94,8 +94,8 @@ def surrogate(D, stats):
     return 0.5 * float(np.sum((D.T @ D) * stats.A)) - float(np.sum(D * stats.B))
 
 
-def update_atoms(D, stats, Yb=None, Xb=None, passes=1, change_tol=1e-4):
-    """Block coordinate descent over atoms against the accumulated stats.
+def update_atoms(D, stats, Yb=None, Xb=None):
+    """One pass of block coordinate descent over atoms against the accumulated stats.
 
     Atoms whose accumulated energy A_jj has stayed at zero are dead; when
     the current batch is supplied they are re-seeded to the batch column the
@@ -117,18 +117,13 @@ def update_atoms(D, stats, Yb=None, Xb=None, passes=1, change_tol=1e-4):
             if norm > 0:
                 D[:, j] = col / norm
 
-    for _ in range(passes):
-        max_change = 0.0
-        for j in range(k):
-            ajj = A[j, j]
-            if ajj <= DEAD_ATOM_EPS:
-                continue
-            u = D[:, j] + (B[:, j] - D @ A[:, j]) / ajj
-            u /= max(np.linalg.norm(u), 1.0)
-            max_change = max(max_change, float(np.max(np.abs(u - D[:, j]))))
-            D[:, j] = u
-        if max_change < change_tol:
-            break
+    for j in range(k):
+        ajj = A[j, j]
+        if ajj <= DEAD_ATOM_EPS:
+            continue
+        u = D[:, j] + (B[:, j] - D @ A[:, j]) / ajj
+        u /= max(np.linalg.norm(u), 1.0)
+        D[:, j] = u
     return D
 
 

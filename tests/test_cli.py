@@ -488,6 +488,19 @@ def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
             assert status == (2 if argv[0] in refused_by else 0), (name, argv[0], err)
             assert "Traceback" not in err
             assert out.exists() == (status == 0)
+    # VQ centroids may leave the unit ball, but not overflow their squared norm
+    vq_path = tmp_path / "vq.sbd"
+    run(capsys, "train-dict", "--beats", str(beats_csv), "--method", "vq", "--k", "40",
+        "--out", str(vq_path))
+    D = load_dictionary(vq_path)
+    D[63, 32] = 6.4e305
+    save_dictionary(vq_path, D)
+    out = tmp_path / "out_vq_encode"
+    status, _, err = run(capsys, "encode", "--beats", str(beats_csv), "--dict",
+                         str(vq_path), "--method", "vq", "--out", str(out))
+    assert status == 2, err
+    assert "CorruptFileError" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _dictionary_calls(beats_csv, dict_path, codes_path):
@@ -538,6 +551,36 @@ def test_config_file_with_flag_override(capsys, tmp_path):
                              "--epochs", "1", "--k", "90", "--out", str(out))
     assert status == 0
     assert summary["d"] == 75
+    # a value option's config value is converted by its own type; store-true
+    # flags (pso) and unknown keys are ignored
+    cfg.write_text("method = vq\nepochs = 2\npso = 1\nno-such-key = 5\n")
+    status, summary, _ = run(capsys, "train-dict", "--synthetic", "3", "--k", "40",
+                             "--config", str(cfg), "--out", str(out))
+    assert status == 0
+    assert summary["method"] == "vq"
+    feats = tmp_path / "f.csv"
+    codes = tmp_path / "c.sbc"
+    run(capsys, "encode", "--synthetic", "3", "--dict", str(out), "--method", "vq",
+        "--out", str(codes))
+    run(capsys, "featurize", "--codes", str(codes), "--out", str(feats))
+    cfg.write_text("C = 4\npso = 1\n")
+    status, summary, _ = run(capsys, "train-svm", "--features", str(feats),
+                             "--config", str(cfg), "--out", str(tmp_path / "m.json"))
+    assert status == 0
+    assert summary["C"] == 4.0 and isinstance(summary["C"], float)
+    assert summary["pso_evaluations"] is None
+    # a config beat source counts like its flag
+    cfg.write_text("synthetic = 3\n")
+    beats = tmp_path / "beats.csv"
+    status, summary, _ = run(capsys, "ingest", "--config", str(cfg), "--out", str(beats))
+    assert status == 0
+    assert summary["beats"] == 18
+    # two beat sources, by config or by flags, are refused
+    for source in (("--config", str(cfg)), ("--synthetic", "3")):
+        again = tmp_path / "again.csv"
+        status, _, err = run(capsys, "ingest", *source, "--beats", str(beats),
+                             "--out", str(again))
+        assert status == 1 and "BadConfigError" in err and not again.exists(), source
 
 
 def test_bad_config_file_exits_1(capsys, tmp_path):
@@ -546,6 +589,25 @@ def test_bad_config_file_exits_1(capsys, tmp_path):
     status, _, _ = run(capsys, "train-dict", "--synthetic", "3",
                        "--config", str(cfg), "--out", str(tmp_path / "d.sbd"))
     assert status == 1
+    status, _, _ = run(capsys, "evaluate", "--config", str(cfg), "--model",
+                       str(tmp_path / "m.json"), "--features", str(tmp_path / "f.csv"))
+    assert status == 1
+    cfg.write_text("window = abc\n")
+    status, _, err = run(capsys, "train-dict", "--synthetic", "3",
+                         "--config", str(cfg), "--out", str(tmp_path / "d.sbd"))
+    assert status == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.sbd").exists()
+
+
+def test_train_dict_without_beats_exits_2(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# nothing\n")
+    status, _, err = run(capsys, "train-dict", "--beats", str(empty),
+                         "--out", str(tmp_path / "d.sbd"))
+    assert status == 2
+    assert "NotEnoughDataError" in err and "Traceback" not in err
+    assert not (tmp_path / "d.sbd").exists()
 
 
 # --- pipeline ------------------------------------------------------------------------

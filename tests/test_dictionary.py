@@ -116,7 +116,9 @@ def test_update_atoms_surrogate_non_increasing():
     Y = _unit_dict(rng, 6, 10) @ X + 0.01 * rng.standard_normal((6, 30))
     stats = update_stats(OnlineStats.empty(6, 10), X, Y)
     before = surrogate(D, stats)
-    out = update_atoms(D.copy(), stats, passes=3)
+    out = D.copy()
+    for _ in range(3):
+        out = update_atoms(out, stats)
     assert surrogate(out, stats) <= before + 1e-12
     assert np.all(np.linalg.norm(out, axis=0) <= 1.0 + 1e-9)
 
