@@ -73,20 +73,20 @@ def _check_problem(Z, y, C, gamma):
     return Z, y
 
 
-def smo_train(Z, y, C, gamma, tol=KKT_TOL, max_updates=SMO_MAX_UPDATES):
+def smo_train(Z, y, C, gamma, max_updates=SMO_MAX_UPDATES):
     """Solve the SVM dual by sequential minimal optimization.
 
     Working pairs are chosen by maximal KKT violation (largest b_low - b_up
-    gap); convergence is declared when the gap drops to tol, at which point
-    every KKT condition holds within tol.  Hitting the update cap returns
-    the best iterate with converged=False rather than raising.
+    gap); convergence is declared when the gap drops to KKT_TOL, at which
+    point every KKT condition holds within KKT_TOL.  Hitting the update
+    cap returns the best iterate with converged=False rather than raising.
     """
     Z, y = _check_problem(Z, y, C, gamma)
-    (result,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)], tol)
+    (result,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)])
     return _svm_model(Z, y, C, gamma, *result)
 
 
-def _smo_lockstep(problems, tol):
+def _smo_lockstep(problems):
     """SMO on many checked problems (Z, y, C, gamma, max_updates) at once.
 
     Returns one (alpha, F, converged) per problem, in order, for
@@ -102,14 +102,14 @@ def _smo_lockstep(problems, tol):
             if (stop + 1 - start) * wider * wider * 8 > SMO_CHUNK_BYTES:
                 break
             stop, n = stop + 1, wider
-        chunk_results, chunk_updates = _smo_chunk(problems[start:stop], tol)
+        chunk_results, chunk_updates = _smo_chunk(problems[start:stop])
         results += chunk_results
         updates += chunk_updates
         start = stop
     return results, updates
 
 
-def _smo_chunk(problems, tol):
+def _smo_chunk(problems):
     """Lockstep SMO: every live problem takes one pair update per step.
 
     S stacks, per problem, F_t = f_raw(z_t) - y_t and F restricted to the up
@@ -159,7 +159,7 @@ def _smo_chunk(problems, tol):
             if updates[p] == cap:
                 leave.append(q)
                 continue
-            if b_low - b_up <= tol:
+            if b_low - b_up <= KKT_TOL:
                 converged[p] = True
                 leave.append(q)
                 continue
@@ -269,9 +269,9 @@ def _ovo_pairs(Z, labels):
     return classes, pairs
 
 
-def ovo_train(Z, labels, C, gamma, tol=KKT_TOL):
+def ovo_train(Z, labels, C, gamma):
     classes, pairs = _ovo_pairs(np.asarray(Z, dtype=float), labels)
-    models = {key: smo_train(Zp, y, C, gamma, tol=tol) for key, Zp, y in pairs}
+    models = {key: smo_train(Zp, y, C, gamma) for key, Zp, y in pairs}
     return OvoModel(classes=classes, models=models)
 
 
@@ -315,14 +315,9 @@ def stratified_folds(labels, folds, seed):
     return fold_of
 
 
-def cross_validate(Z, labels, C, gamma, folds=5, seed=0):
-    """Mean held-out accuracy over stratified seeded folds."""
-    (score,), _ = _cross_validate_many(Z, labels, [(C, gamma)], folds, seed)
-    return score
-
-
-def _cross_validate_many(Z, labels, points, folds, seed):
-    """cross_validate at every (C, gamma) of points over the same folds.
+def cross_validate(Z, labels, points, folds=5, seed=0):
+    """Mean held-out accuracy at each (C, gamma) of points over the same
+    stratified seeded folds.
 
     Every (point, fold, pair) SVM is trained in one lockstep SMO batch.
     Returns the accuracies, in the order of points, and the number of SMO
@@ -339,7 +334,7 @@ def _cross_validate_many(Z, labels, points, folds, seed):
                 for C, gamma in points
                 for _, _, pairs in splits
                 for _, Zp, y in pairs]
-    results, updates = _smo_lockstep(problems, KKT_TOL)
+    results, updates = _smo_lockstep(problems)
     solved = iter(results)
     scores = []
     for C, gamma in points:
@@ -358,32 +353,14 @@ def _cross_validate_many(Z, labels, points, folds, seed):
 # particle swarm search
 
 
-@dataclass
-class PsoConfig:
-    swarm_size: int = 20
-    iterations: int = 30
-    w: float = 0.72
-    c1: float = 1.49
-    c2: float = 1.49
-    log2c_bounds: tuple = (-5.0, 15.0)
-    log2g_bounds: tuple = (-15.0, 3.0)
-    folds: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        for lo, hi in (self.log2c_bounds, self.log2g_bounds):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise BadConfigError(f"bad bounds ({lo}, {hi})")
-        if self.folds < 2:
-            raise BadConfigError("folds must be >= 2")
-        if self.swarm_size < 1 or self.iterations < 1:
-            raise BadConfigError("swarm_size and iterations must be >= 1")
+PSO_BOUNDS = ((-5, 15), (-15, 3))
 
 
 def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
                  c1=1.49, c2=1.49, seed=0, init_positions=None):
     """Global-best PSO maximizing `fitness` over box `bounds`.
 
+    w, c1 and c2 default to the Clerc-Kennedy constriction coefficients.
     `fitness(X)` scores a whole swarm: one value per row of X.  Returns
     (best_x, best_fit, history) with history the incumbent fitness after
     each iteration (non-decreasing by construction).
@@ -420,13 +397,15 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
     return gbest, gfit, history
 
 
-def pso_search(Z, labels, cfg):
-    """PSO over (log2 C, log2 gamma) with CV accuracy as fitness.
+def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
+    """PSO over PSO_BOUNDS in (log2 C, log2 gamma) with CV accuracy as fitness.
 
     Returns (C, gamma, best cv accuracy, counts), counts holding
     `pso_evaluations` (distinct points cross-validated) and `smo_updates`
     (SMO pair updates made while scoring them).
     """
+    if swarm_size < 1 or iterations < 1:
+        raise BadConfigError("swarm_size and iterations must be >= 1")
     Z = np.asarray(Z, dtype=float)
     scores = {}  # clipped position -> CV accuracy
     counts = {"pso_evaluations": 0, "smo_updates": 0}
@@ -442,17 +421,14 @@ def pso_search(Z, labels, cfg):
             if key not in scores and key not in new:
                 new[key] = (2.0 ** x[0], 2.0 ** x[1])
         if new:
-            accs, updates = _cross_validate_many(Z, labels, list(new.values()),
-                                                 cfg.folds, cfg.seed)
+            accs, updates = cross_validate(Z, labels, list(new.values()), folds, seed)
             scores.update(zip(new, accs))
             counts["pso_evaluations"] += len(new)
             counts["smo_updates"] += updates
         return [scores[key] for key in keys]
 
-    best, fit, _ = pso_optimize(
-        fitness, [cfg.log2c_bounds, cfg.log2g_bounds],
-        swarm_size=cfg.swarm_size, iterations=cfg.iterations,
-        w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
+    best, fit, _ = pso_optimize(fitness, PSO_BOUNDS, swarm_size=swarm_size,
+                                iterations=iterations, seed=seed)
     return 2.0 ** best[0], 2.0 ** best[1], fit, counts
 
 

@@ -53,6 +53,13 @@ def load_config(path):
     return cfg
 
 
+def _count(text):
+    """argparse type of a count: an int >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _geometry(args):
     """(filter bank, feature dimension d, lambda), lambda by default from d."""
     fb = wavelet.filter_bank(args.fb)
@@ -189,11 +196,9 @@ def _train_dictionary(args, beats, geometry, method):
         result = dictionary.train_online(Y, cfg)
         final_obj = result.objective_log[-1] if result.objective_log else None
         return result.dictionary, Y, final_obj
-    if method == "vq":
-        D, _ = dictionary.kmeans_vq(Y, k, seed=args.seed,
-                                    iters=50 if args.epochs is None else args.epochs)
-        return D, Y, None
-    raise BadConfigError(f"unknown training method {method!r}")
+    D, _ = dictionary.kmeans_vq(Y, k, seed=args.seed,
+                                iters=50 if args.epochs is None else args.epochs)
+    return D, Y, None
 
 
 def _encode_beats(args, beats, D, geometry, method):
@@ -242,9 +247,7 @@ def _featurize(args, codes, method, normalize):
         cfg = features.PyramidConfig(levels=args.levels, mode=args.mode, seed=args.seed,
                                      normalize_output=normalize)
         return [features.tpm_feature(c, cfg) for c in codes]
-    if method == "bow":
-        return [features.bow_feature(c, normalize) for c in codes]
-    raise BadConfigError(f"unknown featurize method {method!r}")
+    return [features.bow_feature(c, normalize) for c in codes]
 
 
 def _train_svm(args, hists):
@@ -254,12 +257,11 @@ def _train_svm(args, hists):
     C, gamma, cv_acc = args.C, args.gamma, None
     counts = {"pso_evaluations": None, "smo_updates": None}
     if args.pso:
-        cfg = classify.PsoConfig(swarm_size=args.swarm, iterations=args.iters,
-                                 folds=args.folds, seed=args.seed)
-        C, gamma, cv_acc, counts = classify.pso_search(Z, labels, cfg)
+        C, gamma, cv_acc, counts = classify.pso_search(Z, labels, args.swarm, args.iters,
+                                                       args.folds, args.seed)
     elif getattr(args, "cv", False):  # pipeline has no --cv
-        cv_acc = classify.cross_validate(Z, labels, C, gamma, folds=args.folds,
-                                         seed=args.seed)
+        (cv_acc,), _ = classify.cross_validate(Z, labels, [(C, gamma)], args.folds,
+                                               args.seed)
     return classify.ovo_train(Z, labels, C, gamma), C, gamma, cv_acc, counts
 
 
@@ -320,8 +322,6 @@ def cmd_train_dict(args):
 def cmd_encode(args):
     beats, _ = _load_beats(args)
     geometry = _geometry(args)
-    if args.method not in ("sparse", "vq"):
-        raise BadConfigError(f"unknown encode method {args.method!r}")
     D = dictionary.load_dictionary(args.dict)
     # encode_all's unit-ball rule, and finite VQ distances: a file that breaks
     # them is damaged data
@@ -505,7 +505,7 @@ def _add_common(sp, *groups, methods=()):
         add("--beats", help="beats CSV (label, v1..v300)")
         add("--record", help="WFDB .hea path (format 212)")
         add("--annotations", help="annotation CSV for --record")
-        add("--synthetic", type=int, help="generate N synthetic beats per class")
+        add("--synthetic", type=_count, help="generate N synthetic beats per class")
         add("--trio", action="store_true",
             help="use the 3-class time-shift synthetic set")
         add("--amp-vary", action="store_true",
@@ -518,7 +518,7 @@ def _add_common(sp, *groups, methods=()):
         add("--batch-size", type=int, default=64, help="ODL batch (default %(default)s)")
         add("--epochs", type=int, help="ODL epochs or VQ iterations "
             "(default %(default)s; train-dict: 10 for odl, 50 for vq)")
-        add("--max-cols", type=int, help="subsample training columns, 0 keeps all "
+        add("--max-cols", type=_count, help="subsample training columns, 0 keeps all "
             "(default %(default)s)")
     if "pyramid" in groups:
         add("--levels", type=int, default=2, help="TPM levels (default %(default)s)")
@@ -562,7 +562,7 @@ def build_parser():
     sp.add_argument("--dict", required=True)
     sp.add_argument("--codes", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--limit", type=int, default=10,
+    sp.add_argument("--limit", type=_count, default=10,
                     help="beats to dump, 0 for all (default %(default)s)")
     sp.set_defaults(func=cmd_reconstruct)
 
@@ -615,6 +615,7 @@ def run_command(argv):
     A --config file's values become the defaults of the command's options
     that take a value, and the arguments are parsed again: argparse converts
     each value with the option's type, and an explicit flag still wins.
+    argparse checks `choices` only on flags; config values are checked here.
     """
     parser = build_parser()
     try:
@@ -626,6 +627,10 @@ def run_command(argv):
             sp.set_defaults(**{a.dest: cfg[a.option_strings[0][2:]] for a in sp._actions
                                if a.nargs != 0 and a.option_strings[0][2:] in cfg})
             args = parser.parse_args(argv)
+            for a in sp._actions:
+                if a.choices is not None and getattr(args, a.dest) not in a.choices:
+                    raise BadConfigError(f"{args.config}: {a.dest} must be one of "
+                                         f"{a.choices}, got {getattr(args, a.dest)!r}")
         args.func(args)
         return 0
     except SystemExit as e:

@@ -11,7 +11,7 @@ from ecgsparse.errors import (BadConfigError, CorruptFileError, DegenerateInputE
 from ecgsparse.classify import (
     BinarySvmModel,
     OvoModel,
-    PsoConfig,
+    PSO_BOUNDS,
     cross_validate,
     kernel_matrix,
     load_model,
@@ -300,14 +300,14 @@ def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
     chunks = []
     run_chunk = classify._smo_chunk
 
-    def counting_chunk(batch, tol):
+    def counting_chunk(batch):
         chunks.append(len(batch))
-        return run_chunk(batch, tol)
+        return run_chunk(batch)
 
     monkeypatch.setattr(classify, "_smo_chunk", counting_chunk)
     batch = [(*classify._check_problem(Z, y, C, gamma), C, gamma, cap)
              for Z, y, C, gamma, cap in problems]
-    results, updates = classify._smo_lockstep(batch, classify.KKT_TOL)
+    results, updates = classify._smo_lockstep(batch)
     assert sum(chunks) == len(problems)
     assert (len(chunks) == 1) == (chunk_bytes is None)
     for (Z, y, C, gamma, cap), result in zip(problems, results):
@@ -318,7 +318,7 @@ def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
         assert got.b == want.b
         assert got.converged == want.converged
     # the update count is the sum of the problems solved one at a time
-    alone = [classify._smo_lockstep([p], classify.KKT_TOL)[1] for p in batch]
+    alone = [classify._smo_lockstep([p])[1] for p in batch]
     assert updates == sum(alone) and alone[3] == 5
 
 
@@ -326,7 +326,7 @@ def test_cross_validate_many_matches_per_fold_training():
     rng = np.random.default_rng(18)
     Z, labels = blobs(rng, [(0, 0), (1.2, 0), (0, 1.2)], 9, spread=0.7)
     points = [(0.5, 0.25), (8.0, 2.0), (100.0, 0.05)]
-    scores, updates = classify._cross_validate_many(Z, labels, points, 3, 4)
+    scores, updates = cross_validate(Z, labels, points, 3, 4)
     lab = np.array(labels)
     fold_of = stratified_folds(labels, 3, 4)
     for (C, gamma), score in zip(points, scores):
@@ -461,22 +461,22 @@ def test_stratified_folds_too_few():
 def test_cross_validate_separable():
     rng = np.random.default_rng(11)
     Z, labels = blobs(rng, [(0, 0), (4, 4)], 25)
-    assert cross_validate(Z, labels, C=10.0, gamma=1.0, folds=5, seed=0) == 1.0
+    assert cross_validate(Z, labels, [(10.0, 1.0)], folds=5, seed=0)[0][0] == 1.0
 
 
 def test_cross_validate_chance_level_on_shuffled_labels():
     rng = np.random.default_rng(12)
     Z = rng.standard_normal((120, 4))
     labels = ["a", "b"] * 60
-    acc = cross_validate(Z, labels, C=1.0, gamma=0.5, folds=5, seed=1)
+    acc = cross_validate(Z, labels, [(1.0, 0.5)], folds=5, seed=1)[0][0]
     assert 0.35 <= acc <= 0.65
 
 
 def test_cross_validate_deterministic():
     rng = np.random.default_rng(13)
     Z, labels = blobs(rng, [(0, 0), (2, 2)], 20, spread=0.8)
-    a1 = cross_validate(Z, labels, C=2.0, gamma=1.0, folds=4, seed=9)
-    a2 = cross_validate(Z, labels, C=2.0, gamma=1.0, folds=4, seed=9)
+    a1 = cross_validate(Z, labels, [(2.0, 1.0)], folds=4, seed=9)[0][0]
+    a2 = cross_validate(Z, labels, [(2.0, 1.0)], folds=4, seed=9)[0][0]
     assert a1 == a2
 
 
@@ -512,36 +512,36 @@ def test_pso_clamps_to_bounds():
 def test_pso_search_scores_each_point_once(monkeypatch):
     rng = np.random.default_rng(17)
     Z, labels = blobs(rng, [(0, 0), (1.5, 0), (0, 1.5)], 8, spread=0.6)
-    cfg = PsoConfig(swarm_size=4, iterations=4, folds=3, seed=2)
+    swarm, iters, folds, seed = 4, 4, 3, 2
     calls = []
-    batch_scorer = classify._cross_validate_many
 
     def counting_cv(Z, labels, points, folds, seed):
         calls.extend((float(C), float(gamma)) for C, gamma in points)
-        return batch_scorer(Z, labels, points, folds, seed)
+        return cross_validate(Z, labels, points, folds, seed)
 
-    monkeypatch.setattr(classify, "_cross_validate_many", counting_cv)
-    C, gamma, fit, counts = pso_search(Z, labels, cfg)
+    monkeypatch.setattr(classify, "cross_validate", counting_cv)
+    C, gamma, fit, counts = pso_search(Z, labels, swarm, iters, folds, seed)
     monkeypatch.undo()
     assert len(calls) == len(set(calls))
     # the global-best particle never moves, so the swarm revisits points
-    assert len(calls) < cfg.swarm_size * (cfg.iterations + 1)
+    assert len(calls) < swarm * (iters + 1)
 
     best, want_fit, _ = pso_optimize(
-        lambda X: [cross_validate(Z, labels, 2.0 ** x[0], 2.0 ** x[1],
-                                  folds=cfg.folds, seed=cfg.seed) for x in X],
-        [cfg.log2c_bounds, cfg.log2g_bounds], swarm_size=cfg.swarm_size,
-        iterations=cfg.iterations, w=cfg.w, c1=cfg.c1, c2=cfg.c2, seed=cfg.seed)
+        lambda X: [cross_validate(Z, labels, [(2.0 ** x[0], 2.0 ** x[1])],
+                                  folds=folds, seed=seed)[0][0] for x in X],
+        PSO_BOUNDS, swarm_size=swarm, iterations=iters, seed=seed)
     assert (C, gamma, fit) == (2.0 ** best[0], 2.0 ** best[1], want_fit)
 
 
 def test_pso_config_validation():
+    rng = np.random.default_rng(17)
+    Z, labels = blobs(rng, [(0, 0), (1.5, 0)], 6)
     with pytest.raises(BadConfigError):
-        PsoConfig(log2c_bounds=(3.0, 3.0))
+        pso_search(Z, labels, swarm_size=0)
     with pytest.raises(BadConfigError):
-        PsoConfig(folds=1)
+        pso_search(Z, labels, iterations=0)
     with pytest.raises(BadConfigError):
-        PsoConfig(swarm_size=0)
+        pso_search(Z, labels, swarm_size=2, iterations=1, folds=1)
 
 
 # --- persistence -------------------------------------------------------------------

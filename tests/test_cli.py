@@ -1,7 +1,9 @@
 """Command-line interface: dispatch, exit codes, artifacts, determinism."""
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,7 +395,7 @@ def test_train_svm_pso_reports_evaluations(capsys, small_chain, tmp_path, monkey
     feats = tmp_path / "feats.csv"
     run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
     points, updates = [], []
-    batch_scorer = classify._cross_validate_many
+    batch_scorer = classify.cross_validate
 
     def counting_cv(Z, labels, batch, folds, seed):
         points.extend((float(C), float(gamma)) for C, gamma in batch)
@@ -401,7 +403,7 @@ def test_train_svm_pso_reports_evaluations(capsys, small_chain, tmp_path, monkey
         updates.append(made)
         return scores, made
 
-    monkeypatch.setattr(classify, "_cross_validate_many", counting_cv)
+    monkeypatch.setattr(classify, "cross_validate", counting_cv)
     status, summary, _ = run(capsys, "train-svm", "--features", str(feats), "--pso",
                              "--swarm", "4", "--iters", "3", "--folds", "2",
                              "--out", str(tmp_path / "model.json"))
@@ -409,6 +411,33 @@ def test_train_svm_pso_reports_evaluations(capsys, small_chain, tmp_path, monkey
     assert summary["pso_evaluations"] == len(set(points)) == len(points) > 0
     assert summary["smo_updates"] == sum(updates) > 0
     assert "pso_evaluations" not in (tmp_path / "model.json").read_text()
+
+
+def test_bench_tracer_sees_cross_validation(capsys, small_chain, tmp_path):
+    # perfbench's tracer wraps its TRACED functions by name: each must exist,
+    # and PSO must score through the wrapped classify.cross_validate
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, func in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"ecgsparse.{module}"), func))
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        status, summary, _ = run(capsys, "train-svm", "--features", str(feats), "--pso",
+                                 "--swarm", "3", "--iters", "2", "--folds", "2",
+                                 "--out", str(tmp_path / "model.json"))
+    finally:
+        tracer.restore()
+    assert status == 0 and tracer.absent == []
+    calls = tracer.per_layer(0.0)["classify.cross_validate.calls"]
+    assert 0 < calls <= summary["pso_evaluations"]
+    from ecgsparse import classify
+    assert not hasattr(classify.cross_validate, "__wrapped__")
 
 
 def _mutants(rng, blob, count):
@@ -583,7 +612,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
         assert status == 1 and "BadConfigError" in err and not again.exists(), source
 
 
-def test_bad_config_file_exits_1(capsys, tmp_path):
+def test_bad_config_file_exits_1(capsys, tmp_path, small_chain):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("window 60\n")  # missing '='
     status, _, _ = run(capsys, "train-dict", "--synthetic", "3",
@@ -598,6 +627,41 @@ def test_bad_config_file_exits_1(capsys, tmp_path):
     assert status == 1
     assert "Traceback" not in err
     assert not (tmp_path / "d.sbd").exists()
+    _, beats_csv, dict_path, codes_path = small_chain
+    for text, argv in (
+            ("max-cols = -1\n", ["train-dict", "--beats", str(beats_csv)]),
+            ("method = xyz\n", ["train-dict", "--beats", str(beats_csv)]),
+            ("method = xyz\n", ["encode", "--beats", str(beats_csv),
+                                "--dict", str(dict_path)]),
+            ("mode = foo\n", ["featurize", "--codes", str(codes_path)])):
+        cfg.write_text(text)
+        out = tmp_path / "out.bin"
+        status, _, err = run(capsys, *argv, "--config", str(cfg), "--out", str(out))
+        assert status == 1, (text, argv)
+        assert "Traceback" not in err
+        assert not out.exists()
+    # a flag still wins over the file
+    cfg.write_text("method = xyz\n")
+    status, summary, _ = run(capsys, "train-dict", "--beats", str(beats_csv), "--k", "20",
+                             "--config", str(cfg), "--method", "vq", "--out", str(out))
+    assert status == 0 and summary["method"] == "vq"
+
+
+def test_negative_counts_exit_1(capsys, small_chain):
+    tmp_path, beats_csv, dict_path, codes_path = small_chain
+    out = tmp_path / "out.bin"
+    for argv in (["train-dict", "--beats", str(beats_csv), "--max-cols", "-5"],
+                 ["reconstruct", "--beats", str(beats_csv), "--dict", str(dict_path),
+                  "--codes", str(codes_path), "--limit", "-3"],
+                 ["ingest", "--synthetic", "-2"]):
+        status, _, err = run(capsys, *argv, "--out", str(out))
+        assert status == 1, argv
+        assert "Traceback" not in err and ">= 0" in err
+        assert not out.exists()
+    cfg = tmp_path / "counts.cfg"
+    cfg.write_text("synthetic = -2\n")
+    status, _, _ = run(capsys, "ingest", "--config", str(cfg), "--out", str(out))
+    assert status == 1 and not out.exists()
 
 
 def test_train_dict_without_beats_exits_2(capsys, tmp_path):
