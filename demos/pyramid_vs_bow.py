@@ -46,12 +46,12 @@ codes_test = [compress(D, fm, lam, label=b.label)
 
 def tpm_matrix(codes, levels=2):
     cfg = PyramidConfig(levels=levels, mode="expectation", seed=SEED)
-    return np.vstack([tpm_feature(c, cfg).z for c in codes])
+    return np.vstack([tpm_feature(c, cfg) for c in codes])
 
 
 def bow_matrix(codes):
     # hard-assign every window to its strongest atom, histogram, normalize
-    return np.vstack([bow_feature(c).z for c in codes])
+    return np.vstack([bow_feature(c) for c in codes])
 
 
 truth = np.array([c.label for c in codes_test])

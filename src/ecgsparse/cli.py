@@ -86,13 +86,16 @@ def split_dataset(beats, train_total=None, train_per_class=None,
 
     train_total spreads proportionally over classes (largest remainder,
     at least one beat per class); train_per_class takes a fixed count from
-    every class; train_frac is the proportional shortcut.
+    every class; train_frac is the proportional shortcut.  Neither side of
+    the split may come out empty.
     """
     rules = [v is not None for v in (train_total, train_per_class, train_frac)]
     if sum(rules) > 1:
         raise BadConfigError("give only one of train_total/train_per_class/train_frac")
     if sum(rules) == 0:
         train_frac = 0.7
+    if train_frac is not None and not 0.0 < train_frac < 1.0:  # NaN fails too
+        raise BadConfigError(f"train_frac must be in (0, 1), got {train_frac}")
 
     by_class = {}
     for i, b in enumerate(beats):
@@ -118,8 +121,6 @@ def split_dataset(beats, train_total=None, train_per_class=None,
         if total < len(classes):
             raise TooFewPerClassError(
                 f"train size {total} cannot cover {len(classes)} classes")
-        if total > n:
-            raise TooFewPerClassError(f"train size {total} exceeds {n} beats")
         exact = {c: total * len(by_class[c]) / n for c in classes}
         quotas = {c: int(exact[c]) for c in classes}
         remainder = total - sum(quotas.values())
@@ -142,6 +143,9 @@ def split_dataset(beats, train_total=None, train_per_class=None,
         picks = by_class[c]
         train_idx.extend(picks[:quotas[c]])
         test_idx.extend(picks[quotas[c]:])
+    if not train_idx or not test_idx:
+        raise TooFewPerClassError(f"split leaves {len(train_idx)} train and "
+                                  f"{len(test_idx)} test beats")
     train_idx.sort()
     test_idx.sort()
     return [beats[i] for i in train_idx], [beats[i] for i in test_idx]
@@ -243,17 +247,18 @@ def _waveforms_csv(beats, recons):
 
 
 def _featurize(args, codes, method, normalize):
+    """(labels, N x k feature matrix) of the codes."""
     if method == "tpm":
         cfg = features.PyramidConfig(levels=args.levels, mode=args.mode, seed=args.seed,
                                      normalize_output=normalize)
-        return [features.tpm_feature(c, cfg) for c in codes]
-    return [features.bow_feature(c, normalize) for c in codes]
+        rows = [features.tpm_feature(c, cfg) for c in codes]
+    else:
+        rows = [features.bow_feature(c, normalize) for c in codes]
+    return [c.label for c in codes], np.vstack(rows) if rows else np.zeros((0, 0))
 
 
-def _train_svm(args, hists):
+def _train_svm(args, labels, Z):
     """PSO, --cv or fixed (C, gamma) -> (model, C, gamma, CV accuracy, PSO counts)."""
-    Z = np.vstack([h.z for h in hists])
-    labels = [h.label for h in hists]
     C, gamma, cv_acc = args.C, args.gamma, None
     counts = {"pso_evaluations": None, "smo_updates": None}
     if args.pso:
@@ -270,10 +275,8 @@ def _unconverged_pairs(model):
     return sum(not m.converged for m in model.models.values())
 
 
-def _evaluate(model, hists):
+def _evaluate(model, truth, Z):
     """Returns (accuracy, per-class accuracy, confusion matrix as CSV text)."""
-    Z = np.vstack([h.z for h in hists])
-    truth = [h.label for h in hists]
     pred = classify.ovo_predict_batch(model, Z)
     classes = model.classes
     idx = {c: i for i, c in enumerate(classes)}
@@ -398,23 +401,16 @@ def cmd_metrics(args):
 
 def cmd_featurize(args):
     codes = codec.load_codes(args.codes)
-    hists = _featurize(args, codes, args.method, normalize=not args.no_normalize)
-    atomic_write_text(args.out, features.format_features_csv(hists))
+    labels, Z = _featurize(args, codes, args.method, normalize=not args.no_normalize)
+    atomic_write_text(args.out, features.format_features_csv(labels, Z))
     _emit({"schema_version": SCHEMA_VERSION, "command": "featurize",
-           "method": args.method, "beats": len(hists),
-           "k": int(hists[0].z.shape[0]) if hists else 0, "out": args.out})
-
-
-def _read_features(path):
-    hists = features.parse_features_csv(Path(path).read_text())
-    if not hists:
-        raise DataError(f"{path}: no feature rows")
-    return hists
+           "method": args.method, "beats": len(labels), "k": Z.shape[1],
+           "out": args.out})
 
 
 def cmd_train_svm(args):
-    hists = _read_features(args.features)
-    model, C, gamma, cv_acc, counts = _train_svm(args, hists)
+    feats = features.parse_features_csv(Path(args.features).read_text())
+    model, C, gamma, cv_acc, counts = _train_svm(args, *feats)
     classify.save_model(args.out, model)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-svm",
            "classes": model.classes, "pairs": len(model.models),
@@ -425,14 +421,13 @@ def cmd_train_svm(args):
 
 def cmd_evaluate(args):
     model = classify.load_model(args.model)
-    hists = _read_features(args.features)
+    labels, Z = features.parse_features_csv(Path(args.features).read_text())
     dim = model.models[min(model.models)].support_vectors.shape[1]
-    if hists[0].z.shape[0] != dim:
-        raise ShapeMismatchError(
-            f"features have dim {hists[0].z.shape[0]} but model expects {dim}")
-    accuracy, per_class, confusion = _evaluate(model, hists)
+    if Z.shape[1] != dim:
+        raise ShapeMismatchError(f"features have dim {Z.shape[1]} but model expects {dim}")
+    accuracy, per_class, confusion = _evaluate(model, labels, Z)
     doc = {"schema_version": SCHEMA_VERSION, "command": "evaluate",
-           "beats": len(hists), "accuracy": accuracy, "per_class": per_class}
+           "beats": len(labels), "accuracy": accuracy, "per_class": per_class}
     if args.out_json:
         _write_json(args.out_json, doc)
     if args.out_confusion:
@@ -442,8 +437,6 @@ def cmd_evaluate(args):
 
 def cmd_pipeline(args):
     """Split, then every stage in memory with pipeline's own defaults."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     beats, _ = _load_beats(args)
     if not beats:
         raise DataError("no beats to process")
@@ -451,6 +444,8 @@ def cmd_pipeline(args):
                                 train_per_class=args.train_per_class,
                                 train_frac=args.train_frac, seed=args.seed)
     geometry = _geometry(args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
     atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
     D, _, _ = _train_dictionary(args, train, geometry, "odl")
@@ -468,15 +463,15 @@ def cmd_pipeline(args):
                                            "beats": len(codes_test)})
     atomic_write_text(out_dir / "waveforms.csv", _waveforms_csv(test[:5], recons))
 
-    hists_train = _featurize(args, codes_train, "tpm", normalize=True)
-    hists_test = _featurize(args, codes_test, "tpm", normalize=True)
-    for part, hists in (("train", hists_train), ("test", hists_test)):
-        text = features.format_features_csv(hists)
-        atomic_write_text(out_dir / f"features_{part}.csv", text)
+    feats_train = _featurize(args, codes_train, "tpm", normalize=True)
+    feats_test = _featurize(args, codes_test, "tpm", normalize=True)
+    for part, feats in (("train", feats_train), ("test", feats_test)):
+        atomic_write_text(out_dir / f"features_{part}.csv",
+                          features.format_features_csv(*feats))
 
-    model, C, gamma, _, counts = _train_svm(args, hists_train)
+    model, C, gamma, _, counts = _train_svm(args, *feats_train)
     classify.save_model(out_dir / "model.json", model)
-    accuracy, per_class, confusion = _evaluate(model, hists_test)
+    accuracy, per_class, confusion = _evaluate(model, *feats_test)
     _write_json(out_dir / "report.json", {"schema_version": SCHEMA_VERSION,
                                           "accuracy": accuracy, "per_class": per_class})
     atomic_write_text(out_dir / "confusion.csv", confusion)
@@ -600,8 +595,8 @@ def build_parser():
                         "compress -> featurize -> classify")
     _add_common(sp, "source", "geometry", "dict", "pyramid", "svm")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--train-total", type=int)
-    sp.add_argument("--train-per-class", type=int)
+    sp.add_argument("--train-total", type=_count)
+    sp.add_argument("--train-per-class", type=_count)
     sp.add_argument("--train-frac", type=float)
     sp.set_defaults(func=cmd_pipeline, epochs=3, max_cols=1500, swarm=10, iters=10,
                     folds=3)

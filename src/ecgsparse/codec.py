@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dictionary import MAX_K
 from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from .fileio import atomic_write_bytes
 from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
@@ -187,9 +188,12 @@ def serialize_codes(codes):
     Values are quantized to f32 on disk; triplets whose f32 image is exactly
     zero are dropped so every stored value is nonzero, and a value that is
     not finite as f32 raises DegenerateInputError.  A beat has at most
-    BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by it.
+    BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by it, and k
+    by MAX_K.
     """
     k = codes[0].k if codes else 0
+    if k > MAX_K:
+        raise ShapeMismatchError(f"k={k} exceeds {MAX_K} atoms")
     out = [MAGIC_SBC1, struct.pack("<II", k, len(codes))]
     for i, code in enumerate(codes):
         if code.k != k:
@@ -252,6 +256,9 @@ def parse_codes(blob):
                                 label=CODE_LABELS[label_code], source_id=str(i)))
     if pos != len(blob):
         raise CorruptFileError(f"{len(blob) - pos} trailing bytes")
+    # parsing never sizes anything by k, so a record's own damage is named first
+    if k > MAX_K:
+        raise CorruptFileError(f"header k={k} exceeds {MAX_K} atoms")
     return codes
 
 

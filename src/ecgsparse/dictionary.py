@@ -20,6 +20,9 @@ from .fileio import atomic_write_bytes
 from .sparse_coding import encode_all
 
 DEAD_ATOM_EPS = 1e-10
+# Most atoms a dictionary may have: SBD1 and SBC1 files refuse more, in both
+# reader and writer, so a damaged header cannot ask for a huge k x Omega code.
+MAX_K = 2 ** 16
 
 
 @dataclass
@@ -42,8 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise BadConfigError("k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise BadConfigError(f"k must be in [1, {MAX_K}], got {self.k}")
         if self.lam <= 0:
             raise BadConfigError("lambda must be positive")
         if self.batch_size < 1:
@@ -168,6 +171,10 @@ def kmeans_vq(Y, k, seed=0, iters=50):
     reconstruction is the centroid itself).  Empty clusters are re-seeded to
     the point farthest from its assigned centroid.
     """
+    if not 1 <= k <= MAX_K:
+        raise BadConfigError(f"k must be in [1, {MAX_K}], got {k}")
+    if iters < 1:
+        raise BadConfigError("iters must be >= 1")
     Y = np.asarray(Y, dtype=float)
     d, n = Y.shape
     if n < k:
@@ -208,6 +215,8 @@ def save_dictionary(path, D):
     """SBD1: magic, LE u32 d, u32 k, then d*k float64 column-major."""
     D = np.ascontiguousarray(np.asarray(D, dtype=np.float64))
     d, k = D.shape
+    if k > MAX_K:
+        raise ShapeMismatchError(f"k={k} exceeds {MAX_K} atoms")
     blob = MAGIC_SBD1 + struct.pack("<II", d, k) + D.tobytes(order="F")
     atomic_write_bytes(path, blob)
 
@@ -220,6 +229,8 @@ def load_dictionary(path):
     if len(blob) < 12:
         raise CorruptFileError(f"{path}: header truncated")
     d, k = struct.unpack("<II", blob[4:12])
+    if k > MAX_K:
+        raise CorruptFileError(f"{path}: k={k} exceeds {MAX_K} atoms")
     need = 12 + 8 * d * k
     if len(blob) != need:
         raise CorruptFileError(

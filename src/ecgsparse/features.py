@@ -5,7 +5,8 @@ blocks (2^l blocks at level l, levels 0..L, Pi = 2^(L+1)-1 blocks total).
 Each block contributes one length-k vector z_j, either by stochastic
 pooling (draw one column with probability proportional to its l1 mass) or
 by its expectation; z = sum_j z_j.  Unlike the BOW histogram this keeps
-coarse temporal structure, which is the point.
+coarse temporal structure, which is the point.  Blocks that hold no window
+pool to zero and are never visited.
 """
 
 import hashlib
@@ -16,6 +17,11 @@ import numpy as np
 from .errors import BadConfigError, ParseError
 from .ingest import OTHER_LABEL, TARGET_LABELS
 
+# A beat has Omega <= 300 windows, so from level 9 on (2^9 > 300) every
+# non-empty block holds one window and a level only repeats the one before.
+# The bound keeps a beat's work at (levels + 1) * Omega pools.
+MAX_LEVELS = 64
+
 
 @dataclass
 class PyramidConfig:
@@ -25,29 +31,20 @@ class PyramidConfig:
     normalize_output: bool = True
 
     def __post_init__(self):
-        if self.levels < 0:
-            raise BadConfigError("levels must be >= 0")
+        if not 0 <= self.levels <= MAX_LEVELS:
+            raise BadConfigError(f"levels must be in [0, {MAX_LEVELS}], got {self.levels}")
         if self.mode not in ("stochastic", "expectation"):
             raise BadConfigError(f"unknown pooling mode {self.mode!r}")
 
-    @property
-    def block_count(self):
-        return 2 ** (self.levels + 1) - 1
-
-
-@dataclass
-class PyramidHistogram:
-    z: np.ndarray
-    label: str = OTHER_LABEL
-
 
 def build_blocks(omega, levels):
-    """Index ranges [(start, stop), ...] for all pyramid levels, coarse first.
+    """The non-empty pyramid blocks [(index, start, stop), ...], coarse first.
 
     At level l the window axis {0..omega-1} is cut into 2^l contiguous
     near-equal ranges (sizes differ by at most one, longer ranges first).
-    When omega < 2^l the trailing ranges are empty but the level still
-    partitions the axis exactly.
+    When omega < 2^l only the first omega ranges hold a window; the empty
+    rest are left out.  index = 2^l - 1 + i numbers range i of level l in
+    the full pyramid, whatever omega is.
     """
     if omega < 1:
         raise BadConfigError("omega must be >= 1")
@@ -55,11 +52,8 @@ def build_blocks(omega, levels):
     for level in range(levels + 1):
         parts = 2 ** level
         base, rem = divmod(omega, parts)
-        start = 0
-        for i in range(parts):
-            size = base + (1 if i < rem else 0)
-            blocks.append((start, start + size))
-            start += size
+        blocks += [(parts - 1 + i, i * base + min(i, rem), (i + 1) * base + min(i + 1, rem))
+                   for i in range(min(parts, omega))]
     return blocks
 
 
@@ -72,8 +66,6 @@ def pool_block(Xabs, mode, rng=None):
     """
     Xabs = np.asarray(Xabs, dtype=float)
     k = Xabs.shape[0]
-    if Xabs.shape[1] == 0:
-        return np.zeros(k)
     mass = Xabs.sum(axis=0)
     total = mass.sum()
     if total <= 0.0:
@@ -97,16 +89,12 @@ def tpm_feature(code, cfg):
     """Pyramid-pooled feature z for one SparseCode (Eq. 5, on |X|)."""
     X = np.abs(code.to_dense())
     z = np.zeros(code.k)
-    for bi, (a, b) in enumerate(build_blocks(code.omega, cfg.levels)):
+    for bi, a, b in build_blocks(code.omega, cfg.levels):
         rng = None
         if cfg.mode == "stochastic":
             rng = _block_rng(cfg.seed, code.source_id, bi)
         z += pool_block(X[:, a:b], cfg.mode, rng)
-    if cfg.normalize_output:
-        norm = np.linalg.norm(z)
-        if norm > 0.0:
-            z = z / norm
-    return PyramidHistogram(z=z, label=code.label)
+    return _unit(z) if cfg.normalize_output else z
 
 
 def bow_histogram(assignments, k):
@@ -127,30 +115,28 @@ def bow_feature(code, normalize=True):
     filled = np.flatnonzero(X.sum(axis=0) > 0)
     assign = np.argmax(X[:, filled], axis=0) if filled.size else []
     h = bow_histogram(assign, code.k)
-    if normalize:
-        norm = np.linalg.norm(h)
-        if norm > 0:
-            h = h / norm
-    return PyramidHistogram(z=h, label=code.label)
+    return _unit(h) if normalize else h
+
+
+def _unit(z):
+    """z scaled to unit l2 norm, or z itself when it is all zero."""
+    norm = np.linalg.norm(z)
+    return z / norm if norm > 0.0 else z
 
 
 # ---------------------------------------------------------------------------
 # CSV export of featurized beats (one row: label, z_1..z_k)
 
 
-def format_features_csv(hists):
-    rows = []
-    for h in hists:
-        rows.append(",".join([h.label] + [f"{v:.12g}" for v in h.z]))
+def format_features_csv(labels, Z):
+    rows = [",".join([label] + [f"{v:.12g}" for v in z]) for label, z in zip(labels, Z)]
     return "\n".join(rows) + ("\n" if rows else "")
 
 
-def parse_features_csv(lines):
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    hists = []
-    width = None
-    for i, line in enumerate(lines, start=1):
+def parse_features_csv(text):
+    """(labels, N x k feature matrix) of a features CSV with at least one row."""
+    labels, rows = [], []
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -158,17 +144,17 @@ def parse_features_csv(lines):
         if len(parts) < 2:
             raise ParseError("expected 'label, z_1..z_k'", line_no=i)
         label = parts[0].strip()
-        if label not in TARGET_LABELS:
-            label = OTHER_LABEL
         try:
             z = np.array([float(v) for v in parts[1:]])
         except ValueError as e:
             raise ParseError(f"bad value: {e}", line_no=i)
         if not np.isfinite(z).all():
             raise ParseError("non-finite value", line_no=i)
-        if width is None:
-            width = len(z)
-        elif len(z) != width:
-            raise ParseError(f"row has {len(z)} values, expected {width}", line_no=i)
-        hists.append(PyramidHistogram(z=z, label=label))
-    return hists
+        if rows and len(z) != len(rows[0]):
+            raise ParseError(f"row has {len(z)} values, expected {len(rows[0])}",
+                             line_no=i)
+        labels.append(label if label in TARGET_LABELS else OTHER_LABEL)
+        rows.append(z)
+    if not rows:
+        raise ParseError("no feature rows")
+    return labels, np.vstack(rows)

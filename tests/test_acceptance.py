@@ -190,7 +190,7 @@ def test_acceptance_5_tpm_beats_bow(capsys):
 
     cfg = PyramidConfig(levels=2, mode="expectation", seed=3)
     def tpm_matrix(cs):
-        return np.vstack([tpm_feature(c, cfg).z for c in cs])
+        return np.vstack([tpm_feature(c, cfg) for c in cs])
 
     def bow_matrix(cs):
         rows = []

@@ -3,6 +3,10 @@
 import importlib.util
 import json
 import os
+import resource
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +64,17 @@ def test_split_covers_every_class():
     beats = synthetic_beats(10, seed=0)
     train, _ = split_dataset(beats, train_total=6, seed=0)
     assert {b.label for b in train} == {"N", "/", "A", "V", "R", "L"}
+
+
+def test_split_refuses_an_empty_side_or_a_bad_fraction():
+    beats = synthetic_beats(4, seed=0)
+    for rule in ({"train_per_class": 4}, {"train_per_class": 0}, {"train_total": 24},
+                 {"train_total": 30}):
+        with pytest.raises(TooFewPerClassError):
+            split_dataset(beats, **rule)
+    for frac in (0.0, 1.0, float("nan"), float("inf"), -0.5):
+        with pytest.raises(BadConfigError):
+            split_dataset(beats, train_frac=frac)
 
 
 def test_split_conflicting_rules():
@@ -268,6 +283,8 @@ def test_featurize_tpm_and_bow(capsys, small_chain, tmp_path):
         rows = out.read_text().splitlines()
         assert len(rows) == 24
         assert all(len(r.split(",")) == 81 for r in rows)  # label + k
+        # each row carries its beat's label
+        assert [r.split(",")[0] for r in rows] == [c.label for c in load_codes(codes_path)]
 
 
 def test_train_svm_and_evaluate(capsys, small_chain, tmp_path):
@@ -662,6 +679,79 @@ def test_negative_counts_exit_1(capsys, small_chain):
     cfg.write_text("synthetic = -2\n")
     status, _, _ = run(capsys, "ingest", "--config", str(cfg), "--out", str(out))
     assert status == 1 and not out.exists()
+
+
+# --- bounded work: each call runs in a child process under an address-space cap,
+# so a call that asks for unbounded memory fails there instead of in the suite
+
+CHILD_AS_BYTES = 2 * 1024 ** 3
+CHILD_SECONDS = 60
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """An 18-beat VQ code file, a copy whose header k reads 2^22 + 80, and a
+    config file with a non-finite training fraction."""
+    root = tmp_path_factory.mktemp("contract")
+    dict_path, codes = root / "dict.sbd", root / "codes.sbc"
+    for argv in (["train-dict", "--k", "20", "--out", str(dict_path)],
+                 ["encode", "--dict", str(dict_path), "--out", str(codes)]):
+        assert run_command([*argv, "--synthetic", "3", "--method", "vq"]) == 0
+    blob = bytearray(codes.read_bytes())
+    blob[4:8] = struct.pack("<I", 2 ** 22 + 80)
+    (root / "big_k.sbc").write_bytes(bytes(blob))
+    (root / "split.cfg").write_text("train-frac = nan\n")
+    return root
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+
+
+CONTRACT_CALLS = {  # id: (argv, output flag, exit code)
+    "featurize --levels 40": (["featurize", "--codes", "{inputs}/codes.sbc",
+                               "--levels", "40"], "--out", 0),
+    "featurize --levels 65": (["featurize", "--codes", "{inputs}/codes.sbc",
+                               "--levels", "65"], "--out", 1),
+    "featurize header k 2^22+80": (["featurize", "--codes", "{inputs}/big_k.sbc"],
+                                   "--out", 2),
+    "vq --epochs 0": (["train-dict", "--synthetic", "2", "--method", "vq", "--k", "5",
+                       "--epochs", "0"], "--out", 1),
+    "vq --k 0": (["train-dict", "--synthetic", "2", "--method", "vq", "--k", "0"],
+                 "--out", 1),
+    "odl --k 65537": (["train-dict", "--synthetic", "2", "--k", "65537"], "--out", 1),
+    "--train-per-class -1": (["pipeline", "--synthetic", "4", "--train-per-class", "-1"],
+                             "--out-dir", 1),
+    "--train-total -3": (["pipeline", "--synthetic", "4", "--train-total", "-3"],
+                         "--out-dir", 1),
+    "--train-frac nan": (["pipeline", "--synthetic", "4", "--train-frac", "nan"],
+                         "--out-dir", 1),
+    "--train-frac inf": (["pipeline", "--synthetic", "4", "--train-frac", "inf"],
+                         "--out-dir", 1),
+    "config train-frac = nan": (["pipeline", "--synthetic", "4",
+                                 "--config", "{inputs}/split.cfg"], "--out-dir", 1),
+    "empty test split": (["pipeline", "--synthetic", "4", "--train-per-class", "4"],
+                         "--out-dir", 2),
+}
+
+
+@pytest.mark.parametrize("argv, out_flag, expected", CONTRACT_CALLS.values(),
+                         ids=CONTRACT_CALLS.keys())
+def test_bounded_work_contract(contract_inputs, tmp_path, argv, out_flag, expected):
+    # exit code as given, within the time limit, no traceback; a refused call
+    # leaves no output, not even pipeline's directory
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                       os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "ecgsparse.cli",
+           *(a.format(inputs=contract_inputs) for a in argv), out_flag, str(out)]
+    proc = subprocess.run(cmd, env=env, preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=CHILD_SECONDS)
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.exists() == (expected == 0)
 
 
 def test_train_dict_without_beats_exits_2(capsys, tmp_path):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from ecgsparse.dictionary import MAX_K
 from ecgsparse.errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from ecgsparse.codec import (
     SparseCode,
@@ -268,6 +269,15 @@ def test_sbc1_corrupt_inputs():
             ("canonical", sbc1_record(top, 300, [(top - 1, 5, 1.0), (0, 4, 1.0)]))]:
         with pytest.raises(CorruptFileError, match=f"^beat 0: .*{what}"):
             parse_codes(bad)
+
+
+def test_sbc1_bounds_k():
+    with pytest.raises(ShapeMismatchError, match="exceeds"):
+        serialize_codes([SparseCode.from_dense(np.zeros((MAX_K + 1, 1)))])
+    blob = serialize_codes([SparseCode.from_dense(np.zeros((MAX_K, 1)))])
+    assert parse_codes(blob)[0].k == MAX_K
+    with pytest.raises(CorruptFileError, match="header k"):
+        parse_codes(blob[:4] + struct.pack("<I", MAX_K + 1) + blob[8:])
 
 
 def test_sbc1_rejects_non_canonical_order():

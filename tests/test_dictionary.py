@@ -1,5 +1,7 @@
 """Online dictionary learning, the k-means baseline, and SBD1 persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from ecgsparse.errors import (
     BadConfigError,
     CorruptFileError,
     NotEnoughDataError,
+    ShapeMismatchError,
 )
 from ecgsparse.dictionary import (
+    MAX_K,
     OnlineStats,
     TrainConfig,
     init_dictionary,
@@ -147,6 +151,8 @@ def test_train_config_validation():
         TrainConfig(k=10, lam=-0.1)
     with pytest.raises(BadConfigError):
         TrainConfig(k=10, lam=0.1, batch_size=0)
+    with pytest.raises(BadConfigError):
+        TrainConfig(k=MAX_K + 1, lam=0.1)
 
 
 def test_train_online_deterministic():
@@ -191,11 +197,17 @@ def test_kmeans_identical_points():
 def test_kmeans_inertia_monotone_in_iterations():
     rng = np.random.default_rng(8)
     Y = rng.standard_normal((4, 120))
-    inertias = []
-    for iters in (0, 1, 2, 5, 10):
+    # before the first iteration: every point at its nearest seed column
+    seeds = Y[:, np.random.default_rng(3).choice(120, size=6, replace=False)]
+    inertias = [np.sum(np.min(np.sum((Y[:, :, None] - seeds[:, None, :]) ** 2, axis=0),
+                              axis=1))]
+    for iters in (1, 2, 5, 10):
         C, assign = kmeans_vq(Y, k=6, seed=3, iters=iters)
         inertias.append(np.sum((Y - C[:, assign]) ** 2))
     assert all(b <= a + 1e-9 for a, b in zip(inertias, inertias[1:]))
+    for bad in ({"iters": 0}, {"iters": -1}, {"k": 0}):
+        with pytest.raises(BadConfigError):
+            kmeans_vq(Y, **{"k": 6, **bad})
 
 
 def test_kmeans_not_enough_data():
@@ -216,6 +228,20 @@ def test_sbd1_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "dict2.sbd"
     save_dictionary(path2, out)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_sbd1_bounds_k(tmp_path):
+    path = tmp_path / "wide.sbd"
+    with pytest.raises(ShapeMismatchError, match="exceeds"):
+        save_dictionary(path, np.ones((1, MAX_K + 1)))
+    assert not path.exists()
+    save_dictionary(path, np.ones((1, MAX_K)))
+    assert load_dictionary(path).shape == (1, MAX_K)
+    # a header claiming one atom more, with the bytes to match, is refused
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<I", MAX_K + 1) + blob[12:] + bytes(8))
+    with pytest.raises(CorruptFileError, match="exceeds"):
+        load_dictionary(path)
 
 
 def test_sbd1_bad_magic(tmp_path):

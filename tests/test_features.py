@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from ecgsparse.errors import BadConfigError
+from ecgsparse.errors import BadConfigError, ParseError
 from ecgsparse.codec import SparseCode
 from ecgsparse.features import (
+    MAX_LEVELS,
     PyramidConfig,
+    _block_rng,
     bow_feature,
     bow_histogram,
     build_blocks,
@@ -21,34 +23,35 @@ from ecgsparse.features import (
 
 def test_build_blocks_omega8():
     blocks = build_blocks(8, 2)
-    assert blocks == [(0, 8), (0, 4), (4, 8), (0, 2), (2, 4), (4, 6), (6, 8)]
+    assert blocks == [(0, 0, 8), (1, 0, 4), (2, 4, 8), (3, 0, 2), (4, 2, 4), (5, 4, 6),
+                      (6, 6, 8)]
 
 
 def test_build_blocks_degenerate_omega1():
-    # with a single window every level still partitions {0}: the first
-    # range holds it and the trailing ranges are empty
-    blocks = build_blocks(1, 2)
-    assert len(blocks) == 7
-    assert all(b == (0, 1) for b in blocks if b[1] > b[0])
-    assert blocks[0] == (0, 1)
-    assert blocks[1] == (0, 1) and blocks[3] == (0, 1)
+    # with a single window each level's first range holds it; the trailing
+    # ranges are empty and left out, and the kept ones keep their global index
+    assert build_blocks(1, 2) == [(0, 0, 1), (1, 0, 1), (3, 0, 1)]
 
 
 def test_build_blocks_longer_first():
-    assert build_blocks(11, 1) == [(0, 11), (0, 6), (6, 11)]
+    assert build_blocks(11, 1) == [(0, 0, 11), (1, 0, 6), (2, 6, 11)]
 
 
 def test_build_blocks_each_level_partitions():
+    # level l's blocks are numbered 2^l - 1 + i; the non-empty ones come
+    # first in each level and cover the window axis exactly
     for omega in (1, 2, 5, 8, 11, 37):
         for L in (0, 1, 2, 3):
             blocks = build_blocks(omega, L)
-            assert len(blocks) == 2 ** (L + 1) - 1
-            pos = 0
+            assert len(blocks) == sum(min(2 ** level, omega) for level in range(L + 1))
             for level in range(L + 1):
-                level_blocks = blocks[pos:pos + 2 ** level]
-                pos += 2 ** level
+                first = 2 ** level - 1
+                level_blocks = [blk for blk in blocks if first <= blk[0] < 2 * first + 1]
+                assert [blk[0] for blk in level_blocks] == list(
+                    range(first, first + min(2 ** level, omega)))
                 covered = []
-                for a, b in level_blocks:
+                for _, a, b in level_blocks:
+                    assert b > a
                     covered.extend(range(a, b))
                 assert covered == list(range(omega))
 
@@ -58,13 +61,20 @@ def test_build_blocks_bad_omega():
         build_blocks(0, 2)
 
 
-def test_pyramid_config_block_count():
-    assert PyramidConfig(levels=2).block_count == 7
-    assert PyramidConfig(levels=0).block_count == 1
+def test_pyramid_config_bounds():
+    # past MAX_LEVELS a level only repeats single-window blocks; at the top
+    # level a beat still pools each non-empty block once
     with pytest.raises(BadConfigError):
         PyramidConfig(levels=-1)
     with pytest.raises(BadConfigError):
+        PyramidConfig(levels=MAX_LEVELS + 1)
+    with pytest.raises(BadConfigError):
         PyramidConfig(mode="max")
+    code = make_code(np.random.default_rng(0).standard_normal((5, 11)))
+    assert len(build_blocks(11, MAX_LEVELS)) == 1 + 2 + 4 + 8 + 11 * (MAX_LEVELS - 3)
+    for mode in ("expectation", "stochastic"):
+        z = tpm_feature(code, PyramidConfig(levels=MAX_LEVELS, mode=mode))
+        assert z.shape == (5,) and np.linalg.norm(z) == pytest.approx(1.0)
 
 
 # --- pooling ----------------------------------------------------------------------
@@ -121,23 +131,22 @@ def make_code(X, label="N", source_id="b0"):
 
 def test_tpm_zero_code():
     code = make_code(np.zeros((5, 4)))
-    hist = tpm_feature(code, PyramidConfig(levels=2))
-    np.testing.assert_array_equal(hist.z, np.zeros(5))
-    assert hist.label == "N"
+    z = tpm_feature(code, PyramidConfig(levels=2))
+    np.testing.assert_array_equal(z, np.zeros(5))
 
 
 def test_tpm_single_window_level0():
     c = np.array([[1.0], [-2.0], [0.0]])
     code = make_code(c)
     cfg = PyramidConfig(levels=0, normalize_output=False)
-    np.testing.assert_allclose(tpm_feature(code, cfg).z, np.abs(c[:, 0]),
+    np.testing.assert_allclose(tpm_feature(code, cfg), np.abs(c[:, 0]),
                                atol=1e-12)
 
 
 def test_tpm_normalized_output():
     rng = np.random.default_rng(4)
     code = make_code(rng.standard_normal((6, 8)))
-    z = tpm_feature(code, PyramidConfig(levels=2)).z
+    z = tpm_feature(code, PyramidConfig(levels=2))
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
     assert np.all(z >= 0)
 
@@ -146,13 +155,47 @@ def test_tpm_deterministic_stochastic_mode():
     rng = np.random.default_rng(5)
     code = make_code(rng.standard_normal((6, 8)), source_id="beat-42")
     cfg = PyramidConfig(levels=2, mode="stochastic", seed=9)
-    z1 = tpm_feature(code, cfg).z
-    z2 = tpm_feature(code, cfg).z
+    z1 = tpm_feature(code, cfg)
+    z2 = tpm_feature(code, cfg)
     np.testing.assert_array_equal(z1, z2)
     # a different source id draws differently somewhere
     other = make_code(code.to_dense(), source_id="beat-43")
-    z3 = tpm_feature(other, cfg).z
+    z3 = tpm_feature(other, cfg)
     assert not np.array_equal(z1, z3)
+
+
+def _full_pyramid_tpm(code, cfg):
+    """Reference: pool all 2^(L+1) - 1 ranges in order, empty ones included."""
+    X = np.abs(code.to_dense())
+    z = np.zeros(code.k)
+    bi = 0
+    for level in range(cfg.levels + 1):
+        base, rem = divmod(code.omega, 2 ** level)
+        start = 0
+        for i in range(2 ** level):
+            stop = start + base + (1 if i < rem else 0)
+            rng = (_block_rng(cfg.seed, code.source_id, bi)
+                   if cfg.mode == "stochastic" else None)
+            z += pool_block(X[:, start:stop], cfg.mode, rng)
+            start, bi = stop, bi + 1
+    norm = np.linalg.norm(z)
+    return z / norm if cfg.normalize_output and norm > 0.0 else z
+
+
+def test_tpm_matches_full_pyramid_walk():
+    # skipping the empty blocks and keying each kept one by its global index
+    # gives the same bits as walking every range, in both modes
+    rng = np.random.default_rng(11)
+    for omega in range(1, 14):
+        X = rng.standard_normal((6, omega)) * (rng.random((6, omega)) < 0.4)
+        code = make_code(X, source_id=f"b{omega}")
+        for levels in range(5):
+            for mode in ("expectation", "stochastic"):
+                for normalize in (True, False):
+                    cfg = PyramidConfig(levels=levels, mode=mode, seed=omega,
+                                        normalize_output=normalize)
+                    assert np.array_equal(tpm_feature(code, cfg),
+                                          _full_pyramid_tpm(code, cfg))
 
 
 def test_tpm_sees_permutation_bow_does_not():
@@ -164,8 +207,8 @@ def test_tpm_sees_permutation_bow_does_not():
     X[2, 2] = 1.0
     Xp = X[:, ::-1]
     cfg = PyramidConfig(levels=1, normalize_output=False)
-    z = tpm_feature(make_code(X), cfg).z
-    zp = tpm_feature(make_code(Xp), cfg).z
+    z = tpm_feature(make_code(X), cfg)
+    zp = tpm_feature(make_code(Xp), cfg)
     assert np.max(np.abs(z - zp)) > 1e-9
     h = bow_histogram(np.argmax(np.abs(X), axis=0), 4)
     hp = bow_histogram(np.argmax(np.abs(Xp), axis=0), 4)
@@ -190,13 +233,12 @@ def test_bow_feature_hand_built_code():
     X[4, 3] = 0.1
     code = make_code(X, label="V")
     raw = bow_feature(code, normalize=False)
-    np.testing.assert_array_equal(raw.z, [0.0, 1.0, 1.0, 0.0, 1.0])
-    assert raw.label == "V"
-    np.testing.assert_allclose(bow_feature(code).z,
+    np.testing.assert_array_equal(raw, [0.0, 1.0, 1.0, 0.0, 1.0])
+    np.testing.assert_allclose(bow_feature(code),
                                np.array([0.0, 1.0, 1.0, 0.0, 1.0]) / np.sqrt(3.0),
                                rtol=0, atol=1e-15)
     empty = bow_feature(make_code(np.zeros((5, 3))))
-    np.testing.assert_array_equal(empty.z, np.zeros(5))
+    np.testing.assert_array_equal(empty, np.zeros(5))
 
 
 def test_bow_count_conservation():
@@ -209,12 +251,13 @@ def test_bow_count_conservation():
 
 def test_features_csv_roundtrip():
     rng = np.random.default_rng(7)
-    hists = [tpm_feature(make_code(rng.standard_normal((5, 6)), label=lbl,
-                                   source_id=f"b{i}"),
-                         PyramidConfig(levels=1))
-             for i, lbl in enumerate(["N", "V", "/"])]
-    text = format_features_csv(hists)
-    again = parse_features_csv(text)
-    assert [h.label for h in again] == ["N", "V", "/"]
-    np.testing.assert_allclose(np.vstack([h.z for h in again]),
-                               np.vstack([h.z for h in hists]), atol=1e-9)
+    Z = np.vstack([tpm_feature(make_code(rng.standard_normal((5, 6)), source_id=f"b{i}"),
+                               PyramidConfig(levels=1))
+                   for i in range(4)])
+    text = format_features_csv(["N", "V", "/", "Q"], Z)
+    labels, again = parse_features_csv(text)
+    # a label outside the target classes reads back as the other class
+    assert labels == ["N", "V", "/", "Other"]
+    np.testing.assert_allclose(again, Z, atol=1e-9)
+    with pytest.raises(ParseError, match="no feature rows"):
+        parse_features_csv("# no rows\n")
