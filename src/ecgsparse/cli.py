@@ -205,7 +205,8 @@ def _train_dictionary(args, beats, geometry, method):
     return D, Y, None
 
 
-def _encode_beats(args, beats, D, geometry, method):
+def _encode_beats(args, beats, D, geometry, method, counts=None):
+    """SparseCodes of the beats; counts gets encode_all's solver tallies."""
     fb, _, lam = geometry
     mats = _beat_features(args, beats, fb)
     if not mats:
@@ -215,7 +216,7 @@ def _encode_beats(args, beats, D, geometry, method):
             f"features have d={mats[0].d} but dictionary d={D.shape[0]}")
     if method == "sparse":
         # one encode_all call over every beat's windows, split back per beat
-        X = encode_all(D, np.hstack([fm.columns for fm in mats]), lam)
+        X = encode_all(D, np.hstack([fm.columns for fm in mats]), lam, counts=counts)
         blocks = np.split(X, np.cumsum([fm.omega for fm in mats])[:-1], axis=1)
     else:
         blocks = []
@@ -333,12 +334,14 @@ def cmd_encode(args):
     if norm == np.inf or (args.method == "sparse" and norm > 1.0 + 1e-9):
         raise CorruptFileError(f"{args.dict}: atom norm {norm:.6g} too large for "
                                f"--method {args.method}")
-    codes = _encode_beats(args, beats, D, geometry, args.method)
+    counters = {}
+    codes = _encode_beats(args, beats, D, geometry, args.method, counters)
     codec.save_codes(args.out, codes)
     nnz = [c.nnz for c in codes]
     _emit({"schema_version": SCHEMA_VERSION, "command": "encode",
            "method": args.method, "beats": len(codes), "lam": geometry[2],
-           "mean_nnz": float(np.mean(nnz)) if nnz else 0.0, "out": args.out})
+           "mean_nnz": float(np.mean(nnz)) if nnz else 0.0, "out": args.out,
+           "counters": counters})
 
 
 def _load_coded_beats(args):

@@ -187,9 +187,9 @@ def serialize_codes(codes):
 
     Values are quantized to f32 on disk; triplets whose f32 image is exactly
     zero are dropped so every stored value is nonzero, and a value that is
-    not finite as f32 raises DegenerateInputError.  A beat has at most
-    BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by it, and k
-    by MAX_K.
+    not finite as f32 raises DegenerateInputError.  A beat has at least one
+    and at most BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by
+    those, and k by MAX_K.
     """
     k = codes[0].k if codes else 0
     if k > MAX_K:
@@ -198,6 +198,8 @@ def serialize_codes(codes):
     for i, code in enumerate(codes):
         if code.k != k:
             raise ShapeMismatchError(f"inconsistent k: {code.k} vs {k}")
+        if code.omega < 1:
+            raise ShapeMismatchError(f"beat {i}: no windows")
         if code.omega > BEAT_LENGTH:
             raise ShapeMismatchError(
                 f"beat {i}: {code.omega} windows exceed {BEAT_LENGTH} samples")
@@ -229,6 +231,8 @@ def parse_codes(blob):
         pos += 9
         if label_code not in CODE_LABELS:
             raise CorruptFileError(f"beat {i}: unknown label code {label_code}")
+        if omega < 1:
+            raise CorruptFileError(f"beat {i}: no windows")
         if omega > BEAT_LENGTH:
             raise CorruptFileError(
                 f"beat {i}: {omega} windows exceed {BEAT_LENGTH} samples")

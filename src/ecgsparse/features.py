@@ -77,22 +77,26 @@ def pool_block(Xabs, mode, rng=None):
     return Xabs[:, pick].copy()
 
 
-def _block_rng(seed, source_id, block_index):
-    # counter-based stream: keyed by (seed, hash(source), block), so draws do
-    # not depend on the order beats or blocks are evaluated in
+def _source_key(source_id):
     digest = hashlib.sha256(str(source_id).encode("utf-8")).digest()
-    key = int.from_bytes(digest[:8], "little")
-    return np.random.default_rng(np.random.SeedSequence([seed, key, block_index]))
+    return int.from_bytes(digest[:8], "little")
 
 
 def tpm_feature(code, cfg):
     """Pyramid-pooled feature z for one SparseCode (Eq. 5, on |X|)."""
     X = np.abs(code.to_dense())
     z = np.zeros(code.k)
+    stochastic = cfg.mode == "stochastic"
+    # counter-based streams keyed by (seed, hash(source), block), so draws do
+    # not depend on the order beats or blocks are evaluated in
+    key = _source_key(code.source_id) if stochastic else None
     for bi, a, b in build_blocks(code.omega, cfg.levels):
-        rng = None
-        if cfg.mode == "stochastic":
-            rng = _block_rng(cfg.seed, code.source_id, bi)
+        if b - a == 1:
+            # one window: both modes pool to its column (P = [1], or no mass)
+            z += X[:, a]
+            continue
+        rng = (np.random.default_rng(np.random.SeedSequence([cfg.seed, key, bi]))
+               if stochastic else None)
         z += pool_block(X[:, a:b], cfg.mode, rng)
     return _unit(z) if cfg.normalize_output else z
 

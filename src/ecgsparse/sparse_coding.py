@@ -83,14 +83,33 @@ def lasso_objective(problem, x):
 # Every column of a block walks the same state machine: activate the most
 # violating zero coefficient, solve the active-set system, line-search when
 # the solve is not sign-consistent, and stop once the subgradient conditions
-# hold.  Each lockstep step costs a fixed number of NumPy calls per block and
-# active-set size; stacked matmul and solve run one BLAS/LAPACK call per
-# column inside them, with the same operands as a column coded alone, so the
-# codes do not depend on which other columns share the block.  (Padding the
-# systems to one size, or one D'Y product for all columns, would round
-# differently and change the codes.)
+# hold.  Each lockstep iteration activates in one call, and steps in one call
+# every column that solves, whatever its active-set size.  The step sorts its
+# rows by size and gathers their systems once, padded to the largest size; the
+# right-hand sides, the sign test, the line-search candidates and the writes
+# run once on the padded rows.  That is exact: padded signs and iterates are
+# zero, padded system entries are never read, and nothing padded is written
+# back.  Two kinds of work loop over the sizes, on the first a entries of each
+# row, because their rounding depends on the operand length: np.linalg.solve,
+# and the dots, gemvs and |x| sums of the line-search objectives (which copy
+# the a x a systems of the searched rows, one size at a time).  Stacked solve
+# and matmul run one LAPACK/BLAS call per column with the same operands as a
+# column coded alone, so the codes do not depend on which other columns share
+# the block.  (Solving the padded systems whole, or one D'Y product for all
+# columns, would round differently and change the codes.)
 
 _ACTIVATE, _SOLVE, _DONE = 0, 1, 2
+# what encode_all(counts=...) tallies: lockstep iterations, step calls, solve
+# calls (one per active-set size and step), objective evaluations in line
+# searches (likewise per size) and columns stopped by the iteration cap
+_COUNTS = ("iterations", "steps", "solves", "line_search_groups", "cap_hits")
+
+
+def _size_runs(sizes):
+    """(size, lo, hi) for every run of equal values in sorted sizes."""
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    lo, hi = [0, *cuts], [*cuts, sizes.size]
+    return [(int(sizes[i]), i, j) for i, j in zip(lo, hi)]
 
 
 def _quad_objectives(Gaa, ba, lam, c0, P):
@@ -105,27 +124,32 @@ def _quad_objectives(Gaa, ba, lam, c0, P):
     return 0.5 * c0[:, None] - q1 + q2 + lam * np.abs(P).sum(axis=2)
 
 
-def _line_search(Gaa, ba, lam, c0, xa, xnew):
+def _line_search(Gaa, ba, lam, c0, xa, xnew, at, runs):
     """Discrete line search from xa towards xnew for m columns at once.
 
+    Row i is padded with zeros past its active-set size; its system is
+    Gaa[at[i]], and runs lists (size, lo, hi) for the rows in size order.
     Candidates per column are xnew, then every point where a coefficient
     crosses zero on the segment, in ascending coefficient order; the first
     minimum of the objective wins.
     """
-    m, a = xa.shape
+    m = xa.shape[0]
     step = xnew - xa
     crossing = (xa != 0) & (np.sign(xa) != np.sign(xnew))
     t = np.divide(xa, xa - xnew, out=np.zeros_like(xa), where=crossing)
     crossing &= (0.0 < t) & (t <= 1.0)
     rank = np.cumsum(crossing, axis=1)
     count = rank[:, -1]
-    P = np.zeros((m, 1 + int(count.max()), a))
+    P = np.zeros((m, 1 + int(count.max()), xa.shape[1]))
     P[:, 0] = xnew
     ri, mi = crossing.nonzero()
     ci = rank[ri, mi]
     P[ri, ci] = xa[ri] + t[ri, mi, None] * step[ri]
     P[ri, ci, mi] = 0.0
-    obj = _quad_objectives(Gaa, ba, lam, c0, P)
+    obj = np.empty(P.shape[:2])
+    for a, lo, hi in runs:
+        obj[lo:hi] = _quad_objectives(Gaa[at[lo:hi], :a, :a], ba[lo:hi, :a], lam,
+                                      c0[lo:hi], P[lo:hi, :, :a])
     obj[np.arange(P.shape[1]) > count[:, None]] = np.inf
     return P[np.arange(m), obj.argmin(axis=1)]
 
@@ -134,13 +158,17 @@ class _Lockstep:
     """Feature-sign state of a block of columns; row i belongs to column i.
 
     Work arrays of one step are locals of activate and step, so they are
-    freed before the next step allocates its own.
+    freed before the next step allocates its own.  counts is the dict of
+    _COUNTS that steps add into.
     """
 
-    def __init__(self, D, G, Y, lam):
+    def __init__(self, D, G, Y, lam, counts):
         n, k = Y.shape[1], G.shape[0]
-        self.G, self.lam = G, lam
-        self.ridge = RIDGE * np.eye(k)
+        self.G, self.lam, self.counts = G, lam, counts
+        # G with the ridge on its diagonal: gathering an active set's rows and
+        # columns from it adds the same ridge to the same entries as adding
+        # RIDGE * I to the gathered system
+        self.Gr = G + RIDGE * np.eye(k)
         # b = D'y and y'y one column at a time: a single D'Y product rounds
         # differently and would change the codes
         self.B = np.empty((n, k))
@@ -176,38 +204,61 @@ class _Lockstep:
                          <= OPT_TOL).all(axis=1)
         return go
 
-    def step(self, g, a):
-        """One feature-sign step for rows g, whose active sets all have size a.
+    def step(self, rows):
+        """One feature-sign step for every row in rows, taken in order of
+        active-set size.
 
-        Returns which rows go back to activation: their solve was
+        Returns the rows that go back to activation: their solve was
         sign-consistent, or the line search emptied the active set.
         """
-        lam = self.lam
-        idx = self.active[g].nonzero()[1].reshape(g.size, a)
-        Gaa = self.G[idx[:, :, None], idx[:, None, :]]
-        Gaa += self.ridge[:a, :a]
+        lam, k = self.lam, self.G.shape[0]
+        held = self.active[rows]
+        sizes = held.sum(axis=1)
+        order = sizes.argsort(kind="stable")
+        g, sizes, held = rows[order], sizes[order], held[order]
+        m, amax = g.size, sizes[-1]
+        # row i holds its active atoms, ascending, in slots 0..sizes[i]-1; the
+        # padding slots point at atom 0 and are masked out of every write
+        slot = np.arange(amax) < sizes[:, None]
+        atoms = np.flatnonzero(held) % k
+        idx = np.zeros((m, amax), dtype=np.intp)
+        idx[slot] = atoms
+        Gaa = self.Gr[idx[:, :, None], idx[:, None, :]]
         ba = self.B[g[:, None], idx]
-        th = self.theta[g[:, None], idx]
-        xnew = np.linalg.solve(Gaa, (ba - lam * th)[:, :, None])[:, :, 0]
+        th = np.where(slot, self.theta[g[:, None], idx], 0)
+        rhs = ba - lam * th
+        xnew = np.zeros((m, amax))
+        runs = _size_runs(sizes)
+        for a, lo, hi in runs:
+            xnew[lo:hi, :a] = np.linalg.solve(Gaa[lo:hi, :a, :a],
+                                              rhs[lo:hi, :a, None])[:, :, 0]
+        self.counts["steps"] += 1
+        self.counts["solves"] += len(runs)
         ok = (np.sign(xnew) == th).all(axis=1)
         if not ok.all():
-            bad = ~ok
-            xnew[bad] = _line_search(Gaa[bad], ba[bad], lam, self.c0[g[bad]],
-                                     self.X[g[bad, None], idx[bad]], xnew[bad])
-        self.X[g[:, None], idx] = xnew  # zero off the active set already
-        self.active[g[:, None], idx] = xnew != 0.0
-        self.theta[g[:, None], idx] = np.sign(xnew)
-        return ok | ~xnew.any(axis=1)
+            bad = np.flatnonzero(~ok)
+            xa = np.where(slot[bad], self.X[g[bad, None], idx[bad]], 0.0)
+            runs = _size_runs(sizes[bad])
+            xnew[bad] = _line_search(Gaa, ba[bad], lam, self.c0[g[bad]], xa,
+                                     xnew[bad], bad, runs)
+            self.counts["line_search_groups"] += len(runs)
+        at = np.repeat(g, sizes)
+        x = xnew[slot]
+        self.X[at, atoms] = x  # zero off the active set already
+        self.active[at, atoms] = x != 0.0
+        self.theta[at, atoms] = np.sign(x)
+        return g[ok | ~xnew.any(axis=1)]
 
 
-def _feature_sign_block(D, G, Y, lam, max_iter):
+def _feature_sign_block(D, G, Y, lam, max_iter, counts):
     """Feature-sign search on every column of Y in lockstep.
 
     Returns (X, failure): row i of X codes column i of Y, and failure is None
     or (i, message) for the lowest column index that hit the iteration cap.
+    Adds its tallies into counts (the keys of _COUNTS).
     """
     n = Y.shape[1]
-    state = _Lockstep(D, G, Y, lam)
+    state = _Lockstep(D, G, Y, lam, counts)
     phase = np.full(n, _ACTIVATE, dtype=np.int8)
     outer = np.zeros(n, dtype=int)
     inner = np.zeros(n, dtype=int)
@@ -215,30 +266,29 @@ def _feature_sign_block(D, G, Y, lam, max_iter):
     outer_cap = f"feature-sign exceeded {max_iter} activations"
     inner_cap = f"feature-sign inner loop exceeded {max_iter} steps"
 
-    def cap(rows, counts, message):
-        hit = counts[rows] >= max_iter
+    def cap(rows, used, message):
+        hit = used[rows] >= max_iter
         for i in rows[hit]:
             failures[int(i)] = message
         phase[rows[hit]] = _DONE
         rows = rows[~hit]
-        counts[rows] += 1
+        used[rows] += 1
         return rows
 
     live = np.arange(n)
     while live.size:
+        counts["iterations"] += 1
         rows = cap(live[phase[live] == _ACTIVATE], outer, outer_cap)
         if rows.size:
             go = state.activate(rows)
             phase[rows] = np.where(go, _SOLVE, _DONE)
             inner[rows[go]] = 0
-        # feature-sign steps, grouped by exact active-set size
         rows = cap(live[phase[live] == _SOLVE], inner, inner_cap)
-        sizes = state.active[rows].sum(axis=1)
-        for a in np.flatnonzero(np.bincount(sizes)):
-            g = rows[sizes == a]
-            phase[g[state.step(g, a)]] = _ACTIVATE
+        if rows.size:
+            phase[state.step(rows)] = _ACTIVATE
         live = live[phase[live] != _DONE]
 
+    counts["cap_hits"] += len(failures)
     failure = min(failures.items()) if failures else None
     return state.X, failure
 
@@ -255,18 +305,22 @@ def feature_sign(problem, max_iter=None):
     D, y, lam = problem.dictionary, problem.target, problem.lam
     if max_iter is None:
         max_iter = 4 * D.shape[1]
-    X, failure = _feature_sign_block(D, D.T @ D, y[:, None], lam, max_iter)
+    X, failure = _feature_sign_block(D, D.T @ D, y[:, None], lam, max_iter,
+                                     dict.fromkeys(_COUNTS, 0))
     if failure:
         raise MaxIterationsError(failure[1])
     return X[0]
 
 
-def encode_all(D, Y, lam, max_iter=None):
+def encode_all(D, Y, lam, max_iter=None, counts=None):
     """feature_sign on every column of Y; returns the dense k x Omega code matrix.
 
     Columns are coded in lockstep blocks of BLOCK_COLUMNS; each column's code
     is bit for bit the one feature_sign gives it alone.  The first column
-    that hits the iteration cap is named in the MaxIterationsError.
+    that hits the iteration cap is named in the MaxIterationsError.  A given
+    counts dict gets the solver's tallies added into it: lockstep
+    "iterations", "steps" (at most one per iteration), "solves"
+    (np.linalg.solve calls), "line_search_groups" and "cap_hits".
     """
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -279,11 +333,15 @@ def encode_all(D, Y, lam, max_iter=None):
     k = D.shape[1]
     if max_iter is None:
         max_iter = 4 * k
+    if counts is None:
+        counts = {}
+    for key in _COUNTS:
+        counts.setdefault(key, 0)
     G = D.T @ D
     X = np.zeros((k, Y.shape[1]))
     for start in range(0, Y.shape[1], BLOCK_COLUMNS):
         Xb, failure = _feature_sign_block(
-            D, G, Y[:, start:start + BLOCK_COLUMNS], lam, max_iter)
+            D, G, Y[:, start:start + BLOCK_COLUMNS], lam, max_iter, counts)
         if failure:
             raise MaxIterationsError(f"column {start + failure[0]}: {failure[1]}")
         X[:, start:start + Xb.shape[0]] = Xb.T

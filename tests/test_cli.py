@@ -430,13 +430,19 @@ def test_train_svm_pso_reports_evaluations(capsys, small_chain, tmp_path, monkey
     assert "pso_evaluations" not in (tmp_path / "model.json").read_text()
 
 
-def test_bench_tracer_sees_cross_validation(capsys, small_chain, tmp_path):
-    # perfbench's tracer wraps its TRACED functions by name: each must exist,
-    # and PSO must score through the wrapped classify.cross_validate
+def _bench_tracing():
+    """perfbench/tracing.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_tracer_sees_cross_validation(capsys, small_chain, tmp_path):
+    # perfbench's tracer wraps its TRACED functions by name: each must exist,
+    # and PSO must score through the wrapped classify.cross_validate
+    tracing = _bench_tracing()
     for module, func in tracing.TRACED:
         assert callable(getattr(importlib.import_module(f"ecgsparse.{module}"), func))
     _, _, _, codes_path = small_chain
@@ -455,6 +461,28 @@ def test_bench_tracer_sees_cross_validation(capsys, small_chain, tmp_path):
     assert 0 < calls <= summary["pso_evaluations"]
     from ecgsparse import classify
     assert not hasattr(classify.cross_validate, "__wrapped__")
+
+
+def test_encode_counters_match_bench_tracer(capsys, small_chain, tmp_path):
+    # the encode summary's solve count is the figure the bench reads by
+    # counting np.linalg.solve calls inside encode_all
+    _, beats_csv, dict_path, codes_path = small_chain
+    out = tmp_path / "codes2.sbc"
+    tracer = _bench_tracing().Tracer()
+    tracer.install()
+    try:
+        status, summary, _ = run(capsys, "encode", "--beats", str(beats_csv),
+                                 "--dict", str(dict_path), "--out", str(out))
+    finally:
+        tracer.restore()
+    assert status == 0 and out.read_bytes() == codes_path.read_bytes()
+    counters = summary["counters"]
+    assert sorted(counters) == ["cap_hits", "iterations", "line_search_groups",
+                                "solves", "steps"]
+    assert counters["solves"] == tracer.per_layer(0.0)["sparse_coding.solves"] > 0
+    assert 0 < counters["steps"] <= counters["iterations"]
+    assert counters["steps"] <= counters["solves"]
+    assert counters["line_search_groups"] > 0 and counters["cap_hits"] == 0
 
 
 def _mutants(rng, blob, count):
@@ -547,6 +575,17 @@ def test_damaged_inputs_exit_0_or_2(capsys, small_chain, tmp_path):
     assert status == 2, err
     assert "CorruptFileError" in err and "Traceback" not in err
     assert not out.exists()
+    # a hand-built file whose one beat has no windows is damaged data for
+    # either featurizer
+    empty = tmp_path / "no_windows.sbc"
+    empty.write_bytes(b"SBC1" + struct.pack("<II", 4, 1) + struct.pack("<IBI", 0, 0, 0))
+    for method in ("tpm", "bow"):
+        out = tmp_path / f"out_no_windows_{method}"
+        status, _, err = run(capsys, "featurize", "--codes", str(empty), "--method", method,
+                             "--out", str(out))
+        assert status == 2, (method, err)
+        assert "CorruptFileError" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def _dictionary_calls(beats_csv, dict_path, codes_path):

@@ -108,6 +108,8 @@ def test_codec_adds_no_error():
 def test_sbc1_refuses_more_windows_than_samples():
     with pytest.raises(ShapeMismatchError, match="^beat 0: 301 windows"):
         serialize_codes([SparseCode.from_dense(np.ones((2, 301)))])
+    with pytest.raises(ShapeMismatchError, match="^beat 0: no windows"):
+        serialize_codes([SparseCode.from_dense(np.ones((2, 0)))])
     assert parse_codes(serialize_codes([SparseCode.from_dense(np.ones((2, 300)))]))[0].omega == 300
 
 
@@ -262,6 +264,7 @@ def test_sbc1_corrupt_inputs():
             ("canonical", sbc1_record(3, 2, [(1, 0, 1.0), (1, 0, 1.0)])),
             ("label", sbc1_record(3, 2, [(0, 0, 1.0)], label_code=7)),
             ("windows exceed", sbc1_record(3, 301, [(0, 300, 1.0)])),
+            ("no windows", sbc1_record(3, 0, [])),
             # k and Omega near 2**32, where a flattened col * k + row key
             # would wrap int64 and see these descending columns as ascending
             ("windows exceed", sbc1_record(top, top, [(0, 2 ** 31 + 1, 1.0),

@@ -1,5 +1,7 @@
 """Time pyramid matching, pooling modes, and the BOW baseline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from ecgsparse.codec import SparseCode
 from ecgsparse.features import (
     MAX_LEVELS,
     PyramidConfig,
-    _block_rng,
     bow_feature,
     bow_histogram,
     build_blocks,
@@ -162,6 +163,14 @@ def test_tpm_deterministic_stochastic_mode():
     other = make_code(code.to_dense(), source_id="beat-43")
     z3 = tpm_feature(other, cfg)
     assert not np.array_equal(z1, z3)
+
+
+def _block_rng(seed, source_id, block_index):
+    """One block's stochastic stream, keyed by (seed, SHA-256 of the source
+    id, global block index)."""
+    digest = hashlib.sha256(str(source_id).encode("utf-8")).digest()
+    key = int.from_bytes(digest[:8], "little")
+    return np.random.default_rng(np.random.SeedSequence([seed, key, block_index]))
 
 
 def _full_pyramid_tpm(code, cfg):

@@ -291,6 +291,52 @@ def test_encode_all_blocks_bit_identical_to_feature_sign(monkeypatch):
     np.testing.assert_array_equal(X, _per_column(D, Y, 1e-3))
 
 
+def test_encode_all_bit_identical_at_production_scale(monkeypatch):
+    # d = 75, k = 150 as in the CLI's default geometry: active sets reach
+    # lengths where BLAS dots and NumPy's pairwise sums change their blocking,
+    # so a padded operand that reached a solve or an objective would show
+    step_sizes, searched_sizes, objective_widths = [], [], []
+    step, line_search = sparse_coding._Lockstep.step, sparse_coding._line_search
+    quad_objectives = sparse_coding._quad_objectives
+
+    def step_spy(self, rows):
+        step_sizes.append(np.unique(self.active[rows].sum(axis=1)).size)
+        return step(self, rows)
+
+    def search_spy(*args):
+        searched_sizes.append(len(args[7]))  # runs: one per active-set size
+        return line_search(*args)
+
+    def objectives_spy(Gaa, ba, lam, c0, P):
+        # the solved point xnew is candidate 0: a zero in it would be padding
+        assert np.all(P[:, 0] != 0.0) and Gaa.shape[1] == ba.shape[1] == P.shape[2]
+        objective_widths.append(P.shape[2])
+        return quad_objectives(Gaa, ba, lam, c0, P)
+
+    monkeypatch.setattr(sparse_coding._Lockstep, "step", step_spy)
+    monkeypatch.setattr(sparse_coding, "_line_search", search_spy)
+    monkeypatch.setattr(sparse_coding, "_quad_objectives", objectives_spy)
+    rng = np.random.default_rng(14)
+    d, k, n = 75, 150, 300
+    D = rng.standard_normal((d, k))
+    D /= np.linalg.norm(D, axis=0, keepdims=True)
+    Y = rng.standard_normal((d, n)) * np.exp(rng.uniform(-2.5, 1.0, n))
+    lam = default_lambda(d)
+    counts = {}
+    X = encode_all(D, Y, lam, counts=counts)
+    assert max(step_sizes) >= 3  # one step held rows of 3+ active-set sizes
+    assert max(searched_sizes) >= 2  # one line search spanned 2+ sizes
+    assert np.count_nonzero(X, axis=0).max() > 32
+    assert counts["steps"] == len(step_sizes) <= counts["iterations"]
+    assert counts["solves"] == sum(step_sizes)
+    assert counts["line_search_groups"] == sum(searched_sizes) == len(objective_widths)
+    assert max(objective_widths) > 32
+    G = D.T @ D
+    ref = np.column_stack([_reference_loop(G, D.T @ y, lam, float(y @ y), 4 * k)
+                           for y in Y.T])
+    np.testing.assert_array_equal(X, ref)
+
+
 def test_encode_all_iteration_cap_names_caller_column():
     # with one activation allowed, zero columns finish and the others fail;
     # the error names the first failing column of the caller's matrix
