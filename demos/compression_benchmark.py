@@ -11,7 +11,7 @@ import numpy as np
 
 from ecgsparse import wavelet
 from ecgsparse.codec import compress, cr_metric, decompress, err_metric, reconstruct_beat
-from ecgsparse.dictionary import TrainConfig, kmeans_vq, train_online
+from ecgsparse.dictionary import TrainConfig, kmeans_vq, nearest_atoms, train_online
 from ecgsparse.sparse_coding import default_lambda
 from ecgsparse.synthetic import amplitude_varying_beats
 
@@ -33,8 +33,8 @@ lam = default_lambda(d)
 print(f"geometry: haar, window {w}, {wl} levels -> d = {d}, "
       f"default lambda = {lam:.4f}")
 
-mats = [wavelet.extract_windows(b, fb, w, s, wl) for b in beats]
-Y = np.hstack([fm.columns for fm in mats])
+windows = [wavelet.extract_windows(b, fb, w, s, wl).columns for b in beats]
+Y = np.hstack(windows)
 
 # --- learn the dictionary ---------------------------------------------------
 k = 310
@@ -46,7 +46,7 @@ print(f"trained ODL dictionary: {d} x {k}, "
 
 # --- sparse codec ------------------------------------------------------------
 geometry = (w, s, fb, wl)
-codes = [compress(D, fm, lam, label=b.label) for b, fm in zip(beats, mats)]
+codes = compress(D, windows, lam, [b.label for b in beats])
 recons = [reconstruct_beat(decompress(D, c), geometry) for c in codes]
 originals = [b.values for b in beats]
 err_sparse = err_metric(recons, originals)
@@ -54,9 +54,7 @@ cr_sparse = cr_metric(codes)
 
 # --- VQ baseline: same k, but each beat stores a single code word ----------
 centroids, _ = kmeans_vq(Y, k, seed=9, iters=40)
-d2 = (np.sum(Y ** 2, axis=0)[:, None] - 2.0 * Y.T @ centroids
-      + np.sum(centroids ** 2, axis=0)[None, :])
-nearest = np.argmin(d2, axis=1)
+nearest, _ = nearest_atoms(centroids, Y)
 vq_recons = [reconstruct_beat(centroids[:, [j]], geometry) for j in nearest]
 err_vq = err_metric(vq_recons, originals)
 
@@ -73,7 +71,7 @@ print()
 print("lambda     Err        Cr")
 for scale in (0.25, 1.0, 4.0):
     lam_i = scale * lam
-    codes_i = [compress(D, fm, lam_i) for fm in mats]
+    codes_i = compress(D, windows, lam_i)
     recons_i = [reconstruct_beat(decompress(D, c), geometry) for c in codes_i]
     print(f"{lam_i:6.4f}  {100 * err_metric(recons_i, originals):7.3f}%   "
           f"{cr_metric(codes_i):6.3f}")

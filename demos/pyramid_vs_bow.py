@@ -28,20 +28,18 @@ print(f"{len(beats)} beats in {sorted({b.label for b in beats})}; "
 fb = wavelet.filter_bank("bior2.6")
 w, s, wl = 50, 25, 2
 lam = default_lambda(wavelet.feature_dimension(fb, w, wl))
-mats_train = [wavelet.extract_windows(b, fb, w, s, wl) for b in train]
-mats_test = [wavelet.extract_windows(b, fb, w, s, wl) for b in test]
+windows_train = [wavelet.extract_windows(b, fb, w, s, wl).columns for b in train]
+windows_test = [wavelet.extract_windows(b, fb, w, s, wl).columns for b in test]
 
 # dictionary on a subsample of training windows
-Y = np.hstack([fm.columns for fm in mats_train])
+Y = np.hstack(windows_train)
 rng = np.random.default_rng(SEED)
 Y = Y[:, rng.choice(Y.shape[1], size=min(3000, Y.shape[1]), replace=False)]
 D = train_online(Y, TrainConfig(k=150, lam=lam, batch_size=64, epochs=2,
                                 seed=SEED)).dictionary
 
-codes_train = [compress(D, fm, lam, label=b.label)
-               for b, fm in zip(train, mats_train)]
-codes_test = [compress(D, fm, lam, label=b.label)
-              for b, fm in zip(test, mats_test)]
+codes_train = compress(D, windows_train, lam, [b.label for b in train])
+codes_test = compress(D, windows_test, lam, [b.label for b in test])
 
 
 def tpm_matrix(codes, levels=2):

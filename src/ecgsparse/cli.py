@@ -22,7 +22,7 @@ from .errors import (BadConfigError, CorruptFileError, DataError, EcgSparseError
                      NotEnoughDataError, ShapeMismatchError, TooFewPerClassError,
                      ValidationError)
 from .fileio import atomic_write_text
-from .sparse_coding import default_lambda, encode_all
+from .sparse_coding import default_lambda
 
 SCHEMA_VERSION = 1
 
@@ -62,14 +62,18 @@ def _count(text):
 
 def _geometry(args):
     """(filter bank, feature dimension d, lambda), lambda by default from d."""
+    if not 2 <= args.window <= ingest.BEAT_LENGTH:  # before anything is sized by it
+        raise BadConfigError(
+            f"window length w={args.window} outside [2, {ingest.BEAT_LENGTH}]")
     fb = wavelet.filter_bank(args.fb)
     d = wavelet.feature_dimension(fb, args.window, args.wl)
     return fb, d, default_lambda(d) if args.lam is None else args.lam
 
 
-def _beat_features(args, beats, fb):
-    return [wavelet.extract_windows(b, fb, args.window, args.stride, args.wl,
-                                    beat_index=i) for i, b in enumerate(beats)]
+def _beat_windows(args, beats, fb):
+    """Each beat's d x Omega window feature matrix."""
+    return [wavelet.extract_windows(b, fb, args.window, args.stride, args.wl).columns
+            for b in beats]
 
 
 def _emit(summary):
@@ -186,7 +190,7 @@ def _train_dictionary(args, beats, geometry, method):
     """ODL or VQ dictionary; returns (D, training columns, final objective)."""
     fb, d, lam = geometry
     k = 2 * d if args.k is None else args.k
-    columns = [fm.columns for fm in _beat_features(args, beats, fb)]
+    columns = _beat_windows(args, beats, fb)
     if not columns:
         raise NotEnoughDataError("no beats to train a dictionary on")
     Y = np.hstack(columns)
@@ -208,29 +212,20 @@ def _train_dictionary(args, beats, geometry, method):
 def _encode_beats(args, beats, D, geometry, method, counts=None):
     """SparseCodes of the beats; counts gets encode_all's solver tallies."""
     fb, _, lam = geometry
-    mats = _beat_features(args, beats, fb)
-    if not mats:
-        return []
-    if mats[0].d != D.shape[0]:
+    windows = _beat_windows(args, beats, fb)
+    if windows and windows[0].shape[0] != D.shape[0]:
         raise ShapeMismatchError(
-            f"features have d={mats[0].d} but dictionary d={D.shape[0]}")
+            f"features have d={windows[0].shape[0]} but dictionary d={D.shape[0]}")
+    labels = [beat.label for beat in beats]
+    ids = [f"{beat.source[0]}:{beat.source[1]}" for beat in beats]
     if method == "sparse":
-        # one encode_all call over every beat's windows, split back per beat
-        X = encode_all(D, np.hstack([fm.columns for fm in mats]), lam, counts=counts)
-        blocks = np.split(X, np.cumsum([fm.omega for fm in mats])[:-1], axis=1)
-    else:
-        blocks = []
-        energy = np.sum(D * D, axis=0)[None, :]
-        for fm in mats:  # vq: cardinality-1 codes, coefficient 1
-            with np.errstate(over="ignore"):  # a distance too large reads inf
-                d2 = (np.sum(fm.columns ** 2, axis=0)[:, None]
-                      - 2.0 * fm.columns.T @ D + energy)
-            X = np.zeros((D.shape[1], fm.omega))
-            X[np.argmin(d2, axis=1), np.arange(fm.omega)] = 1.0
-            blocks.append(X)
-    return [codec.SparseCode.from_dense(X, label=beat.label,
-                                        source_id=f"{beat.source[0]}:{beat.source[1]}")
-            for beat, X in zip(beats, blocks)]
+        return codec.compress(D, windows, lam, labels, ids, counts)
+    codes = []
+    for Y, label, sid in zip(windows, labels, ids):  # vq: 1-of-k codes, coefficient 1
+        X = np.zeros((D.shape[1], Y.shape[1]))
+        X[dictionary.nearest_atoms(D, Y)[0], np.arange(Y.shape[1])] = 1.0
+        codes.append(codec.SparseCode.from_dense(X, label=label, source_id=sid))
+    return codes
 
 
 def _reconstruct_all(args, D, codes, fb):
@@ -453,8 +448,9 @@ def cmd_pipeline(args):
     atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
     D, _, _ = _train_dictionary(args, train, geometry, "odl")
     dictionary.save_dictionary(out_dir / "dict.sbd", D)
-    codes_train = _encode_beats(args, train, D, geometry, "sparse")
-    codes_test = _encode_beats(args, test, D, geometry, "sparse")
+    counters = {}
+    codes_train = _encode_beats(args, train, D, geometry, "sparse", counters)
+    codes_test = _encode_beats(args, test, D, geometry, "sparse", counters)
     codec.save_codes(out_dir / "codes_train.sbc", codes_train)
     codec.save_codes(out_dir / "codes_test.sbc", codes_test)
 
@@ -482,7 +478,7 @@ def cmd_pipeline(args):
            "beats": len(beats), "train": len(train), "test": len(test),
            "err_mean": err_mean, "cr_mean": cr_mean, "accuracy": accuracy,
            "C": C, "gamma": gamma, "unconverged_pairs": _unconverged_pairs(model),
-           **counts, "out_dir": str(out_dir)})
+           **counts, "counters": counters, "out_dir": str(out_dir)})
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +527,7 @@ def _add_common(sp, *groups, methods=()):
         add("--iters", type=int, help="PSO iterations (default %(default)s)")
     if methods:
         add("--method", choices=methods, default=methods[0], help="(default %(default)s)")
-    add("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
+    add("--seed", type=_count, default=0, help="RNG seed (default %(default)s)")
 
 
 def build_parser():

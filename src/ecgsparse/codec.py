@@ -19,7 +19,7 @@ from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from .fileio import atomic_write_bytes
 from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
 from .sparse_coding import encode_all
-from .wavelet import FeatureMatrix, Pyramid, dwt, idwt
+from .wavelet import Pyramid, dwt, idwt
 
 
 @dataclass
@@ -67,18 +67,21 @@ class SparseCode:
                    label=label, source_id=source_id)
 
 
-def compress(D, beat_features, lam, label=None, source_id=None):
-    """encode_all on the beat's FeatureMatrix, stored as canonical triplets.
+def compress(D, windows, lam, labels=None, source_ids=None, counts=None):
+    """SparseCodes of beats given as d x Omega window matrices, one per beat.
 
-    Accepts either a FeatureMatrix or a plain d x Omega column matrix.
+    All beats' columns are coded in one encode_all call (which adds its
+    solver tallies into counts) and split back per beat.  Labels default to
+    OTHER_LABEL and source ids to "".
     """
-    Y = getattr(beat_features, "columns", beat_features)
-    X = encode_all(D, Y, lam)
-    if label is None:
-        label = getattr(beat_features, "label", OTHER_LABEL)
-    if source_id is None:
-        source_id = str(getattr(beat_features, "beat_index", 0))
-    return SparseCode.from_dense(X, label=label, source_id=source_id)
+    if not windows:
+        return []
+    X = encode_all(D, np.hstack(windows), lam, counts=counts)
+    blocks = np.split(X, np.cumsum([Y.shape[1] for Y in windows])[:-1], axis=1)
+    labels = labels or [OTHER_LABEL] * len(blocks)
+    source_ids = source_ids or [""] * len(blocks)
+    return [SparseCode.from_dense(Xb, label=label, source_id=sid)
+            for Xb, label, sid in zip(blocks, labels, source_ids, strict=True)]
 
 
 def decompress(D, code):
@@ -122,7 +125,7 @@ def reconstruct_beat(Y_hat, geometry, n=BEAT_LENGTH):
     produced the features.  Samples covered by no window stay zero.
     """
     w, s, fb, wl = geometry
-    cols = Y_hat.columns if isinstance(Y_hat, FeatureMatrix) else np.asarray(Y_hat)
+    cols = np.asarray(Y_hat)
     template = dwt(np.zeros(w), fb, wl)
     omega = cols.shape[1]
     positions = np.arange(omega) * s

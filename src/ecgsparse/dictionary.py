@@ -47,8 +47,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 1 <= self.k <= MAX_K:
             raise BadConfigError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if self.lam <= 0:
-            raise BadConfigError("lambda must be positive")
+        if not 0 < self.lam < np.inf:  # NaN fails too
+            raise BadConfigError(f"lambda must be finite and positive, got {self.lam}")
         if self.batch_size < 1:
             raise BadConfigError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -164,6 +164,19 @@ def train_online(Y, cfg):
 # k-means vector quantization (BOW baseline, cardinality-1 codes)
 
 
+def nearest_atoms(C, Y):
+    """(index, squared distance) of the nearest column of C to each column of Y.
+
+    Squared distances come from the expansion ||y||^2 - 2 y'c + ||c||^2; a
+    distance too large for a float reads inf.
+    """
+    with np.errstate(over="ignore"):
+        d2 = (np.sum(Y * Y, axis=0)[:, None] - 2.0 * (Y.T @ C)
+              + np.sum(C * C, axis=0)[None, :])
+    nearest = np.argmin(d2, axis=1)
+    return nearest, d2[np.arange(Y.shape[1]), nearest]
+
+
 def kmeans_vq(Y, k, seed=0, iters=50):
     """Lloyd's algorithm; returns (centroids d x k, assignments).
 
@@ -183,11 +196,7 @@ def kmeans_vq(Y, k, seed=0, iters=50):
     C = Y[:, rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     for _ in range(iters):
-        # squared distances via the expansion ||y||^2 - 2 y'c + ||c||^2
-        d2 = (np.sum(Y * Y, axis=0)[:, None] - 2.0 * (Y.T @ C)
-              + np.sum(C * C, axis=0)[None, :])
-        new_assign = np.argmin(d2, axis=1)
-        mind2 = d2[np.arange(n), new_assign]
+        new_assign, mind2 = nearest_atoms(C, Y)
         for j in range(k):
             members = new_assign == j
             if np.any(members):

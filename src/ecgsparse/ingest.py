@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TooShortError, TruncatedInputError
+from .errors import BadConfigError, ParseError, TooShortError, TruncatedInputError
 
 BEAT_LENGTH = 300
 
@@ -198,9 +198,13 @@ def segment_beats(record, annotations, pre_s=0.25, post_s=0.45, channel=0):
     (raw_values, label, sample_index) and skipped counts annotations whose
     window falls outside the record.
     """
-    if pre_s <= 0 or post_s <= 0:
-        raise TooShortError("pre_s and post_s must be positive")
     fs = record.sampling_rate
+    # in samples, so that a huge value that overflows to inf is refused too
+    if not (0 < pre_s * fs < np.inf and 0 < post_s * fs < np.inf):  # NaN fails too
+        raise TooShortError("pre_s and post_s must be positive and finite")
+    if not 0 <= channel < len(record.channels):
+        raise BadConfigError(
+            f"channel {channel} outside [0, {len(record.channels)}) of the record")
     sig = np.asarray(record.channels[channel], dtype=float)
     n = len(sig)
     pre = int(round(pre_s * fs))

@@ -1,9 +1,7 @@
 """L1-penalized least-squares coding (LASSO) by feature-sign search.
 
-The production solver is feature-sign search, run by encode_all on blocks
-of columns in lockstep (feature_sign codes one column the same way);
-oracle_solve is an independent cyclic coordinate-descent solver kept for
-verification.  Both minimize
+Feature-sign search, run by encode_all on blocks of columns in lockstep
+(feature_sign codes one column the same way), minimizes
 
     0.5 * ||y - D x||_2^2 + lambda * ||x||_1
 
@@ -11,7 +9,6 @@ for a fixed dictionary D with unit-ball columns.
 """
 
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -52,29 +49,14 @@ class CodingProblem:
 
 
 def _check_dictionary(D, lam):
-    if not lam > 0:
-        raise BadConfigError("lambda must be positive")
+    if not 0 < lam < np.inf:  # NaN fails too
+        raise BadConfigError(f"lambda must be finite and positive, got {lam}")
     if not np.isfinite(D).all():
         raise DegenerateInputError("dictionary holds NaN or inf")
     norms = np.linalg.norm(D, axis=0)
     if np.any(norms > 1.0 + 1e-9):
         raise BadConfigError(
             f"dictionary columns must lie in the unit ball (max norm {norms.max():.6g})")
-
-
-def _as_dense(x, k):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (k,):
-        raise ShapeMismatchError(f"code shape {x.shape} != ({k},)")
-    return x
-
-
-def lasso_objective(problem, x):
-    """0.5*||y - Dx||^2 + lambda*||x||_1, exactly as defined."""
-    D, y = problem.dictionary, problem.target
-    xd = _as_dense(x, D.shape[1])
-    r = y - D @ xd
-    return 0.5 * float(r @ r) + problem.lam * float(np.abs(xd).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -346,52 +328,3 @@ def encode_all(D, Y, lam, max_iter=None, counts=None):
             raise MaxIterationsError(f"column {start + failure[0]}: {failure[1]}")
         X[:, start:start + Xb.shape[0]] = Xb.T
     return X
-
-
-# ---------------------------------------------------------------------------
-# verification oracle: cyclic coordinate descent
-
-
-def oracle_solve(problem, max_sweeps=10000, tol=1e-12):
-    """Coordinate-descent LASSO, used only to cross-check feature_sign.
-
-    Exact per-coordinate soft-threshold updates, swept cyclically until the
-    largest coordinate change in a sweep is below tol.  Returns the final
-    iterate, a dense length-k vector, even if the sweep cap is reached.
-    """
-    D, y, lam = problem.dictionary, problem.target, problem.lam
-    k = D.shape[1]
-    # Python floats: NumPy scalar steps made this sweep about 3x slower
-    G = (D.T @ D).tolist()
-    b = (D.T @ y).tolist()
-    x = [0.0] * k
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(k):
-            gj = G[j]
-            gjj = gj[j]
-            if gjj < 1e-15:
-                continue
-            cj = b[j] - sum(map(mul, gj, x)) + gjj * x[j]
-            new = (cj - lam if cj > lam else cj + lam if cj < -lam else 0.0) / gjj
-            delta = max(delta, abs(new - x[j]))
-            x[j] = new
-        if delta < tol:
-            break
-    return np.array(x)
-
-
-def check_optimality(problem, x, tol=OPT_TOL):
-    """Max violation of the LASSO subgradient conditions (0 when optimal)."""
-    D, y, lam = problem.dictionary, problem.target, problem.lam
-    xd = _as_dense(x, D.shape[1])
-    grad = D.T @ (D @ xd - y)
-    act = xd != 0
-    viol_a = np.abs(grad[act] + lam * np.sign(xd[act]))
-    viol_b = np.abs(grad[~act]) - lam
-    worst = 0.0
-    if viol_a.size:
-        worst = max(worst, float(viol_a.max()))
-    if viol_b.size:
-        worst = max(worst, float(max(viol_b.max(), 0.0)))
-    return worst

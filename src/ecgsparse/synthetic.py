@@ -2,8 +2,7 @@
 
 MIT-BIH records cannot be redistributed, so the pipeline ships with a
 seeded generator: each class is a sum of Gaussian and triangle pulses with
-per-beat jitter plus white noise.  Also provides the ground-truth sparse
-synthesis model (Y = D* X*) used to sanity-check dictionary recovery.
+per-beat jitter plus white noise.
 """
 
 import numpy as np
@@ -118,24 +117,3 @@ def amplitude_varying_beats(n_per_class, seed=0, noise=0.0005,
                               source=("amp", i)))
             i += 1
     return beats
-
-
-def make_sparse_synthesis(d, k, n, sparsity, seed=0, noise=0.0):
-    """Ground-truth model Y = D* X* (+ noise) for recovery experiments.
-
-    D* has unit-norm Gaussian atoms; each column of X* has `sparsity`
-    nonzeros at seeded positions with magnitudes bounded away from zero.
-    Returns (D, X, Y).
-    """
-    rng = np.random.default_rng(seed)
-    D = rng.standard_normal((d, k))
-    D /= np.linalg.norm(D, axis=0, keepdims=True)
-    X = np.zeros((k, n))
-    for i in range(n):
-        rows = rng.choice(k, size=sparsity, replace=False)
-        mags = rng.uniform(0.5, 1.5, size=sparsity) * rng.choice([-1.0, 1.0], size=sparsity)
-        X[rows, i] = mags
-    Y = D @ X
-    if noise > 0:
-        Y = Y + rng.normal(0.0, noise, Y.shape)
-    return D, X, Y

@@ -185,8 +185,8 @@ def dwt(signal, fb, levels):
         raise ShapeMismatchError("dwt expects a 1-D signal")
     if levels < 1:
         raise BadConfigError("levels must be >= 1")
-    if len(x) < 2 ** levels:
-        raise TooShortError(f"signal length {len(x)} < 2**levels = {2 ** levels}")
+    if len(x).bit_length() <= levels:  # len(x) < 2**levels, without building 2**levels
+        raise TooShortError(f"signal length {len(x)} < 2**{levels}")
     details = []
     lengths = []
     for _ in range(levels):
@@ -242,16 +242,6 @@ class FeatureMatrix:
     """d x Omega matrix of local wavelet feature columns for one beat."""
 
     columns: np.ndarray
-    beat_index: int = 0
-    window_positions: np.ndarray = None
-
-    @property
-    def d(self):
-        return self.columns.shape[0]
-
-    @property
-    def omega(self):
-        return self.columns.shape[1]
 
 
 def feature_dimension(fb, w, wl):
@@ -260,7 +250,7 @@ def feature_dimension(fb, w, wl):
     return len(probe.concat())
 
 
-def extract_windows(beat, fb, w, s, wl, beat_index=0):
+def extract_windows(beat, fb, w, s, wl):
     """Slide a length-w window by stride s and stack per-window DWT features.
 
     Each feature column is the concatenated level-wl decomposition of the
@@ -275,12 +265,7 @@ def extract_windows(beat, fb, w, s, wl, beat_index=0):
         raise BadConfigError("stride s must be >= 1")
     if wl < 1:
         raise BadConfigError("window decomposition level wl must be >= 1")
-    if w < 2 ** wl:
-        raise BadConfigError(f"w={w} < 2**wl = {2 ** wl}")
-    positions = np.arange(0, n - w + 1, s)
-    cols = [dwt(x[p:p + w], fb, wl).concat() for p in positions]
-    return FeatureMatrix(
-        columns=np.column_stack(cols),
-        beat_index=beat_index,
-        window_positions=positions,
-    )
+    if int(w).bit_length() <= wl:  # w < 2**wl
+        raise BadConfigError(f"w={w} < 2**wl = 2**{wl}")
+    cols = [dwt(x[p:p + w], fb, wl).concat() for p in np.arange(0, n - w + 1, s)]
+    return FeatureMatrix(columns=np.column_stack(cols))

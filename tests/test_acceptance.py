@@ -33,26 +33,21 @@ from ecgsparse.dictionary import (
     TrainConfig,
     kmeans_vq,
     load_dictionary,
+    nearest_atoms,
     save_dictionary,
     train_online,
 )
 from ecgsparse.features import PyramidConfig, bow_histogram, tpm_feature
 from ecgsparse.ingest import decode_212
-from ecgsparse.sparse_coding import (
-    CodingProblem,
+from ecgsparse.sparse_coding import CodingProblem, default_lambda, encode_all, feature_sign
+from ecgsparse.synthetic import amplitude_varying_beats, shifted_trio_beats
+from ecgsparse.cli import split_dataset
+from verification import (
     check_optimality,
-    default_lambda,
-    encode_all,
-    feature_sign,
     lasso_objective,
+    make_sparse_synthesis,
     oracle_solve,
 )
-from ecgsparse.synthetic import (
-    amplitude_varying_beats,
-    make_sparse_synthesis,
-    shifted_trio_beats,
-)
-from ecgsparse.cli import split_dataset
 
 
 def report(capsys, num, ok, detail):
@@ -113,21 +108,19 @@ def test_acceptance_3_sparse_beats_vq(capsys):
     fb = wavelet.filter_bank("haar")
     w, s, wl = 300, 1, 4  # whole-beat windows
     lam = default_lambda(wavelet.feature_dimension(fb, w, wl))
-    mats = [wavelet.extract_windows(b, fb, w, s, wl) for b in beats]
-    Y = np.hstack([fm.columns for fm in mats])
+    windows = [wavelet.extract_windows(b, fb, w, s, wl).columns for b in beats]
+    Y = np.hstack(windows)
 
     D = train_online(Y, TrainConfig(k=310, lam=lam, batch_size=64,
                                     epochs=3, seed=9)).dictionary
     geometry = (w, s, fb, wl)
-    recons = [reconstruct_beat(decompress(D, compress(D, fm, lam)), geometry)
-              for fm in mats]
+    recons = [reconstruct_beat(decompress(D, code), geometry)
+              for code in compress(D, windows, lam)]
     originals = [b.values for b in beats]
     err_sparse = err_metric(recons, originals)
 
     centroids, _ = kmeans_vq(Y, 310, seed=9, iters=40)
-    d2 = (np.sum(Y ** 2, axis=0)[:, None] - 2.0 * Y.T @ centroids
-          + np.sum(centroids ** 2, axis=0)[None, :])
-    nearest = np.argmin(d2, axis=1)
+    nearest, _ = nearest_atoms(centroids, Y)
     vq_recons = [reconstruct_beat(centroids[:, [j]], geometry) for j in nearest]
     err_vq = err_metric(vq_recons, originals)
 
@@ -181,8 +174,8 @@ def test_acceptance_5_tpm_beats_bow(capsys):
     D = train_online(Y, TrainConfig(k=150, lam=lam, batch_size=64,
                                     epochs=2, seed=3)).dictionary
 
-    def codes(group, mats):
-        return [compress(D, fm, lam, label=b.label)
+    def codes(group, mats):  # one beat per call: the per-beat path is timed here
+        return [compress(D, [fm.columns], lam, [b.label])[0]
                 for b, fm in zip(group, mats)]
 
     codes_train = codes(train, mats_train)

@@ -146,7 +146,8 @@ def test_ingest_non_finite_beat_exits_2(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_ingest_from_record(capsys, tmp_path):
+def _two_channel_record(tmp_path):
+    """ingest's --record and --annotations flags for a 2-channel record of 4 beats."""
     from ecgsparse.ingest import encode_212
 
     rng = np.random.default_rng(0)
@@ -157,14 +158,32 @@ def test_ingest_from_record(capsys, tmp_path):
         f"r9 2 360 {n}\nr9.dat 212 200 11 1024 0 0 0 MLII\n"
         "r9.dat 212 200 11 1024 0 0 0 V5\n")
     (tmp_path / "r9.csv").write_text("500,N\n1500,V\n2500,A\n3500,L\n")
+    return ["--record", str(tmp_path / "r9.hea"), "--annotations", str(tmp_path / "r9.csv")]
+
+
+def test_ingest_from_record(capsys, tmp_path):
     out = tmp_path / "beats.csv"
-    status, summary, _ = run(capsys, "ingest",
-                             "--record", str(tmp_path / "r9.hea"),
-                             "--annotations", str(tmp_path / "r9.csv"),
+    status, summary, _ = run(capsys, "ingest", *_two_channel_record(tmp_path),
                              "--out", str(out))
     assert status == 0
     assert summary["beats"] == 4
     assert summary["skipped"] == 0
+
+
+def test_ingest_record_bad_channel_or_window_exits_1(capsys, tmp_path):
+    # a channel the record lacks, or a window that is not a positive finite
+    # number of samples, is refused without a traceback or an output file
+    record = _two_channel_record(tmp_path)
+    out = tmp_path / "beats.csv"
+    for flags in (["--channel", "2"], ["--channel", "5"], ["--channel", "-1"],
+                  ["--pre", "nan"], ["--pre", "inf"], ["--post", "nan"],
+                  ["--post", "inf"], ["--post", "1e308"]):
+        status, _, err = run(capsys, "ingest", *record, *flags, "--out", str(out))
+        assert status == 1, flags
+        assert "Traceback" not in err
+        assert not out.exists()
+    status, summary, _ = run(capsys, "ingest", *record, "--channel", "1", "--out", str(out))
+    assert status == 0 and summary["beats"] == 4
 
 
 # --- the compression chain ------------------------------------------------------------
@@ -476,6 +495,7 @@ def test_encode_counters_match_bench_tracer(capsys, small_chain, tmp_path):
     finally:
         tracer.restore()
     assert status == 0 and out.read_bytes() == codes_path.read_bytes()
+    assert tracer.self_times()["codec.compress"][0] == 1  # every beat in one call
     counters = summary["counters"]
     assert sorted(counters) == ["cap_hits", "iterations", "line_search_groups",
                                 "solves", "steps"]
@@ -709,7 +729,11 @@ def test_negative_counts_exit_1(capsys, small_chain):
     for argv in (["train-dict", "--beats", str(beats_csv), "--max-cols", "-5"],
                  ["reconstruct", "--beats", str(beats_csv), "--dict", str(dict_path),
                   "--codes", str(codes_path), "--limit", "-3"],
-                 ["ingest", "--synthetic", "-2"]):
+                 ["ingest", "--synthetic", "-2"],
+                 ["ingest", "--synthetic", "2", "--seed", "-1"],
+                 ["train-dict", "--beats", str(beats_csv), "--seed", "-1"],
+                 ["featurize", "--codes", str(codes_path), "--mode", "stochastic",
+                  "--seed", "-1"]):
         status, _, err = run(capsys, *argv, "--out", str(out))
         assert status == 1, argv
         assert "Traceback" not in err and ">= 0" in err
@@ -772,6 +796,11 @@ CONTRACT_CALLS = {  # id: (argv, output flag, exit code)
                                  "--config", "{inputs}/split.cfg"], "--out-dir", 1),
     "empty test split": (["pipeline", "--synthetic", "4", "--train-per-class", "4"],
                          "--out-dir", 2),
+    "--wl 100000000": (["train-dict", "--synthetic", "2", "--wl", "100000000"], "--out", 1),
+    "--window 10^12": (["train-dict", "--synthetic", "2", "--window", "1000000000000"],
+                       "--out", 1),
+    "--lam inf": (["train-dict", "--synthetic", "2", "--lam", "inf"], "--out", 1),
+    "pipeline --seed -1": (["pipeline", "--synthetic", "4", "--seed", "-1"], "--out-dir", 1),
 }
 
 
@@ -835,7 +864,8 @@ PIPELINE_ARTIFACTS = ("beats_train.csv", "beats_test.csv", "dict.sbd", "codes_tr
 def test_pipeline_defaults_and_pso_counts(capsys, tmp_path):
     # pipeline's own defaults (epochs 3, max-cols 1500, swarm/iters/folds
     # 10/10/3) differ from train-dict's and train-svm's: spelled out, they
-    # give the same bytes; the summary carries the PSO counts as train-svm's does
+    # give the same bytes; the summary carries the PSO counts as train-svm's does,
+    # and encode's solver counters summed over the train and test codes
     argv = ["pipeline", "--synthetic", "6", "--seed", "1", "--k", "80",
             "--train-frac", "0.5", "--pso"]
     spelled = ["--epochs", "3", "--max-cols", "1500", "--swarm", "10", "--iters", "10",
@@ -851,6 +881,9 @@ def test_pipeline_defaults_and_pso_counts(capsys, tmp_path):
     a, b = summaries
     assert a["pso_evaluations"] == b["pso_evaluations"] > 0
     assert a["smo_updates"] == b["smo_updates"] > 0
+    assert a["counters"] == b["counters"]
+    assert a["counters"]["solves"] > 0
+    assert a["counters"]["steps"] <= a["counters"]["iterations"]
 
 
 def test_subcommand_flag_sets():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ecgsparse.dictionary import MAX_K
+from ecgsparse.ingest import OTHER_LABEL
 from ecgsparse.errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from ecgsparse.codec import (
     SparseCode,
@@ -57,7 +58,7 @@ def test_from_dense_canonical_order():
 def test_compress_zero_features():
     rng = np.random.default_rng(0)
     D = unit_dict(rng, 5, 8)
-    code = compress(D, np.zeros((5, 3)), lam=0.1)
+    code, = compress(D, [np.zeros((5, 3))], lam=0.1)
     assert code.nnz == 0
     assert code.omega == 3
 
@@ -67,16 +68,33 @@ def test_compress_large_lambda_empty():
     D = unit_dict(rng, 5, 8)
     Y = rng.standard_normal((5, 3))
     lam = float(np.max(np.abs(D.T @ Y))) + 0.1
-    assert compress(D, Y, lam).nnz == 0
+    assert compress(D, [Y], lam)[0].nnz == 0
 
 
 def test_compress_densify_matches_encode_all():
     rng = np.random.default_rng(2)
     D = unit_dict(rng, 6, 10)
     Y = rng.standard_normal((6, 4))
-    code = compress(D, Y, lam=0.2)
+    code, = compress(D, [Y], lam=0.2)
     np.testing.assert_allclose(code.to_dense(), encode_all(D, Y, 0.2),
                                atol=1e-12)
+
+
+def test_compress_codes_every_beat_in_one_call():
+    rng = np.random.default_rng(5)
+    D = unit_dict(rng, 6, 10)
+    windows = [rng.standard_normal((6, omega)) for omega in (3, 1, 4)]
+    counts = {}
+    codes = compress(D, windows, 0.2, ["N", "V", "A"], ["a", "b", "c"], counts)
+    assert [c.omega for c in codes] == [3, 1, 4]
+    assert [(c.label, c.source_id) for c in codes] == [("N", "a"), ("V", "b"), ("A", "c")]
+    assert counts["solves"] > 0
+    X = encode_all(D, np.hstack(windows), 0.2)
+    for code, Xb in zip(codes, np.split(X, [3, 4], axis=1)):
+        assert code == SparseCode.from_dense(Xb, label=code.label)
+    alone, = compress(D, windows[1:2], 0.2)
+    assert (alone.label, alone.source_id) == (OTHER_LABEL, "")
+    assert compress(D, [], 0.2) == []
 
 
 def test_decompress_empty_and_single_triplet():
@@ -97,7 +115,7 @@ def test_codec_adds_no_error():
     D = unit_dict(rng, 6, 9)
     Y = rng.standard_normal((6, 5))
     lam = 0.15
-    Yhat = decompress(D, compress(D, Y, lam))
+    Yhat = decompress(D, compress(D, [Y], lam)[0])
     for i in range(5):
         x = feature_sign(CodingProblem(dictionary=D, target=Y[:, i], lam=lam))
         direct = np.linalg.norm(Y[:, i] - D @ x)
@@ -187,12 +205,9 @@ def test_err_cr_tradeoff_monotone_in_lambda():
     geo = (50, 25, fb, 2)
     errs, crs = [], []
     for lam in (0.02, 0.1, 0.5):
-        codes, recons = [], []
-        for b in beats:
-            fm = extract_windows(b, fb, 50, 25, 2)
-            code = compress(D, fm, lam)
-            codes.append(code)
-            recons.append(reconstruct_beat(decompress(D, code), geo))
+        codes = compress(D, [extract_windows(b, fb, 50, 25, 2).columns for b in beats],
+                         lam)
+        recons = [reconstruct_beat(decompress(D, code), geo) for code in codes]
         errs.append(err_metric(recons, [b.values for b in beats]))
         crs.append(cr_metric(codes))
     assert errs == sorted(errs)

@@ -18,13 +18,14 @@ from ecgsparse.dictionary import (
     init_dictionary,
     kmeans_vq,
     load_dictionary,
+    nearest_atoms,
     save_dictionary,
     surrogate,
     train_online,
     update_atoms,
     update_stats,
 )
-from ecgsparse.synthetic import make_sparse_synthesis
+from verification import make_sparse_synthesis
 
 
 # --- initialization ----------------------------------------------------------
@@ -208,6 +209,20 @@ def test_kmeans_inertia_monotone_in_iterations():
     for bad in ({"iters": 0}, {"iters": -1}, {"k": 0}):
         with pytest.raises(BadConfigError):
             kmeans_vq(Y, **{"k": 6, **bad})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nearest_atoms_matches_direct_distances():
+    rng = np.random.default_rng(10)
+    C = rng.standard_normal((5, 7))
+    Y = rng.standard_normal((5, 40))
+    direct = np.sum((Y[:, :, None] - C[:, None, :]) ** 2, axis=0)
+    index, d2 = nearest_atoms(C, Y)
+    np.testing.assert_array_equal(index, np.argmin(direct, axis=1))
+    np.testing.assert_allclose(d2, direct.min(axis=1), atol=1e-12)
+    # a distance too large for a float reads inf, without a warning
+    index, d2 = nearest_atoms(C, np.full((5, 2), 1e200))
+    assert np.isinf(d2).all() and index.shape == (2,)
 
 
 def test_kmeans_not_enough_data():

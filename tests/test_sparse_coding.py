@@ -13,13 +13,11 @@ from ecgsparse.errors import (
 from ecgsparse.sparse_coding import (
     BLOCK_COLUMNS,
     CodingProblem,
-    check_optimality,
     default_lambda,
     encode_all,
     feature_sign,
-    lasso_objective,
-    oracle_solve,
 )
+from verification import check_optimality, lasso_objective, oracle_solve
 
 
 def random_problem(rng, d=8, k=12, lam=0.1):
