@@ -270,8 +270,14 @@ def _ovo_pairs(Z, labels):
 
 
 def ovo_train(Z, labels, C, gamma):
+    """One-vs-one models at (C, gamma), every pair trained in one lockstep
+    SMO batch; each pair's model is bit-identical to smo_train's on it."""
     classes, pairs = _ovo_pairs(np.asarray(Z, dtype=float), labels)
-    models = {key: smo_train(Zp, y, C, gamma) for key, Zp, y in pairs}
+    checked = [_check_problem(Zp, y, C, gamma) for _, Zp, y in pairs]
+    results, _ = _smo_lockstep([(Zp, y, C, gamma, SMO_MAX_UPDATES)
+                                for Zp, y in checked])
+    models = {key: _svm_model(Zp, y, C, gamma, *result)
+              for (key, _, _), (Zp, y), result in zip(pairs, checked, results)}
     return OvoModel(classes=classes, models=models)
 
 
@@ -298,11 +304,15 @@ def ovo_predict_batch(model, Z):
 # stratified k-fold cross-validation
 
 
+def _check_folds(folds):
+    if folds < 2:
+        raise BadConfigError("folds must be >= 2")
+
+
 def stratified_folds(labels, folds, seed):
     """fold id per sample; each class is dealt round-robin after a shuffle."""
     labels = np.array(list(labels))
-    if folds < 2:
-        raise BadConfigError("folds must be >= 2")
+    _check_folds(folds)
     rng = np.random.default_rng(seed)
     fold_of = np.full(len(labels), -1)
     for cls in sorted(set(labels.tolist())):
@@ -397,6 +407,13 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
     return gbest, gfit, history
 
 
+def check_pso_options(swarm_size, iterations, folds):
+    """pso_search's rules on its counts, for callers that check before work."""
+    if swarm_size < 1 or iterations < 1:
+        raise BadConfigError("swarm_size and iterations must be >= 1")
+    _check_folds(folds)
+
+
 def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
     """PSO over PSO_BOUNDS in (log2 C, log2 gamma) with CV accuracy as fitness.
 
@@ -404,8 +421,7 @@ def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
     `pso_evaluations` (distinct points cross-validated) and `smo_updates`
     (SMO pair updates made while scoring them).
     """
-    if swarm_size < 1 or iterations < 1:
-        raise BadConfigError("swarm_size and iterations must be >= 1")
+    check_pso_options(swarm_size, iterations, folds)
     Z = np.asarray(Z, dtype=float)
     scores = {}  # clipped position -> CV accuracy
     counts = {"pso_evaluations": 0, "smo_updates": 0}

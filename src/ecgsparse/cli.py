@@ -186,14 +186,14 @@ def _load_beats(args):
 # options come from `args`, whose defaults the parser sets per command
 
 
-def _train_dictionary(args, beats, geometry, method):
-    """ODL or VQ dictionary; returns (D, training columns, final objective)."""
-    fb, d, lam = geometry
+def _train_dictionary(args, windows, geometry, method):
+    """ODL or VQ dictionary on the beats' window matrices; returns (D,
+    training columns, final objective)."""
+    _, d, lam = geometry
     k = 2 * d if args.k is None else args.k
-    columns = _beat_windows(args, beats, fb)
-    if not columns:
+    if not windows:
         raise NotEnoughDataError("no beats to train a dictionary on")
-    Y = np.hstack(columns)
+    Y = np.hstack(windows)
     if args.max_cols and Y.shape[1] > args.max_cols:
         rng = np.random.default_rng(args.seed)
         Y = Y[:, rng.choice(Y.shape[1], size=args.max_cols, replace=False)]
@@ -209,10 +209,10 @@ def _train_dictionary(args, beats, geometry, method):
     return D, Y, None
 
 
-def _encode_beats(args, beats, D, geometry, method, counts=None):
-    """SparseCodes of the beats; counts gets encode_all's solver tallies."""
-    fb, _, lam = geometry
-    windows = _beat_windows(args, beats, fb)
+def _encode_beats(beats, windows, D, geometry, method, counts=None):
+    """SparseCodes of the beats from their window matrices; counts gets
+    encode_all's solver tallies."""
+    lam = geometry[2]
     if windows and windows[0].shape[0] != D.shape[0]:
         raise ShapeMismatchError(
             f"features have d={windows[0].shape[0]} but dictionary d={D.shape[0]}")
@@ -310,7 +310,8 @@ def cmd_ingest(args):
 def cmd_train_dict(args):
     beats, _ = _load_beats(args)
     geometry = _geometry(args)
-    D, Y, final_obj = _train_dictionary(args, beats, geometry, args.method)
+    D, Y, final_obj = _train_dictionary(args, _beat_windows(args, beats, geometry[0]),
+                                        geometry, args.method)
     dictionary.save_dictionary(args.out, D)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-dict",
            "method": args.method, "d": int(D.shape[0]), "k": int(D.shape[1]),
@@ -330,7 +331,8 @@ def cmd_encode(args):
         raise CorruptFileError(f"{args.dict}: atom norm {norm:.6g} too large for "
                                f"--method {args.method}")
     counters = {}
-    codes = _encode_beats(args, beats, D, geometry, args.method, counters)
+    codes = _encode_beats(beats, _beat_windows(args, beats, geometry[0]), D, geometry,
+                          args.method, counters)
     codec.save_codes(args.out, codes)
     nnz = [c.nnz for c in codes]
     _emit({"schema_version": SCHEMA_VERSION, "command": "encode",
@@ -340,13 +342,23 @@ def cmd_encode(args):
 
 
 def _load_coded_beats(args):
-    """Filter bank, dictionary, codes and the beats they code, checked to agree."""
+    """Filter bank, dictionary, codes and the beats they code, checked to agree.
+
+    SBC1 stores no window geometry, so only the window count is checked
+    against --window/--stride: a stride with the same count goes unnoticed.
+    """
     fb = _geometry(args)[0]
+    omega = len(wavelet.window_starts(ingest.BEAT_LENGTH, args.window, args.stride))
     D = dictionary.load_dictionary(args.dict)
     codes = codec.load_codes(args.codes)
     if codes and codes[0].k != D.shape[1]:
         raise ShapeMismatchError(
             f"dictionary has k={D.shape[1]} but codes expect k={codes[0].k}")
+    for i, code in enumerate(codes):
+        if code.omega != omega:
+            raise ShapeMismatchError(
+                f"code {i} has {code.omega} windows but --window {args.window} "
+                f"--stride {args.stride} give {omega}")
     beats, _ = _load_beats(args)
     if len(beats) != len(codes):
         raise ShapeMismatchError(f"{len(beats)} beats but {len(codes)} codes")
@@ -435,6 +447,10 @@ def cmd_evaluate(args):
 
 def cmd_pipeline(args):
     """Split, then every stage in memory with pipeline's own defaults."""
+    # the option rules of later stages, before any work or output
+    features.PyramidConfig(levels=args.levels, mode=args.mode)
+    if args.pso:
+        classify.check_pso_options(args.swarm, args.iters, args.folds)
     beats, _ = _load_beats(args)
     if not beats:
         raise DataError("no beats to process")
@@ -446,11 +462,14 @@ def cmd_pipeline(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
     atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
-    D, _, _ = _train_dictionary(args, train, geometry, "odl")
+    windows_train = _beat_windows(args, train, geometry[0])
+    D, _, _ = _train_dictionary(args, windows_train, geometry, "odl")
     dictionary.save_dictionary(out_dir / "dict.sbd", D)
     counters = {}
-    codes_train = _encode_beats(args, train, D, geometry, "sparse", counters)
-    codes_test = _encode_beats(args, test, D, geometry, "sparse", counters)
+    codes_train = _encode_beats(train, windows_train, D, geometry, "sparse", counters)
+    del windows_train  # not needed again; held, it would raise the later peaks
+    codes_test = _encode_beats(test, _beat_windows(args, test, geometry[0]), D, geometry,
+                               "sparse", counters)
     codec.save_codes(out_dir / "codes_train.sbc", codes_train)
     codec.save_codes(out_dir / "codes_test.sbc", codes_test)
 

@@ -20,8 +20,10 @@ OPT_TOL = 1e-7
 # ridge added to the active-set Gram system; rank-deficient active sets are
 # possible with overcomplete dictionaries, and this stays below OPT_TOL
 RIDGE = 1e-10
-# columns encode_all codes in one lockstep block; bounds its working memory
-BLOCK_COLUMNS = 256
+# columns encode_all codes in one lockstep block; bounds its working memory,
+# which peaked at 3.8 MB beside the 2.4 MB output on 1,980 ECG window
+# columns at d = 75, k = 150 (tracemalloc)
+BLOCK_COLUMNS = 512
 
 
 def default_lambda(d):
@@ -67,18 +69,22 @@ def _check_dictionary(D, lam):
 # the solve is not sign-consistent, and stop once the subgradient conditions
 # hold.  Each lockstep iteration activates in one call, and steps in one call
 # every column that solves, whatever its active-set size.  The step sorts its
-# rows by size and gathers their systems once, padded to the largest size; the
-# right-hand sides, the sign test, the line-search candidates and the writes
-# run once on the padded rows.  That is exact: padded signs and iterates are
-# zero, padded system entries are never read, and nothing padded is written
-# back.  Two kinds of work loop over the sizes, on the first a entries of each
-# row, because their rounding depends on the operand length: np.linalg.solve,
-# and the dots, gemvs and |x| sums of the line-search objectives (which copy
-# the a x a systems of the searched rows, one size at a time).  Stacked solve
-# and matmul run one LAPACK/BLAS call per column with the same operands as a
-# column coded alone, so the codes do not depend on which other columns share
-# the block.  (Solving the padded systems whole, or one D'Y product for all
-# columns, would round differently and change the codes.)
+# rows by size and gathers their atom indices, right-hand sides and signs once,
+# padded to the largest size; the sign test, the line-search candidates and
+# the writes run once on the padded rows.  That is exact: padded signs and
+# iterates are zero, and nothing padded is written back.  The a x a systems
+# are never padded: for each active-set size a, the rows of that size gather
+# their systems from the flat ridged Gram into one contiguous stack, solve it
+# and drop it, and the line search gathers its own rows' systems the same way.
+# A padded stack would copy about 1.6 times the entries the solves read and
+# would be the block's largest work array.  Besides the gathers, two kinds of
+# work loop over the sizes, on the first a entries of each row, because their
+# rounding depends on the operand length: np.linalg.solve, and the dots, gemvs and |x| sums of
+# the line-search objectives.  Stacked solve and matmul run one LAPACK/BLAS
+# call per column with the same operands as a column coded alone (a gathered
+# system is a copy of the same entries), so the codes do not depend on which
+# other columns share the block.  (Solving padded systems whole, or one D'Y
+# product for all columns, would round differently and change the codes.)
 
 _ACTIVATE, _SOLVE, _DONE = 0, 1, 2
 # what encode_all(counts=...) tallies: lockstep iterations, step calls, solve
@@ -106,14 +112,15 @@ def _quad_objectives(Gaa, ba, lam, c0, P):
     return 0.5 * c0[:, None] - q1 + q2 + lam * np.abs(P).sum(axis=2)
 
 
-def _line_search(Gaa, ba, lam, c0, xa, xnew, at, runs):
+def _line_search(systems, ba, lam, c0, xa, xnew, runs):
     """Discrete line search from xa towards xnew for m columns at once.
 
-    Row i is padded with zeros past its active-set size; its system is
-    Gaa[at[i]], and runs lists (size, lo, hi) for the rows in size order.
-    Candidates per column are xnew, then every point where a coefficient
-    crosses zero on the segment, in ascending coefficient order; the first
-    minimum of the objective wins.
+    Row i is padded with zeros past its active-set size; runs lists
+    (size a, lo, hi) for the rows in size order, and systems holds each
+    run's (hi - lo) x a x a stack of active-set systems.  Candidates per
+    column are xnew, then every point where a coefficient crosses zero on
+    the segment, in ascending coefficient order; the first minimum of the
+    objective wins.
     """
     m = xa.shape[0]
     step = xnew - xa
@@ -129,9 +136,9 @@ def _line_search(Gaa, ba, lam, c0, xa, xnew, at, runs):
     P[ri, ci] = xa[ri] + t[ri, mi, None] * step[ri]
     P[ri, ci, mi] = 0.0
     obj = np.empty(P.shape[:2])
-    for a, lo, hi in runs:
-        obj[lo:hi] = _quad_objectives(Gaa[at[lo:hi], :a, :a], ba[lo:hi, :a], lam,
-                                      c0[lo:hi], P[lo:hi, :, :a])
+    for Gaa, (a, lo, hi) in zip(systems, runs):
+        obj[lo:hi] = _quad_objectives(Gaa, ba[lo:hi, :a], lam, c0[lo:hi],
+                                      P[lo:hi, :, :a])
     obj[np.arange(P.shape[1]) > count[:, None]] = np.inf
     return P[np.arange(m), obj.argmin(axis=1)]
 
@@ -147,10 +154,10 @@ class _Lockstep:
     def __init__(self, D, G, Y, lam, counts):
         n, k = Y.shape[1], G.shape[0]
         self.G, self.lam, self.counts = G, lam, counts
-        # G with the ridge on its diagonal: gathering an active set's rows and
-        # columns from it adds the same ridge to the same entries as adding
-        # RIDGE * I to the gathered system
-        self.Gr = G + RIDGE * np.eye(k)
+        # G with the ridge on its diagonal, flat: gathering an active set's
+        # rows and columns from it adds the same ridge to the same entries as
+        # adding RIDGE * I to the gathered system
+        self.Gr = (G + RIDGE * np.eye(k)).ravel()
         # b = D'y and y'y one column at a time: a single D'Y product rounds
         # differently and would change the codes
         self.B = np.empty((n, k))
@@ -190,6 +197,8 @@ class _Lockstep:
         """One feature-sign step for every row in rows, taken in order of
         active-set size.
 
+        Each size's systems are gathered at that size for its solve and
+        dropped after it; the rows that line-search gather theirs again.
         Returns the rows that go back to activation: their solve was
         sign-consistent, or the line search emptied the active set.
         """
@@ -205,24 +214,30 @@ class _Lockstep:
         atoms = np.flatnonzero(held) % k
         idx = np.zeros((m, amax), dtype=np.intp)
         idx[slot] = atoms
-        Gaa = self.Gr[idx[:, :, None], idx[:, None, :]]
+        # a size-a row's system is Gr.take(rk[:a, None] + idx[None, :a]), one
+        # contiguous a x a copy; rows of one size are gathered in one stack
+        rk = idx * k
         ba = self.B[g[:, None], idx]
         th = np.where(slot, self.theta[g[:, None], idx], 0)
         rhs = ba - lam * th
         xnew = np.zeros((m, amax))
         runs = _size_runs(sizes)
         for a, lo, hi in runs:
-            xnew[lo:hi, :a] = np.linalg.solve(Gaa[lo:hi, :a, :a],
-                                              rhs[lo:hi, :a, None])[:, :, 0]
+            xnew[lo:hi, :a] = np.linalg.solve(
+                self.Gr.take(rk[lo:hi, :a, None] + idx[lo:hi, None, :a]),
+                rhs[lo:hi, :a, None])[:, :, 0]
         self.counts["steps"] += 1
         self.counts["solves"] += len(runs)
         ok = (np.sign(xnew) == th).all(axis=1)
         if not ok.all():
             bad = np.flatnonzero(~ok)
-            xa = np.where(slot[bad], self.X[g[bad, None], idx[bad]], 0.0)
+            rb, ib = rk[bad], idx[bad]
+            xa = np.where(slot[bad], self.X[g[bad, None], ib], 0.0)
             runs = _size_runs(sizes[bad])
-            xnew[bad] = _line_search(Gaa, ba[bad], lam, self.c0[g[bad]], xa,
-                                     xnew[bad], bad, runs)
+            systems = [self.Gr.take(rb[lo:hi, :a, None] + ib[lo:hi, None, :a])
+                       for a, lo, hi in runs]
+            xnew[bad] = _line_search(systems, ba[bad], lam, self.c0[g[bad]], xa,
+                                     xnew[bad], runs)
             self.counts["line_search_groups"] += len(runs)
         at = np.repeat(g, sizes)
         x = xnew[slot]
@@ -297,12 +312,16 @@ def feature_sign(problem, max_iter=None):
 def encode_all(D, Y, lam, max_iter=None, counts=None):
     """feature_sign on every column of Y; returns the dense k x Omega code matrix.
 
-    Columns are coded in lockstep blocks of BLOCK_COLUMNS; each column's code
-    is bit for bit the one feature_sign gives it alone.  The first column
-    that hits the iteration cap is named in the MaxIterationsError.  A given
-    counts dict gets the solver's tallies added into it: lockstep
-    "iterations", "steps" (at most one per iteration), "solves"
-    (np.linalg.solve calls), "line_search_groups" and "cap_hits".
+    Columns are coded in lockstep blocks of BLOCK_COLUMNS, and a column's
+    code depends neither on which columns share its block nor on where the
+    blocks end.  It is bit for bit the code feature_sign gives the same view
+    Y[:, i]: D'y is taken on that view, and on a contiguous copy of a column
+    of a wider matrix the gemv can round differently and the code can differ
+    in the last bits.  The first column that hits the iteration cap is named
+    in the MaxIterationsError.  A given counts dict gets the solver's tallies
+    added into it: lockstep "iterations", "steps" (at most one per
+    iteration), "solves" (np.linalg.solve calls), "line_search_groups" and
+    "cap_hits".
     """
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)

@@ -250,22 +250,28 @@ def feature_dimension(fb, w, wl):
     return len(probe.concat())
 
 
+def window_starts(n, w, s):
+    """First samples of the length-w windows at stride s over n samples:
+    Omega = floor((n - w)/s) + 1 of them."""
+    if not (2 <= w <= n):
+        raise BadConfigError(f"window length w={w} outside [2, {n}]")
+    if s < 1:
+        raise BadConfigError("stride s must be >= 1")
+    return np.arange(0, n - w + 1, s)
+
+
 def extract_windows(beat, fb, w, s, wl):
     """Slide a length-w window by stride s and stack per-window DWT features.
 
     Each feature column is the concatenated level-wl decomposition of the
     window (approximation first, then details coarse to fine).  Returns a
-    FeatureMatrix with Omega = floor((len - w)/s) + 1 columns.
+    FeatureMatrix with one column per window_starts entry.
     """
     x = np.asarray(getattr(beat, "values", beat), dtype=float)
-    n = len(x)
-    if not (2 <= w <= n):
-        raise BadConfigError(f"window length w={w} outside [2, {n}]")
-    if s < 1:
-        raise BadConfigError("stride s must be >= 1")
+    starts = window_starts(len(x), w, s)
     if wl < 1:
         raise BadConfigError("window decomposition level wl must be >= 1")
     if int(w).bit_length() <= wl:  # w < 2**wl
         raise BadConfigError(f"w={w} < 2**wl = 2**{wl}")
-    cols = [dwt(x[p:p + w], fb, wl).concat() for p in np.arange(0, n - w + 1, s)]
+    cols = [dwt(x[p:p + w], fb, wl).concat() for p in starts]
     return FeatureMatrix(columns=np.column_stack(cols))

@@ -383,6 +383,29 @@ def test_ovo_model_counts():
     assert len(ovo_train(Z6, l6, 1.0, 1.0).models) == 15
 
 
+def test_ovo_train_batch_matches_smo_train_per_pair():
+    # every pair of one ovo_train call trains in one lockstep batch, and each
+    # pair's model is the one smo_train gives that pair alone
+    rng = np.random.default_rng(19)
+    Z3, l3 = blobs(rng, [(0, 0), (1, 0.5), (0.5, 1)], 12, spread=0.6)
+    Z6, l6 = blobs(rng, [(i, i % 2) for i in range(6)], 8, spread=0.8)
+    Zs, ys, Cs, gs = _random_smo_problem(184)  # its one pair ends unconverged
+    cases = [(Z3, l3, 10.0, 2.0), (Z6, l6, 28.66, 0.413), (Z6, l6, 8.0, 1.0),
+             (Zs, np.where(ys > 0, "a", "b"), Cs, gs)]
+    for Z, labels, C, gamma in cases:
+        model = ovo_train(Z, labels, C, gamma)
+        lab = np.array(labels)
+        for (ia, ib), got in model.models.items():
+            mask = (lab == model.classes[ia]) | (lab == model.classes[ib])
+            y = np.where(lab[mask] == model.classes[ia], 1.0, -1.0)
+            want = smo_train(Z[mask], y, C, gamma)
+            np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
+            np.testing.assert_array_equal(got.dual_coef, want.dual_coef)
+            assert got.b == want.b
+            assert got.converged == want.converged
+    assert not model.models[(0, 1)].converged
+
+
 def test_ovo_two_class_reduces_to_binary():
     rng = np.random.default_rng(7)
     Z, labels = blobs(rng, [(0, 0), (3, 3)], 15)

@@ -279,6 +279,22 @@ def test_metrics_k_mismatch_exits_2(capsys, small_chain, tmp_path):
     assert "82" in err and "80" in err  # names both sides of the mismatch
 
 
+def test_window_count_mismatch_exits_2(capsys, small_chain, tmp_path):
+    # SBC1 stores no window geometry: codes of 11 windows (stride 25) read at
+    # stride 7 (36 windows) would reconstruct wrong beats and a wrong Err
+    _, beats_csv, dict_path, codes_path = small_chain
+    out = tmp_path / "out"
+    inputs = ["--beats", str(beats_csv), "--dict", str(dict_path), "--codes", str(codes_path)]
+    for argv in (["reconstruct", *inputs, "--out", str(out)],
+                 ["metrics", *inputs, "--out-json", str(out)]):
+        status, summary, err = run(capsys, *argv, "--stride", "7")
+        assert status == 2 and summary is None, argv
+        assert "ShapeMismatchError" in err and "36" in err and "Traceback" not in err
+        assert not out.exists()
+        status, _, err = run(capsys, *argv, "--stride", "0")
+        assert status == 1 and "stride" in err and not out.exists()
+
+
 def test_reconstruct_waveforms(capsys, small_chain, tmp_path):
     _, beats_csv, dict_path, codes_path = small_chain
     out = tmp_path / "waves.csv"
@@ -410,14 +426,12 @@ def test_train_svm_infinite_C_exits_1(capsys, small_chain, tmp_path):
 
 
 def test_train_svm_reports_unconverged_pairs(capsys, small_chain, tmp_path, monkeypatch):
-    from functools import partial
     from ecgsparse import classify
     _, _, _, codes_path = small_chain
     feats = tmp_path / "feats.csv"
     run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
     model = tmp_path / "model.json"
-    monkeypatch.setattr(classify, "smo_train",
-                        partial(classify.smo_train, max_updates=2))
+    monkeypatch.setattr(classify, "SMO_MAX_UPDATES", 2)  # ovo_train's update cap
     status, summary, _ = run(capsys, "train-svm", "--features", str(feats),
                              "--C", "8", "--gamma", "1", "--out", str(model))
     assert status == 0
@@ -801,6 +815,13 @@ CONTRACT_CALLS = {  # id: (argv, output flag, exit code)
                        "--out", 1),
     "--lam inf": (["train-dict", "--synthetic", "2", "--lam", "inf"], "--out", 1),
     "pipeline --seed -1": (["pipeline", "--synthetic", "4", "--seed", "-1"], "--out-dir", 1),
+    # later stages' option rules, refused before the split writes anything
+    "pipeline --levels 65": (["pipeline", "--synthetic", "4", "--levels", "65"],
+                             "--out-dir", 1),
+    "pipeline --pso --folds 0": (["pipeline", "--synthetic", "4", "--pso", "--folds", "0"],
+                                 "--out-dir", 1),
+    "pipeline --pso --swarm 0": (["pipeline", "--synthetic", "4", "--pso", "--swarm", "0"],
+                                 "--out-dir", 1),
 }
 
 

@@ -1,5 +1,7 @@
 """Feature-sign search against closed forms and the coordinate-descent oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,9 +260,9 @@ def test_encode_all_blocks_bit_identical_to_feature_sign(monkeypatch):
     searched = []
     line_search = sparse_coding._line_search
 
-    def spy(*args):
-        searched.append(len(args[4]))
-        return line_search(*args)
+    def spy(systems, ba, lam, c0, xa, xnew, runs):
+        searched.append(len(xa))
+        return line_search(systems, ba, lam, c0, xa, xnew, runs)
 
     monkeypatch.setattr(sparse_coding, "_line_search", spy)
     rng = np.random.default_rng(13)
@@ -289,21 +291,35 @@ def test_encode_all_blocks_bit_identical_to_feature_sign(monkeypatch):
     np.testing.assert_array_equal(X, _per_column(D, Y, 1e-3))
 
 
+def _production_columns(rng, n, top):
+    """d = 75, k = 150 as in the CLI's default geometry, with column scales
+    spread over exp(-2.5)..exp(top) so that active-set sizes spread too."""
+    d, k = 75, 150
+    D = rng.standard_normal((d, k))
+    D /= np.linalg.norm(D, axis=0, keepdims=True)
+    Y = rng.standard_normal((d, n)) * np.exp(rng.uniform(-2.5, top, n))
+    return D, Y, default_lambda(d)
+
+
 def test_encode_all_bit_identical_at_production_scale(monkeypatch):
     # d = 75, k = 150 as in the CLI's default geometry: active sets reach
     # lengths where BLAS dots and NumPy's pairwise sums change their blocking,
     # so a padded operand that reached a solve or an objective would show
-    step_sizes, searched_sizes, objective_widths = [], [], []
+    step_sizes, searched_sizes, objective_widths, solved = [], [], [], []
     step, line_search = sparse_coding._Lockstep.step, sparse_coding._line_search
-    quad_objectives = sparse_coding._quad_objectives
+    quad_objectives, solve = sparse_coding._quad_objectives, np.linalg.solve
 
     def step_spy(self, rows):
         step_sizes.append(np.unique(self.active[rows].sum(axis=1)).size)
         return step(self, rows)
 
-    def search_spy(*args):
-        searched_sizes.append(len(args[7]))  # runs: one per active-set size
-        return line_search(*args)
+    def search_spy(systems, ba, lam, c0, xa, xnew, runs):
+        # one unpadded, contiguous system stack per active-set size
+        assert len(systems) == len(runs)
+        for Gaa, (a, lo, hi) in zip(systems, runs):
+            assert Gaa.shape == (hi - lo, a, a) and Gaa.flags.c_contiguous
+        searched_sizes.append(len(runs))
+        return line_search(systems, ba, lam, c0, xa, xnew, runs)
 
     def objectives_spy(Gaa, ba, lam, c0, P):
         # the solved point xnew is candidate 0: a zero in it would be padding
@@ -311,28 +327,67 @@ def test_encode_all_bit_identical_at_production_scale(monkeypatch):
         objective_widths.append(P.shape[2])
         return quad_objectives(Gaa, ba, lam, c0, P)
 
+    def solve_spy(Gaa, rhs):
+        # each size's systems are gathered at that size: an owned, contiguous
+        # stack, never a slice of a stack padded to a larger size
+        assert Gaa.flags.owndata and Gaa.flags.c_contiguous
+        assert Gaa.shape[1:] == (rhs.shape[1],) * 2
+        solved.append(Gaa.shape[1])
+        return solve(Gaa, rhs)
+
     monkeypatch.setattr(sparse_coding._Lockstep, "step", step_spy)
     monkeypatch.setattr(sparse_coding, "_line_search", search_spy)
     monkeypatch.setattr(sparse_coding, "_quad_objectives", objectives_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
     rng = np.random.default_rng(14)
-    d, k, n = 75, 150, 300
-    D = rng.standard_normal((d, k))
-    D /= np.linalg.norm(D, axis=0, keepdims=True)
-    Y = rng.standard_normal((d, n)) * np.exp(rng.uniform(-2.5, 1.0, n))
-    lam = default_lambda(d)
+    D, Y, lam = _production_columns(rng, 300, 1.0)
+    k = D.shape[1]
     counts = {}
     X = encode_all(D, Y, lam, counts=counts)
+    monkeypatch.setattr(np.linalg, "solve", solve)  # the reference solves too
     assert max(step_sizes) >= 3  # one step held rows of 3+ active-set sizes
     assert max(searched_sizes) >= 2  # one line search spanned 2+ sizes
     assert np.count_nonzero(X, axis=0).max() > 32
     assert counts["steps"] == len(step_sizes) <= counts["iterations"]
-    assert counts["solves"] == sum(step_sizes)
+    assert counts["solves"] == sum(step_sizes) == len(solved)
+    assert max(solved) > 32
     assert counts["line_search_groups"] == sum(searched_sizes) == len(objective_widths)
     assert max(objective_widths) > 32
     G = D.T @ D
     ref = np.column_stack([_reference_loop(G, D.T @ y, lam, float(y @ y), 4 * k)
                            for y in Y.T])
     np.testing.assert_array_equal(X, ref)
+
+
+def test_encode_all_codes_do_not_depend_on_block_width(monkeypatch):
+    # a column's code depends neither on which columns share its block nor
+    # on where the blocks end, from one column per block to one block
+    rng = np.random.default_rng(16)
+    n = 515
+    D, Y, lam = _production_columns(rng, n, 0.0)
+    codes = []
+    for width in (1, 7, 256, 512, n + 1):
+        monkeypatch.setattr(sparse_coding, "BLOCK_COLUMNS", width)
+        codes.append(encode_all(D, Y, lam))
+    assert np.count_nonzero(codes[0], axis=0).max() > 32
+    for X in codes[1:]:
+        np.testing.assert_array_equal(X, codes[0])
+
+
+def test_encode_all_memory_peak():
+    # gathering each active-set size's systems at that size keeps the peak
+    # of 512-column blocks at about 11.2 MB here, 2.4 MB of it the output;
+    # gathering one stack padded to the largest size peaked at 13.8 MB
+    rng = np.random.default_rng(15)
+    D, Y, lam = _production_columns(rng, 2000, 1.0)
+    tracemalloc.start()
+    try:
+        X = encode_all(D, Y, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(X, axis=0).max() == 75  # full-rank active sets
+    assert peak < 12.5e6
 
 
 def test_encode_all_iteration_cap_names_caller_column():
