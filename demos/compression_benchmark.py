@@ -42,7 +42,7 @@ cfg = TrainConfig(k=k, lam=lam, batch_size=64, epochs=3, seed=9)
 result = train_online(Y, cfg)
 D = result.dictionary
 print(f"trained ODL dictionary: {d} x {k}, "
-      f"final surrogate objective {result.objective_log[-1]:.4f}")
+      f"final batch mean LASSO objective {result.objective_log[-1]:.4f}")
 
 # --- sparse codec ------------------------------------------------------------
 geometry = (w, s, fb, wl)

@@ -364,13 +364,15 @@ def cross_validate(Z, labels, points, folds=5, seed=0):
 
 
 PSO_BOUNDS = ((-5, 15), (-15, 3))
+# Clerc-Kennedy constriction coefficients: inertia, and the acceleration
+# towards both the personal and the global best
+PSO_INERTIA = 0.72
+PSO_ACCELERATION = 1.49
 
 
-def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
-                 c1=1.49, c2=1.49, seed=0, init_positions=None):
+def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, seed=0):
     """Global-best PSO maximizing `fitness` over box `bounds`.
 
-    w, c1 and c2 default to the Clerc-Kennedy constriction coefficients.
     `fitness(X)` scores a whole swarm: one value per row of X.  Returns
     (best_x, best_fit, history) with history the incumbent fitness after
     each iteration (non-decreasing by construction).
@@ -379,10 +381,7 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
     dim = bounds.shape[0]
     lo, hi = bounds[:, 0], bounds[:, 1]
     rng = np.random.default_rng(seed)
-    if init_positions is not None:
-        X = np.array(init_positions, dtype=float)
-    else:
-        X = lo + rng.random((swarm_size, dim)) * (hi - lo)
+    X = lo + rng.random((swarm_size, dim)) * (hi - lo)
     V = np.zeros_like(X)
     pbest = X.copy()
     pfit = np.array(fitness(X), dtype=float)
@@ -392,7 +391,8 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, w=0.72,
     for _ in range(iterations):
         r1 = rng.random((X.shape[0], dim))
         r2 = rng.random((X.shape[0], dim))
-        V = w * V + c1 * r1 * (pbest - X) + c2 * r2 * (gbest - X)
+        V = (PSO_INERTIA * V + PSO_ACCELERATION * r1 * (pbest - X)
+             + PSO_ACCELERATION * r2 * (gbest - X))
         X = np.clip(X + V, lo, hi)
         fits = fitness(X)
         for p in range(X.shape[0]):

@@ -186,9 +186,10 @@ def _load_beats(args):
 # options come from `args`, whose defaults the parser sets per command
 
 
-def _train_dictionary(args, windows, geometry, method):
+def _train_dictionary(args, windows, geometry, method, counts):
     """ODL or VQ dictionary on the beats' window matrices; returns (D,
-    training columns, final objective)."""
+    training columns, final objective).  counts gets ODL's encode_all
+    solver tallies."""
     _, d, lam = geometry
     k = 2 * d if args.k is None else args.k
     if not windows:
@@ -201,7 +202,7 @@ def _train_dictionary(args, windows, geometry, method):
         cfg = dictionary.TrainConfig(
             k=k, lam=lam, batch_size=args.batch_size,
             epochs=10 if args.epochs is None else args.epochs, seed=args.seed)
-        result = dictionary.train_online(Y, cfg)
+        result = dictionary.train_online(Y, cfg, counts)
         final_obj = result.objective_log[-1] if result.objective_log else None
         return result.dictionary, Y, final_obj
     D, _ = dictionary.kmeans_vq(Y, k, seed=args.seed,
@@ -310,13 +311,14 @@ def cmd_ingest(args):
 def cmd_train_dict(args):
     beats, _ = _load_beats(args)
     geometry = _geometry(args)
+    counters = {}
     D, Y, final_obj = _train_dictionary(args, _beat_windows(args, beats, geometry[0]),
-                                        geometry, args.method)
+                                        geometry, args.method, counters)
     dictionary.save_dictionary(args.out, D)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-dict",
            "method": args.method, "d": int(D.shape[0]), "k": int(D.shape[1]),
            "columns": int(Y.shape[1]), "lam": geometry[2],
-           "final_objective": final_obj, "out": args.out})
+           "final_objective": final_obj, "out": args.out, "counters": counters})
 
 
 def cmd_encode(args):
@@ -463,7 +465,8 @@ def cmd_pipeline(args):
     atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
     atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
     windows_train = _beat_windows(args, train, geometry[0])
-    D, _, _ = _train_dictionary(args, windows_train, geometry, "odl")
+    dict_counters = {}
+    D, _, _ = _train_dictionary(args, windows_train, geometry, "odl", dict_counters)
     dictionary.save_dictionary(out_dir / "dict.sbd", D)
     counters = {}
     codes_train = _encode_beats(train, windows_train, D, geometry, "sparse", counters)
@@ -497,7 +500,8 @@ def cmd_pipeline(args):
            "beats": len(beats), "train": len(train), "test": len(test),
            "err_mean": err_mean, "cr_mean": cr_mean, "accuracy": accuracy,
            "C": C, "gamma": gamma, "unconverged_pairs": _unconverged_pairs(model),
-           **counts, "counters": counters, "out_dir": str(out_dir)})
+           **counts, "counters": counters, "dict_counters": dict_counters,
+           "out_dir": str(out_dir)})
 
 
 # ---------------------------------------------------------------------------

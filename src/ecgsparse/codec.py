@@ -115,7 +115,7 @@ def _split_pyramid(column, template):
             f"feature column has {len(column)} coefficients, geometry implies {sum(sizes)}")
     parts = np.split(np.asarray(column, dtype=float), np.cumsum(sizes)[:-1])
     return Pyramid(approx=parts[0], details=list(parts[1:]),
-                   lengths=list(template.lengths), fb_name=template.fb_name)
+                   lengths=list(template.lengths))
 
 
 def reconstruct_beat(Y_hat, geometry, n=BEAT_LENGTH):

@@ -92,11 +92,6 @@ def update_stats(stats, Xb, Yb):
                        t=stats.t + 1)
 
 
-def surrogate(D, stats):
-    """0.5*Tr(D'DA) - Tr(D'B): the quantity update_atoms descends."""
-    return 0.5 * float(np.sum((D.T @ D) * stats.A)) - float(np.sum(D * stats.B))
-
-
 def update_atoms(D, stats, Yb=None, Xb=None):
     """One pass of block coordinate descent over atoms against the accumulated stats.
 
@@ -130,13 +125,15 @@ def update_atoms(D, stats, Yb=None, Xb=None):
     return D
 
 
-def train_online(Y, cfg):
+def train_online(Y, cfg, counts=None):
     """Mini-batch online dictionary learning over the columns of Y.
 
     Seeded column shuffle each epoch; per batch: feature-sign encode against
     the current dictionary, accumulate stats, update atoms.  Returns a
     TrainResult whose objective_log holds the per-batch mean LASSO objective
     (evaluated at encode time, so the log tracks coding quality over training).
+    A given counts dict gets every encode_all call's solver tallies added
+    into it.
     """
     Y = np.asarray(Y, dtype=float)
     d, n = Y.shape
@@ -151,7 +148,7 @@ def train_online(Y, cfg):
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             Yb = Y[:, batch]
-            Xb = encode_all(D, Yb, cfg.lam)
+            Xb = encode_all(D, Yb, cfg.lam, counts=counts)
             R = Yb - D @ Xb
             obj = 0.5 * np.sum(R * R, axis=0) + cfg.lam * np.sum(np.abs(Xb), axis=0)
             log.append(float(obj.mean()))

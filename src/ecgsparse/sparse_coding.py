@@ -1,14 +1,12 @@
 """L1-penalized least-squares coding (LASSO) by feature-sign search.
 
-Feature-sign search, run by encode_all on blocks of columns in lockstep
-(feature_sign codes one column the same way), minimizes
+encode_all runs feature-sign search on blocks of columns in lockstep and
+minimizes, for each column y,
 
     0.5 * ||y - D x||_2^2 + lambda * ||x||_1
 
 for a fixed dictionary D with unit-ball columns.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,36 +27,6 @@ BLOCK_COLUMNS = 512
 def default_lambda(d):
     """Default sparsity weight for feature dimension d."""
     return 1.2 / np.sqrt(d)
-
-
-@dataclass
-class CodingProblem:
-    dictionary: np.ndarray
-    target: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        D = np.asarray(self.dictionary, dtype=float)
-        y = np.asarray(self.target, dtype=float)
-        if D.ndim != 2 or y.ndim != 1 or D.shape[0] != len(y):
-            raise ShapeMismatchError(
-                f"dictionary {D.shape} incompatible with target length {len(y)}")
-        _check_dictionary(D, self.lam)
-        if not np.isfinite(y).all():
-            raise DegenerateInputError("target holds NaN or inf")
-        self.dictionary = D
-        self.target = y
-
-
-def _check_dictionary(D, lam):
-    if not 0 < lam < np.inf:  # NaN fails too
-        raise BadConfigError(f"lambda must be finite and positive, got {lam}")
-    if not np.isfinite(D).all():
-        raise DegenerateInputError("dictionary holds NaN or inf")
-    norms = np.linalg.norm(D, axis=0)
-    if np.any(norms > 1.0 + 1e-9):
-        raise BadConfigError(
-            f"dictionary columns must lie in the unit ball (max norm {norms.max():.6g})")
 
 
 # ---------------------------------------------------------------------------
@@ -290,45 +258,38 @@ def _feature_sign_block(D, G, Y, lam, max_iter, counts):
     return state.X, failure
 
 
-def feature_sign(problem, max_iter=None):
-    """Solve the coding problem; returns the dense length-k code.
-
-    The result satisfies the LASSO subgradient conditions at OPT_TOL:
-    |D_j'(Dx - y) + lam*sign(x_j)| <= tol on the active set and
-    |D_j'(Dx - y)| <= lam + tol elsewhere.  Raises MaxIterationsError if the
-    active-set loop exceeds the cap (default 4k) instead of returning a
-    silently wrong answer.
-    """
-    D, y, lam = problem.dictionary, problem.target, problem.lam
-    if max_iter is None:
-        max_iter = 4 * D.shape[1]
-    X, failure = _feature_sign_block(D, D.T @ D, y[:, None], lam, max_iter,
-                                     dict.fromkeys(_COUNTS, 0))
-    if failure:
-        raise MaxIterationsError(failure[1])
-    return X[0]
-
-
 def encode_all(D, Y, lam, max_iter=None, counts=None):
-    """feature_sign on every column of Y; returns the dense k x Omega code matrix.
+    """Feature-sign search on every column of Y; returns the dense k x Omega
+    code matrix.
 
-    Columns are coded in lockstep blocks of BLOCK_COLUMNS, and a column's
-    code depends neither on which columns share its block nor on where the
-    blocks end.  It is bit for bit the code feature_sign gives the same view
-    Y[:, i]: D'y is taken on that view, and on a contiguous copy of a column
+    Each code satisfies the LASSO subgradient conditions at OPT_TOL:
+    |D_j'(Dx - y) + lam*sign(x_j)| <= tol on the active set and
+    |D_j'(Dx - y)| <= lam + tol elsewhere.  Columns are coded in lockstep
+    blocks of BLOCK_COLUMNS, and a column's code depends neither on which
+    columns share its block nor on where the blocks end: it is bit for bit
+    the code encode_all gives the view Y[:, i:i + 1] alone, as a one-column
+    block.  D'y is taken on that view, and on a contiguous copy of a column
     of a wider matrix the gemv can round differently and the code can differ
-    in the last bits.  The first column that hits the iteration cap is named
-    in the MaxIterationsError.  A given counts dict gets the solver's tallies
-    added into it: lockstep "iterations", "steps" (at most one per
-    iteration), "solves" (np.linalg.solve calls), "line_search_groups" and
-    "cap_hits".
+    in the last bits.  A column whose active-set loop exceeds max_iter
+    (default 4k) raises MaxIterationsError naming the first such column,
+    instead of returning a silently wrong answer.  A given counts dict gets
+    the solver's tallies added into it: lockstep "iterations", "steps" (at
+    most one per iteration), "solves" (np.linalg.solve calls),
+    "line_search_groups" and "cap_hits".
     """
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or D.ndim != 2 or D.shape[0] != Y.shape[0]:
         raise ShapeMismatchError(
             f"dictionary {D.shape} incompatible with features {Y.shape}")
-    _check_dictionary(D, lam)
+    if not 0 < lam < np.inf:  # NaN fails too
+        raise BadConfigError(f"lambda must be finite and positive, got {lam}")
+    if not np.isfinite(D).all():
+        raise DegenerateInputError("dictionary holds NaN or inf")
+    norms = np.linalg.norm(D, axis=0)
+    if np.any(norms > 1.0 + 1e-9):
+        raise BadConfigError(
+            f"dictionary columns must lie in the unit ball (max norm {norms.max():.6g})")
     if not np.isfinite(Y).all():
         raise DegenerateInputError("features hold NaN or inf")
     k = D.shape[1]

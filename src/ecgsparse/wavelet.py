@@ -98,6 +98,9 @@ def _bior26_lowpass():
     return dec_lo, rec_lo
 
 
+FILTER_BANK_NAMES = ("haar", "db4", "bior2.6")
+
+
 def filter_bank(name):
     """Return a FilterBank by name: 'haar', 'db4' or 'bior2.6'."""
     key = name.lower()
@@ -111,10 +114,8 @@ def filter_bank(name):
     if key in ("bior2.6", "bior26"):
         dec_lo, rec_lo = _bior26_lowpass()
         return _from_lowpass("bior2.6", dec_lo, rec_lo)
-    raise BadConfigError(f"unknown filter bank {name!r}")
-
-
-FILTER_BANK_NAMES = ("haar", "db4", "bior2.6")
+    raise BadConfigError(f"unknown filter bank {name!r}; known: "
+                         f"{', '.join(FILTER_BANK_NAMES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,6 @@ class Pyramid:
     approx: np.ndarray
     details: list = field(default_factory=list)
     lengths: list = field(default_factory=list)
-    fb_name: str = ""
 
     @property
     def levels(self):
@@ -198,7 +198,7 @@ def dwt(signal, fb, levels):
         details.append(d)
     details.reverse()
     lengths.reverse()
-    return Pyramid(approx=x, details=details, lengths=lengths, fb_name=fb.name)
+    return Pyramid(approx=x, details=details, lengths=lengths)
 
 
 def idwt(pyramid, fb):

@@ -37,13 +37,15 @@ from ecgsparse.dictionary import (
     save_dictionary,
     train_online,
 )
-from ecgsparse.features import PyramidConfig, bow_histogram, tpm_feature
+from ecgsparse.features import PyramidConfig, bow_feature, tpm_feature
 from ecgsparse.ingest import decode_212
-from ecgsparse.sparse_coding import CodingProblem, default_lambda, encode_all, feature_sign
+from ecgsparse.sparse_coding import default_lambda, encode_all
 from ecgsparse.synthetic import amplitude_varying_beats, shifted_trio_beats
 from ecgsparse.cli import split_dataset
 from verification import (
+    CodingProblem,
     check_optimality,
+    feature_sign,
     lasso_objective,
     make_sparse_synthesis,
     oracle_solve,
@@ -186,15 +188,7 @@ def test_acceptance_5_tpm_beats_bow(capsys):
         return np.vstack([tpm_feature(c, cfg) for c in cs])
 
     def bow_matrix(cs):
-        rows = []
-        for c in cs:
-            X = np.abs(c.to_dense())
-            filled = np.flatnonzero(X.sum(axis=0) > 0)
-            assign = np.argmax(X[:, filled], axis=0) if filled.size else []
-            h = bow_histogram(assign, c.k)
-            norm = np.linalg.norm(h)
-            rows.append(h / norm if norm > 0 else h)
-        return np.vstack(rows)
+        return np.vstack([bow_feature(c) for c in cs])
 
     labels_train = [c.label for c in codes_train]
     labels_test = np.array([c.label for c in codes_test])

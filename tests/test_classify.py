@@ -506,13 +506,20 @@ def test_cross_validate_deterministic():
 # --- PSO ----------------------------------------------------------------------------
 
 def test_pso_degenerate_swarm_stays_put():
-    start = np.array([2.0, -1.0])
-    best, fit, _ = pso_optimize(
-        lambda X: [-float(np.sum(x ** 2)) for x in X], [(-5, 5), (-5, 5)],
-        swarm_size=4, iterations=10, w=0.5, c1=0.0, c2=0.0, seed=0,
-        init_positions=np.tile(start, (4, 1)))
-    np.testing.assert_allclose(best, start, atol=1e-12)
-    assert fit == pytest.approx(-5.0)
+    # a lone particle is its own personal and global best: no pull moves it
+    seen = []
+
+    def fitness(X):
+        seen.append(X.copy())
+        return [-float(np.sum(x ** 2)) for x in X]
+
+    best, fit, _ = pso_optimize(fitness, [(-5, 5), (-5, 5)], swarm_size=1,
+                                iterations=10, seed=0)
+    assert len(seen) == 11
+    for X in seen:
+        np.testing.assert_array_equal(X, seen[0])
+    np.testing.assert_array_equal(best, seen[0][0])
+    assert fit == -float(np.sum(seen[0][0] ** 2))
 
 
 def test_pso_quadratic_surrogate():

@@ -519,6 +519,30 @@ def test_encode_counters_match_bench_tracer(capsys, small_chain, tmp_path):
     assert counters["line_search_groups"] > 0 and counters["cap_hits"] == 0
 
 
+def test_train_dict_counters_match_bench_tracer(capsys, small_chain, tmp_path):
+    # dictionary training reports the solver tallies of every encode_all call
+    # it makes, which the bench counts the same way as encode's
+    _, beats_csv, dict_path, _ = small_chain
+    out = tmp_path / "dict2.sbd"
+    tracer = _bench_tracing().Tracer()
+    tracer.install()
+    try:
+        status, summary, _ = run(capsys, "train-dict", "--beats", str(beats_csv),
+                                 "--k", "80", "--epochs", "1", "--seed", "3",
+                                 "--out", str(out))
+    finally:
+        tracer.restore()
+    assert status == 0 and out.read_bytes() == dict_path.read_bytes()
+    counters = summary["counters"]
+    assert sorted(counters) == ["cap_hits", "iterations", "line_search_groups",
+                                "solves", "steps"]
+    assert counters["solves"] == tracer.per_layer(0.0)["sparse_coding.solves"] > 0
+    assert 0 < counters["steps"] <= counters["iterations"]
+    status, summary, _ = run(capsys, "train-dict", "--beats", str(beats_csv), "--method",
+                             "vq", "--k", "20", "--out", str(tmp_path / "vq.sbd"))
+    assert status == 0 and summary["counters"] == {}  # k-means codes no LASSO
+
+
 def _mutants(rng, blob, count):
     """count seeded damaged copies of blob: a truncation or 1-3 byte flips."""
     for _ in range(count):
@@ -886,7 +910,8 @@ def test_pipeline_defaults_and_pso_counts(capsys, tmp_path):
     # pipeline's own defaults (epochs 3, max-cols 1500, swarm/iters/folds
     # 10/10/3) differ from train-dict's and train-svm's: spelled out, they
     # give the same bytes; the summary carries the PSO counts as train-svm's does,
-    # and encode's solver counters summed over the train and test codes
+    # encode's solver counters summed over the train and test codes, and
+    # train-dict's under dict_counters
     argv = ["pipeline", "--synthetic", "6", "--seed", "1", "--k", "80",
             "--train-frac", "0.5", "--pso"]
     spelled = ["--epochs", "3", "--max-cols", "1500", "--swarm", "10", "--iters", "10",
@@ -905,6 +930,9 @@ def test_pipeline_defaults_and_pso_counts(capsys, tmp_path):
     assert a["counters"] == b["counters"]
     assert a["counters"]["solves"] > 0
     assert a["counters"]["steps"] <= a["counters"]["iterations"]
+    # train-dict's tallies travel apart from the codes' counters
+    assert a["dict_counters"] == b["dict_counters"]
+    assert a["dict_counters"]["solves"] > 0
 
 
 def test_subcommand_flag_sets():

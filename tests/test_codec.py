@@ -20,9 +20,10 @@ from ecgsparse.codec import (
     save_codes,
     serialize_codes,
 )
-from ecgsparse.sparse_coding import CodingProblem, encode_all, feature_sign
+from ecgsparse.sparse_coding import encode_all
 from ecgsparse.wavelet import extract_windows, filter_bank
 from ecgsparse.synthetic import synthetic_beats
+from verification import CodingProblem, feature_sign
 
 
 def unit_dict(rng, d, k):

@@ -20,12 +20,11 @@ from ecgsparse.dictionary import (
     load_dictionary,
     nearest_atoms,
     save_dictionary,
-    surrogate,
     train_online,
     update_atoms,
     update_stats,
 )
-from verification import make_sparse_synthesis
+from verification import make_sparse_synthesis, surrogate
 
 
 # --- initialization ----------------------------------------------------------

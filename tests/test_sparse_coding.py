@@ -12,14 +12,14 @@ from ecgsparse.errors import (
     MaxIterationsError,
     ShapeMismatchError,
 )
-from ecgsparse.sparse_coding import (
-    BLOCK_COLUMNS,
+from ecgsparse.sparse_coding import BLOCK_COLUMNS, default_lambda, encode_all
+from verification import (
     CodingProblem,
-    default_lambda,
-    encode_all,
+    check_optimality,
     feature_sign,
+    lasso_objective,
+    oracle_solve,
 )
-from verification import check_optimality, lasso_objective, oracle_solve
 
 
 def random_problem(rng, d=8, k=12, lam=0.1):
@@ -29,17 +29,17 @@ def random_problem(rng, d=8, k=12, lam=0.1):
     return CodingProblem(dictionary=D, target=y, lam=lam)
 
 
-# --- CodingProblem -------------------------------------------------------------
+# --- input checks -------------------------------------------------------------
 
 def test_coding_problem_validation():
     D = np.eye(3)
     y = np.ones(3)
     with pytest.raises(BadConfigError):
-        CodingProblem(dictionary=D, target=y, lam=0.0)
+        feature_sign(CodingProblem(dictionary=D, target=y, lam=0.0))
     with pytest.raises(ShapeMismatchError):
-        CodingProblem(dictionary=D, target=np.ones(4), lam=0.1)
-    with pytest.raises(BadConfigError):
-        CodingProblem(dictionary=2.0 * D, target=y, lam=0.1)  # columns too long
+        feature_sign(CodingProblem(dictionary=D, target=np.ones(4), lam=0.1))
+    with pytest.raises(BadConfigError):  # columns too long
+        feature_sign(CodingProblem(dictionary=2.0 * D, target=y, lam=0.1))
 
 
 def test_non_finite_input_rejected():
@@ -58,9 +58,10 @@ def test_non_finite_input_rejected():
     with pytest.raises(DegenerateInputError):
         encode_all(D, bad_Y, 0.1)
     with pytest.raises(DegenerateInputError):
-        CodingProblem(dictionary=bad_D, target=Y[:, 0], lam=0.1)
+        feature_sign(CodingProblem(dictionary=bad_D, target=Y[:, 0], lam=0.1))
     with pytest.raises(DegenerateInputError):
-        CodingProblem(dictionary=D, target=np.where(Y[:, 0] > 0, np.nan, 0.0), lam=0.1)
+        feature_sign(CodingProblem(dictionary=D, target=np.where(Y[:, 0] > 0, np.nan, 0.0),
+                                   lam=0.1))
 
 
 # --- objective ----------------------------------------------------------------

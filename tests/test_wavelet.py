@@ -31,6 +31,12 @@ def test_filter_bank_unknown_name():
         filter_bank("sym5")
 
 
+def test_filter_bank_unknown_name_lists_known_banks():
+    with pytest.raises(BadConfigError) as err:
+        filter_bank("sym5")
+    assert all(name in str(err.value) for name in ("haar", "db4", "bior2.6"))
+
+
 def test_haar_constant_signal():
     fb = filter_bank("haar")
     pyr = dwt(np.ones(4), fb, 1)

@@ -1,17 +1,29 @@
 """Reference code the tests check the package against.
 
-An independent LASSO solver (cyclic coordinate descent), the objective and
-subgradient optimality measures it is compared by, and the ground-truth
-sparse synthesis model used for dictionary recovery.  Nothing in the
-package calls these; the file name keeps pytest from collecting it.
+A one-column coding problem and feature_sign, which codes it through
+encode_all; an independent LASSO solver (cyclic coordinate descent), the
+objective and subgradient optimality measures it is compared by; the
+surrogate the atom update descends; and the ground-truth sparse synthesis
+model used for dictionary recovery.  Nothing in the package calls these;
+the file name keeps pytest from collecting it.
 """
 
+from collections import namedtuple
 from operator import mul
 
 import numpy as np
 
 from ecgsparse.errors import ShapeMismatchError
-from ecgsparse.sparse_coding import OPT_TOL
+from ecgsparse.sparse_coding import OPT_TOL, encode_all
+
+CodingProblem = namedtuple("CodingProblem", "dictionary target lam")
+
+
+def feature_sign(problem, max_iter=None):
+    """The dense length-k code of one target: encode_all on it as a
+    one-column matrix, with encode_all's checks and iteration cap."""
+    D, y, lam = problem
+    return encode_all(D, np.asarray(y, dtype=float)[:, None], lam, max_iter)[:, 0]
 
 
 def _as_dense(x, k):
@@ -72,6 +84,11 @@ def check_optimality(problem, x, tol=OPT_TOL):
     if viol_b.size:
         worst = max(worst, float(max(viol_b.max(), 0.0)))
     return worst
+
+
+def surrogate(D, stats):
+    """0.5*Tr(D'DA) - Tr(D'B): the quantity update_atoms descends."""
+    return 0.5 * float(np.sum((D.T @ D) * stats.A)) - float(np.sum(D * stats.B))
 
 
 def make_sparse_synthesis(d, k, n, sparsity, seed=0, noise=0.0):
