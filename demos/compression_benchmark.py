@@ -46,7 +46,7 @@ print(f"trained ODL dictionary: {d} x {k}, "
 
 # --- sparse codec ------------------------------------------------------------
 geometry = (w, s, fb, wl)
-codes = compress(D, windows, lam, [b.label for b in beats])
+codes = list(compress(D, windows, lam, [b.label for b in beats]))
 recons = [reconstruct_beat(decompress(D, c), geometry) for c in codes]
 originals = [b.values for b in beats]
 err_sparse = err_metric(recons, originals)
@@ -71,7 +71,7 @@ print()
 print("lambda     Err        Cr")
 for scale in (0.25, 1.0, 4.0):
     lam_i = scale * lam
-    codes_i = compress(D, windows, lam_i)
+    codes_i = list(compress(D, windows, lam_i))
     recons_i = [reconstruct_beat(decompress(D, c), geometry) for c in codes_i]
     print(f"{lam_i:6.4f}  {100 * err_metric(recons_i, originals):7.3f}%   "
           f"{cr_metric(codes_i):6.3f}")

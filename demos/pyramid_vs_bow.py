@@ -38,8 +38,8 @@ Y = Y[:, rng.choice(Y.shape[1], size=min(3000, Y.shape[1]), replace=False)]
 D = train_online(Y, TrainConfig(k=150, lam=lam, batch_size=64, epochs=2,
                                 seed=SEED)).dictionary
 
-codes_train = compress(D, windows_train, lam, [b.label for b in train])
-codes_test = compress(D, windows_test, lam, [b.label for b in test])
+codes_train = list(compress(D, windows_train, lam, [b.label for b in train]))
+codes_test = list(compress(D, windows_test, lam, [b.label for b in test]))
 
 
 def tpm_matrix(codes, levels=2):

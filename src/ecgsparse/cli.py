@@ -71,9 +71,9 @@ def _geometry(args):
 
 
 def _beat_windows(args, beats, fb):
-    """Each beat's d x Omega window feature matrix."""
-    return [wavelet.extract_windows(b, fb, args.window, args.stride, args.wl).columns
-            for b in beats]
+    """Each beat's d x Omega window feature matrix, made as it is read."""
+    return (wavelet.extract_windows(b, fb, args.window, args.stride, args.wl).columns
+            for b in beats)
 
 
 def _emit(summary):
@@ -211,22 +211,24 @@ def _train_dictionary(args, windows, geometry, method, counts):
 
 
 def _encode_beats(beats, windows, D, geometry, method, counts=None):
-    """SparseCodes of the beats from their window matrices; counts gets
-    encode_all's solver tallies."""
-    lam = geometry[2]
-    if windows and windows[0].shape[0] != D.shape[0]:
-        raise ShapeMismatchError(
-            f"features have d={windows[0].shape[0]} but dictionary d={D.shape[0]}")
-    labels = [beat.label for beat in beats]
-    ids = [f"{beat.source[0]}:{beat.source[1]}" for beat in beats]
+    """Iterator of the beats' SparseCodes, made as the iterable of their
+    window matrices is read; counts gets encode_all's solver tallies."""
+    _, d, lam = geometry
+    if beats and d != D.shape[0]:
+        raise ShapeMismatchError(f"features have d={d} but dictionary d={D.shape[0]}")
+    labels = (beat.label for beat in beats)
+    ids = (f"{beat.source[0]}:{beat.source[1]}" for beat in beats)
     if method == "sparse":
         return codec.compress(D, windows, lam, labels, ids, counts)
-    codes = []
-    for Y, label, sid in zip(windows, labels, ids):  # vq: 1-of-k codes, coefficient 1
-        X = np.zeros((D.shape[1], Y.shape[1]))
-        X[dictionary.nearest_atoms(D, Y)[0], np.arange(Y.shape[1])] = 1.0
-        codes.append(codec.SparseCode.from_dense(X, label=label, source_id=sid))
-    return codes
+    return (codec.SparseCode.from_dense(_vq_code(D, Y), label=label, source_id=sid)
+            for Y, label, sid in zip(windows, labels, ids, strict=True))
+
+
+def _vq_code(D, Y):
+    """1-of-k codes with coefficient 1: each window's nearest atom."""
+    X = np.zeros((D.shape[1], Y.shape[1]))
+    X[dictionary.nearest_atoms(D, Y)[0], np.arange(Y.shape[1])] = 1.0
+    return X
 
 
 def _reconstruct_all(args, D, codes, fb):
@@ -312,7 +314,7 @@ def cmd_train_dict(args):
     beats, _ = _load_beats(args)
     geometry = _geometry(args)
     counters = {}
-    D, Y, final_obj = _train_dictionary(args, _beat_windows(args, beats, geometry[0]),
+    D, Y, final_obj = _train_dictionary(args, list(_beat_windows(args, beats, geometry[0])),
                                         geometry, args.method, counters)
     dictionary.save_dictionary(args.out, D)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-dict",
@@ -332,15 +334,20 @@ def cmd_encode(args):
     if norm == np.inf or (args.method == "sparse" and norm > 1.0 + 1e-9):
         raise CorruptFileError(f"{args.dict}: atom norm {norm:.6g} too large for "
                                f"--method {args.method}")
-    counters = {}
-    codes = _encode_beats(beats, _beat_windows(args, beats, geometry[0]), D, geometry,
-                          args.method, counters)
-    codec.save_codes(args.out, codes)
-    nnz = [c.nnz for c in codes]
+    counters, nnz = {}, 0
+
+    def coded():  # codes as they are made, beat by beat, their nnz summed
+        nonlocal nnz
+        for code in _encode_beats(beats, _beat_windows(args, beats, geometry[0]), D,
+                                  geometry, args.method, counters):
+            nnz += code.nnz
+            yield code
+
+    sbc_bytes = codec.stream_codes(args.out, coded(), len(beats))
     _emit({"schema_version": SCHEMA_VERSION, "command": "encode",
-           "method": args.method, "beats": len(codes), "lam": geometry[2],
-           "mean_nnz": float(np.mean(nnz)) if nnz else 0.0, "out": args.out,
-           "counters": counters})
+           "method": args.method, "beats": len(beats), "lam": geometry[2],
+           "mean_nnz": nnz / len(beats) if beats else 0.0, "out": args.out,
+           "counters": counters, "sbc_bytes": sbc_bytes})
 
 
 def _load_coded_beats(args):
@@ -464,15 +471,15 @@ def cmd_pipeline(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
     atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
-    windows_train = _beat_windows(args, train, geometry[0])
+    windows_train = list(_beat_windows(args, train, geometry[0]))
     dict_counters = {}
     D, _, _ = _train_dictionary(args, windows_train, geometry, "odl", dict_counters)
     dictionary.save_dictionary(out_dir / "dict.sbd", D)
     counters = {}
-    codes_train = _encode_beats(train, windows_train, D, geometry, "sparse", counters)
+    codes_train = list(_encode_beats(train, windows_train, D, geometry, "sparse", counters))
     del windows_train  # not needed again; held, it would raise the later peaks
-    codes_test = _encode_beats(test, _beat_windows(args, test, geometry[0]), D, geometry,
-                               "sparse", counters)
+    codes_test = list(_encode_beats(test, _beat_windows(args, test, geometry[0]), D,
+                                    geometry, "sparse", counters))
     codec.save_codes(out_dir / "codes_train.sbc", codes_train)
     codec.save_codes(out_dir / "codes_test.sbc", codes_test)
 

@@ -9,6 +9,8 @@ averaging.  Err and Cr follow the usual definitions:
     Cr  = mean_i (n - m_i) / n        (m_i = stored triplet count, n = 300)
 """
 
+import collections
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -16,9 +18,9 @@ import numpy as np
 
 from .dictionary import MAX_K
 from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_bytes, atomic_write_chunks
 from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
-from .sparse_coding import encode_all
+from .sparse_coding import BLOCK_COLUMNS, encode_all
 from .wavelet import Pyramid, dwt, idwt
 
 
@@ -67,21 +69,65 @@ class SparseCode:
                    label=label, source_id=source_id)
 
 
-def compress(D, windows, lam, labels=None, source_ids=None, counts=None):
-    """SparseCodes of beats given as d x Omega window matrices, one per beat.
+def _column_chunks(beats, pending):
+    """The columns of the beats' window matrices in chunks of BLOCK_COLUMNS,
+    the last one narrower; each beat's (Omega, label, source id) goes onto
+    pending as the beat is read.
 
-    All beats' columns are coded in one encode_all call (which adds its
-    solver tallies into counts) and split back per beat.  Labels default to
-    OTHER_LABEL and source ids to "".
+    A chunk is one d x BLOCK_COLUMNS buffer, or a column slice of it, filled
+    again for the next chunk, except when every column fits in the first
+    chunk: that is copied to its own width, the matrix np.hstack would make
+    of all the beats.  (A lone column of such a matrix is contiguous, and
+    D'y rounds differently on a contiguous column than on a strided one;
+    strided columns all agree.)  A final chunk is also given while pending
+    holds beats, so that beats with no columns are coded too.
     """
-    if not windows:
-        return []
-    X = encode_all(D, np.hstack(windows), lam, counts=counts)
-    blocks = np.split(X, np.cumsum([Y.shape[1] for Y in windows])[:-1], axis=1)
-    labels = labels or [OTHER_LABEL] * len(blocks)
-    source_ids = source_ids or [""] * len(blocks)
-    return [SparseCode.from_dense(Xb, label=label, source_id=sid)
-            for Xb, label, sid in zip(blocks, labels, source_ids, strict=True)]
+    buf, fill, first = None, 0, True
+    for Y, label, sid in beats:
+        pending.append((Y.shape[1], label, sid))
+        if buf is None:
+            buf = np.empty((Y.shape[0], BLOCK_COLUMNS))
+        done = 0
+        while done < Y.shape[1]:
+            take = min(BLOCK_COLUMNS - fill, Y.shape[1] - done)
+            buf[:, fill:fill + take] = Y[:, done:done + take]
+            fill, done = fill + take, done + take
+            if fill == BLOCK_COLUMNS:
+                yield buf
+                fill, first = 0, False
+    if pending:
+        yield buf[:, :fill].copy() if first else buf[:, :fill]
+
+
+def compress(D, windows, lam, labels=None, source_ids=None, counts=None):
+    """Yield the SparseCode of each beat of windows, an iterable of d x Omega
+    window matrices, one per beat, in order.
+
+    The beats' columns are coded in chunks of BLOCK_COLUMNS, one encode_all
+    call each (which adds its solver tallies into counts), so only one chunk
+    of windows and codes is held at a time.  encode_all thus makes the
+    blocks it would make on all the columns side by side, and the codes and
+    tallies are those of that one call.  A beat whose columns span more
+    than one chunk has their codes joined before its SparseCode is built.
+    Labels default to OTHER_LABEL and source ids to "", one of each per
+    beat.
+    """
+    beats = zip(windows, labels or itertools.repeat(OTHER_LABEL),
+                source_ids or itertools.repeat(""))
+    pending = collections.deque()
+    carry = None  # codes of the first pending beat's columns in earlier chunks
+    for chunk in _column_chunks(beats, pending):
+        X = encode_all(D, chunk, lam, counts=counts)
+        if carry is not None:
+            X = np.hstack([carry, X])
+        start = 0
+        while pending and start + pending[0][0] <= X.shape[1]:
+            omega, label, sid = pending.popleft()
+            yield SparseCode.from_dense(X[:, start:start + omega], label=label,
+                                        source_id=sid)
+            start += omega
+        carry = X[:, start:].copy()
+        del X  # not held while the next chunk is coded
 
 
 def decompress(D, code):
@@ -184,21 +230,21 @@ MAGIC_SBC1 = b"SBC1"
 TRIPLET = np.dtype([("row", "<u4"), ("col", "<u4"), ("val", "<f4")])
 
 
-def serialize_codes(codes):
-    """SBC1 bytes: magic, u32 k, u32 count; per beat u32 Omega, u8 label,
-    u32 nnz, then (u32 row, u32 col, f32 value) triplets in canonical order.
+def _sbc1_chunks(codes, count):
+    """SBC1 bytes of count codes from an iterable, made as the codes come: the
+    header, then one record per beat.
 
-    Values are quantized to f32 on disk; triplets whose f32 image is exactly
-    zero are dropped so every stored value is nonzero, and a value that is
-    not finite as f32 raises DegenerateInputError.  A beat has at least one
-    and at most BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by
-    those, and k by MAX_K.
+    The header's k is the first code's, or 0 when there is none, so the
+    first code is read before the header is given.
     """
-    k = codes[0].k if codes else 0
+    codes = iter(codes)
+    first = next(codes, None)
+    k = 0 if first is None else first.k
     if k > MAX_K:
         raise ShapeMismatchError(f"k={k} exceeds {MAX_K} atoms")
-    out = [MAGIC_SBC1, struct.pack("<II", k, len(codes))]
-    for i, code in enumerate(codes):
+    yield MAGIC_SBC1 + struct.pack("<II", k, count)
+    i = -1
+    for i, code in enumerate(itertools.chain([] if first is None else [first], codes)):
         if code.k != k:
             raise ShapeMismatchError(f"inconsistent k: {code.k} vs {k}")
         if code.omega < 1:
@@ -214,9 +260,22 @@ def serialize_codes(codes):
         rec = np.empty(np.count_nonzero(kept), dtype=TRIPLET)
         rec["row"], rec["col"], rec["val"] = code.rows[kept], code.cols[kept], vals[kept]
         label_code = LABEL_CODES.get(code.label, LABEL_CODES[OTHER_LABEL])
-        out.append(struct.pack("<IBI", code.omega, label_code, rec.size))
-        out.append(rec.tobytes())
-    return b"".join(out)
+        yield struct.pack("<IBI", code.omega, label_code, rec.size) + rec.tobytes()
+    if i + 1 != count:
+        raise ShapeMismatchError(f"{i + 1} codes, header says {count}")
+
+
+def serialize_codes(codes):
+    """SBC1 bytes: magic, u32 k, u32 count; per beat u32 Omega, u8 label,
+    u32 nnz, then (u32 row, u32 col, f32 value) triplets in canonical order.
+
+    Values are quantized to f32 on disk; triplets whose f32 image is exactly
+    zero are dropped so every stored value is nonzero, and a value that is
+    not finite as f32 raises DegenerateInputError.  A beat has at least one
+    and at most BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by
+    those, and k by MAX_K.
+    """
+    return b"".join(_sbc1_chunks(codes, len(codes)))
 
 
 def parse_codes(blob):
@@ -271,6 +330,15 @@ def parse_codes(blob):
 
 def save_codes(path, codes):
     atomic_write_bytes(path, serialize_codes(codes))
+
+
+def stream_codes(path, codes, count):
+    """Write count codes to path as SBC1 while the iterable codes makes them,
+    holding one record at a time; returns the file's byte size.
+
+    The file is written atomically: an error from codes leaves no file.
+    """
+    return atomic_write_chunks(path, _sbc1_chunks(codes, count))
 
 
 def load_codes(path):

@@ -92,12 +92,13 @@ def update_stats(stats, Xb, Yb):
                        t=stats.t + 1)
 
 
-def update_atoms(D, stats, Yb=None, Xb=None):
+def update_atoms(D, stats, Yb=None, Xb=None, counts=None):
     """One pass of block coordinate descent over atoms against the accumulated stats.
 
     Atoms whose accumulated energy A_jj has stayed at zero are dead; when
     the current batch is supplied they are re-seeded to the batch column the
-    dictionary currently reconstructs worst, normalized.
+    dictionary currently reconstructs worst, normalized.  A given counts
+    dict gets the number of re-seeded atoms added to its "reseeds".
     """
     if stats.t < 1:
         raise BadConfigError("update_atoms needs at least one accumulated batch")
@@ -106,6 +107,7 @@ def update_atoms(D, stats, Yb=None, Xb=None):
     k = D.shape[1]
 
     dead = [j for j in range(k) if A[j, j] <= DEAD_ATOM_EPS]
+    reseeds = 0
     if dead and Yb is not None and Xb is not None:
         resid = np.linalg.norm(Yb - D @ Xb, axis=0)
         order = np.argsort(resid)[::-1]
@@ -114,6 +116,9 @@ def update_atoms(D, stats, Yb=None, Xb=None):
             norm = np.linalg.norm(col)
             if norm > 0:
                 D[:, j] = col / norm
+                reseeds += 1
+    if counts is not None:
+        counts["reseeds"] = counts.get("reseeds", 0) + reseeds
 
     for j in range(k):
         ajj = A[j, j]
@@ -132,8 +137,8 @@ def train_online(Y, cfg, counts=None):
     the current dictionary, accumulate stats, update atoms.  Returns a
     TrainResult whose objective_log holds the per-batch mean LASSO objective
     (evaluated at encode time, so the log tracks coding quality over training).
-    A given counts dict gets every encode_all call's solver tallies added
-    into it.
+    A given counts dict gets every encode_all call's solver tallies and
+    the dead atoms re-seeded ("reseeds") added into it.
     """
     Y = np.asarray(Y, dtype=float)
     d, n = Y.shape
@@ -153,7 +158,7 @@ def train_online(Y, cfg, counts=None):
             obj = 0.5 * np.sum(R * R, axis=0) + cfg.lam * np.sum(np.abs(Xb), axis=0)
             log.append(float(obj.mean()))
             stats = update_stats(stats, Xb, Yb)
-            D = update_atoms(D, stats, Yb, Xb)
+            D = update_atoms(D, stats, Yb, Xb, counts)
     return TrainResult(dictionary=D, objective_log=log)
 
 

@@ -177,7 +177,7 @@ def test_acceptance_5_tpm_beats_bow(capsys):
                                     epochs=2, seed=3)).dictionary
 
     def codes(group, mats):  # one beat per call: the per-beat path is timed here
-        return [compress(D, [fm.columns], lam, [b.label])[0]
+        return [next(compress(D, [fm.columns], lam, [b.label]))
                 for b, fm in zip(group, mats)]
 
     codes_train = codes(train, mats_train)

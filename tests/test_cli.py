@@ -7,6 +7,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -535,12 +536,86 @@ def test_train_dict_counters_match_bench_tracer(capsys, small_chain, tmp_path):
     assert status == 0 and out.read_bytes() == dict_path.read_bytes()
     counters = summary["counters"]
     assert sorted(counters) == ["cap_hits", "iterations", "line_search_groups",
-                                "solves", "steps"]
+                                "reseeds", "solves", "steps"]
     assert counters["solves"] == tracer.per_layer(0.0)["sparse_coding.solves"] > 0
     assert 0 < counters["steps"] <= counters["iterations"]
     status, summary, _ = run(capsys, "train-dict", "--beats", str(beats_csv), "--method",
                              "vq", "--k", "20", "--out", str(tmp_path / "vq.sbd"))
     assert status == 0 and summary["counters"] == {}  # k-means codes no LASSO
+
+
+def test_encode_reports_sbc_bytes(capsys, small_chain, tmp_path):
+    # sbc_bytes is the byte size of the written code file, for either method
+    _, beats_csv, dict_path, codes_path = small_chain
+    for method in ("sparse", "vq"):
+        out = tmp_path / f"{method}.sbc"
+        status, summary, _ = run(capsys, "encode", "--beats", str(beats_csv), "--dict",
+                                 str(dict_path), "--method", method, "--out", str(out))
+        assert status == 0
+        assert summary["sbc_bytes"] == out.stat().st_size > 12
+    assert (tmp_path / "sparse.sbc").read_bytes() == codes_path.read_bytes()
+
+
+def _small_dictionary(path, k=16, d=75):
+    rng = np.random.default_rng(k)
+    D = rng.standard_normal((d, k))
+    save_dictionary(path, D / np.linalg.norm(D, axis=0))
+
+
+def test_encode_memory_flat_in_beat_count(capsys, tmp_path, monkeypatch):
+    # beats load whole; past that, encode holds one chunk of windows, codes
+    # and SBC1 records whatever the beat count.  Holding every beat's, at
+    # k = 16, would add about 15 KB per beat: 6.3 MB from 60 to 480 beats
+    from ecgsparse import cli
+    _small_dictionary(tmp_path / "dict.sbd")
+    load = cli._load_beats
+    loaded = []
+
+    def load_then_reset_peak(args):
+        beats = load(args)
+        loaded.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return beats
+
+    monkeypatch.setattr(cli, "_load_beats", load_then_reset_peak)
+    peaks = []
+    for per_class in (10, 80):  # 60 and 480 beats, 660 and 5,280 columns
+        tracemalloc.start()
+        try:
+            status = run_command(["encode", "--synthetic", str(per_class), "--dict",
+                                  str(tmp_path / "dict.sbd"), "--out",
+                                  str(tmp_path / "codes.sbc")])
+            peaks.append(tracemalloc.get_traced_memory()[1] - loaded[-1])
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+def test_encode_error_after_first_chunk_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # the first chunk's records are on disk, in the temp file, when the
+    # second chunk fails: the run exits 2 and leaves no file behind
+    from ecgsparse import codec
+    from ecgsparse.errors import MaxIterationsError
+    _small_dictionary(tmp_path / "dict.sbd")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    encode_all = codec.encode_all
+    on_disk = []  # bytes in out_dir as each chunk's coding starts
+
+    def fail_second_chunk(D, Y, lam, counts=None):
+        on_disk.append(sum(p.stat().st_size for p in out_dir.iterdir()))
+        if len(on_disk) == 2:
+            raise MaxIterationsError("second chunk")
+        return encode_all(D, Y, lam, counts=counts)
+
+    monkeypatch.setattr(codec, "encode_all", fail_second_chunk)
+    status, _, err = run(capsys, "encode", "--synthetic", "10", "--dict",
+                         str(tmp_path / "dict.sbd"), "--out", str(out_dir / "codes.sbc"))
+    assert status == 2 and "MaxIterationsError: second chunk" in err
+    assert on_disk[1] > 0  # records of the first chunk's beats
+    assert list(out_dir.iterdir()) == []
 
 
 def _mutants(rng, blob, count):

@@ -20,7 +20,8 @@ from ecgsparse.codec import (
     save_codes,
     serialize_codes,
 )
-from ecgsparse.sparse_coding import encode_all
+from ecgsparse import codec
+from ecgsparse.sparse_coding import BLOCK_COLUMNS, encode_all
 from ecgsparse.wavelet import extract_windows, filter_bank
 from ecgsparse.synthetic import synthetic_beats
 from verification import CodingProblem, feature_sign
@@ -69,7 +70,8 @@ def test_compress_large_lambda_empty():
     D = unit_dict(rng, 5, 8)
     Y = rng.standard_normal((5, 3))
     lam = float(np.max(np.abs(D.T @ Y))) + 0.1
-    assert compress(D, [Y], lam)[0].nnz == 0
+    code, = compress(D, [Y], lam)
+    assert code.nnz == 0
 
 
 def test_compress_densify_matches_encode_all():
@@ -86,7 +88,7 @@ def test_compress_codes_every_beat_in_one_call():
     D = unit_dict(rng, 6, 10)
     windows = [rng.standard_normal((6, omega)) for omega in (3, 1, 4)]
     counts = {}
-    codes = compress(D, windows, 0.2, ["N", "V", "A"], ["a", "b", "c"], counts)
+    codes = list(compress(D, windows, 0.2, ["N", "V", "A"], ["a", "b", "c"], counts))
     assert [c.omega for c in codes] == [3, 1, 4]
     assert [(c.label, c.source_id) for c in codes] == [("N", "a"), ("V", "b"), ("A", "c")]
     assert counts["solves"] > 0
@@ -95,7 +97,48 @@ def test_compress_codes_every_beat_in_one_call():
         assert code == SparseCode.from_dense(Xb, label=code.label)
     alone, = compress(D, windows[1:2], 0.2)
     assert (alone.label, alone.source_id) == (OTHER_LABEL, "")
-    assert compress(D, [], 0.2) == []
+    assert list(compress(D, [], 0.2)) == []
+
+
+@pytest.mark.parametrize("widths", [
+    [1],                                  # coded from a d x 1 matrix, as np.hstack gives it
+    [1] * (BLOCK_COLUMNS + 1),            # two chunks, the second one strided column
+    [11] * 50,                            # beat 46 spans columns 506..516
+], ids=["one-column", "block-plus-one", "straddling-beat"])
+def test_streamed_compress_matches_one_encode_all(widths, monkeypatch):
+    # compress codes its columns chunk by chunk; the codes and the solver
+    # tallies are those of one encode_all call on all the columns side by
+    # side.  At d = 75, D'y on a contiguous column rounds differently from
+    # one on a strided column in most draws, so the one-column case sees
+    # the layout of the matrix its column is coded from
+    rng = np.random.default_rng(len(widths))
+    D = unit_dict(rng, 75, 100)
+    windows = [rng.standard_normal((75, w)) for w in widths]
+    labels = ["NV"[i % 2] for i in range(len(widths))]
+    ids = [f"b{i}" for i in range(len(widths))]
+    expected = {}
+    X = encode_all(D, np.hstack(windows), 1.0, counts=expected)
+    assert np.count_nonzero(X, axis=0).all()
+    calls = []
+
+    def counted(D, Y, lam, counts=None):
+        calls.append(Y.shape[1])
+        return encode_all(D, Y, lam, counts=counts)
+
+    monkeypatch.setattr(codec, "encode_all", counted)
+    counts = {}
+    stream = compress(D, iter(windows), 1.0, labels, ids, counts)
+    first = next(stream)
+    assert len(calls) == 1  # a code comes out once its chunk is coded
+    codes = [first, *stream]
+    assert calls == [min(BLOCK_COLUMNS, sum(widths) - lo)
+                     for lo in range(0, sum(widths), BLOCK_COLUMNS)]
+    assert counts == expected
+    assert len(codes) == len(widths)
+    for code, Xb, label, sid in zip(codes, np.split(X, np.cumsum(widths)[:-1], axis=1),
+                                    labels, ids, strict=True):
+        assert code == SparseCode.from_dense(Xb, label=label)
+        assert code.source_id == sid
 
 
 def test_decompress_empty_and_single_triplet():
@@ -116,7 +159,8 @@ def test_codec_adds_no_error():
     D = unit_dict(rng, 6, 9)
     Y = rng.standard_normal((6, 5))
     lam = 0.15
-    Yhat = decompress(D, compress(D, [Y], lam)[0])
+    code, = compress(D, [Y], lam)
+    Yhat = decompress(D, code)
     for i in range(5):
         x = feature_sign(CodingProblem(dictionary=D, target=Y[:, i], lam=lam))
         direct = np.linalg.norm(Y[:, i] - D @ x)
@@ -206,8 +250,8 @@ def test_err_cr_tradeoff_monotone_in_lambda():
     geo = (50, 25, fb, 2)
     errs, crs = [], []
     for lam in (0.02, 0.1, 0.5):
-        codes = compress(D, [extract_windows(b, fb, 50, 25, 2).columns for b in beats],
-                         lam)
+        codes = list(compress(D, [extract_windows(b, fb, 50, 25, 2).columns for b in beats],
+                              lam))
         recons = [reconstruct_beat(decompress(D, code), geo) for code in codes]
         errs.append(err_metric(recons, [b.values for b in beats]))
         crs.append(cr_metric(codes))

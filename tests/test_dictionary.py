@@ -137,9 +137,11 @@ def test_update_atoms_reseeds_dead_atoms():
     B[:, 2] = 0.0
     Yb = rng.standard_normal((5, 7))
     Xb = np.zeros((4, 7))
-    out = update_atoms(D.copy(), OnlineStats(A=A, B=B, t=1), Yb=Yb, Xb=Xb)
+    counts = {"reseeds": 2}
+    out = update_atoms(D.copy(), OnlineStats(A=A, B=B, t=1), Yb=Yb, Xb=Xb, counts=counts)
     assert np.max(np.abs(out[:, 2] - dead)) > 1e-6
     assert np.linalg.norm(out[:, 2]) == pytest.approx(1.0, abs=1e-9)
+    assert counts == {"reseeds": 3}  # one atom re-seeded, added to the tally
 
 
 # --- full training ---------------------------------------------------------------
