@@ -343,7 +343,7 @@ def cmd_encode(args):
             nnz += code.nnz
             yield code
 
-    sbc_bytes = codec.stream_codes(args.out, coded(), len(beats))
+    sbc_bytes = codec.save_codes(args.out, coded(), len(beats))
     _emit({"schema_version": SCHEMA_VERSION, "command": "encode",
            "method": args.method, "beats": len(beats), "lam": geometry[2],
            "mean_nnz": nnz / len(beats) if beats else 0.0, "out": args.out,
@@ -480,8 +480,8 @@ def cmd_pipeline(args):
     del windows_train  # not needed again; held, it would raise the later peaks
     codes_test = list(_encode_beats(test, _beat_windows(args, test, geometry[0]), D,
                                     geometry, "sparse", counters))
-    codec.save_codes(out_dir / "codes_train.sbc", codes_train)
-    codec.save_codes(out_dir / "codes_test.sbc", codes_test)
+    codec.save_codes(out_dir / "codes_train.sbc", codes_train, len(codes_train))
+    codec.save_codes(out_dir / "codes_test.sbc", codes_test, len(codes_test))
 
     recons = _reconstruct_all(args, D, codes_test, geometry[0])
     err_mean = codec.err_metric(recons, [b.values for b in test])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dictionary import MAX_K
 from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
-from .fileio import atomic_write_bytes, atomic_write_chunks
+from .fileio import atomic_write_chunks
 from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
 from .sparse_coding import BLOCK_COLUMNS, encode_all
 from .wavelet import Pyramid, dwt, idwt
@@ -110,10 +110,16 @@ def compress(D, windows, lam, labels=None, source_ids=None, counts=None):
     tallies are those of that one call.  A beat whose columns span more
     than one chunk has their codes joined before its SparseCode is built.
     Labels default to OTHER_LABEL and source ids to "", one of each per
-    beat.
+    beat; labels or source ids that are given must number one per beat, or
+    ValueError is raised when the shorter runs out.
     """
-    beats = zip(windows, labels or itertools.repeat(OTHER_LABEL),
-                source_ids or itertools.repeat(""))
+    # strict zips check what is given; a default lasts as long as the beats
+    labelled = zip(windows,
+                   itertools.repeat(OTHER_LABEL) if labels is None else labels,
+                   strict=labels is not None)
+    beats = ((Y, label, sid) for (Y, label), sid in zip(
+        labelled, itertools.repeat("") if source_ids is None else source_ids,
+        strict=source_ids is not None))
     pending = collections.deque()
     carry = None  # codes of the first pending beat's columns in earlier chunks
     for chunk in _column_chunks(beats, pending):
@@ -328,11 +334,7 @@ def parse_codes(blob):
     return codes
 
 
-def save_codes(path, codes):
-    atomic_write_bytes(path, serialize_codes(codes))
-
-
-def stream_codes(path, codes, count):
+def save_codes(path, codes, count):
     """Write count codes to path as SBC1 while the iterable codes makes them,
     holding one record at a time; returns the file's byte size.
 

@@ -97,7 +97,23 @@ def test_compress_codes_every_beat_in_one_call():
         assert code == SparseCode.from_dense(Xb, label=code.label)
     alone, = compress(D, windows[1:2], 0.2)
     assert (alone.label, alone.source_id) == (OTHER_LABEL, "")
+    ids_only = compress(D, windows, 0.2, source_ids=iter(["a", "b", "c"]))
+    assert [(c.label, c.source_id) for c in ids_only] == [(OTHER_LABEL, s) for s in "abc"]
     assert list(compress(D, [], 0.2)) == []
+
+
+@pytest.mark.parametrize("labels, ids", [
+    (["N", "V"], None),                   # one label short
+    (["N", "V", "A", "N"], None),         # one label too many
+    (None, ["a", "b"]),                   # one source id short
+    (["N", "V", "A"], iter(["a", "b"])),  # an iterator short
+], ids=["short-labels", "long-labels", "short-ids", "short-id-iterator"])
+def test_compress_label_and_id_lists_must_match_beats(labels, ids):
+    rng = np.random.default_rng(6)
+    D = unit_dict(rng, 6, 10)
+    windows = [rng.standard_normal((6, omega)) for omega in (3, 1, 4)]
+    with pytest.raises(ValueError):
+        list(compress(D, windows, 0.2, labels, ids))
 
 
 @pytest.mark.parametrize("widths", [
@@ -358,7 +374,7 @@ def test_save_load_codes(tmp_path):
     rng = np.random.default_rng(11)
     codes = random_codes(rng, 4)
     path = tmp_path / "codes.sbc"
-    save_codes(path, codes)
+    assert save_codes(path, codes, len(codes)) == path.stat().st_size
     out = load_codes(path)
     assert out == codes
     assert [c.label for c in out] == [c.label for c in codes]
