@@ -56,7 +56,7 @@ with tempfile.TemporaryDirectory() as tmp:
     (root / "demo.csv").write_text(ann_lines)
 
     record = read_wfdb(root / "demo.hea")
-    annotations = read_annotations((root / "demo.csv").read_text())
+    annotations = read_annotations((root / "demo.csv").read_text().splitlines())
     beats, skipped = process_record(record, annotations)
 
 print(f"record {record.record_id}: {record.samples_per_channel} "

@@ -18,7 +18,7 @@ KKT_TOL = 1e-3
 # bytes of padded kernel matrices one lockstep SMO chunk holds; bounds the
 # working memory of a cross-validation batch
 SMO_CHUNK_BYTES = 4 << 20
-# smo_train's default update cap, also used for cross-validation
+# update cap of one binary SMO problem, in training and cross-validation
 SMO_MAX_UPDATES = 1_000_000
 
 
@@ -54,7 +54,8 @@ class BinarySvmModel:
 
 
 def _check_problem(Z, y, C, gamma):
-    """smo_train's input rules; returns Z and y as float arrays."""
+    """The input rules of a binary SMO problem; returns Z and y as float
+    arrays."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     if Z.ndim != 2 or len(y) != Z.shape[0]:
@@ -73,22 +74,12 @@ def _check_problem(Z, y, C, gamma):
     return Z, y
 
 
-def smo_train(Z, y, C, gamma, max_updates=SMO_MAX_UPDATES):
-    """Solve the SVM dual by sequential minimal optimization.
-
-    Working pairs are chosen by maximal KKT violation (largest b_low - b_up
-    gap); convergence is declared when the gap drops to KKT_TOL, at which
-    point every KKT condition holds within KKT_TOL.  Hitting the update
-    cap returns the best iterate with converged=False rather than raising.
-    """
-    Z, y = _check_problem(Z, y, C, gamma)
-    (result,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)])
-    return _svm_model(Z, y, C, gamma, *result)
-
-
 def _smo_lockstep(problems):
     """SMO on many checked problems (Z, y, C, gamma, max_updates) at once.
 
+    Working pairs are chosen by maximal KKT violation (largest b_low - b_up
+    gap); a problem converges when the gap drops to KKT_TOL, and one that
+    hits its update cap ends with converged=False rather than raising.
     Returns one (alpha, F, converged) per problem, in order, for
     _svm_model, and the number of pair updates made.  Consecutive problems
     run together in chunks whose padded kernel stack stays within
@@ -271,7 +262,7 @@ def _ovo_pairs(Z, labels):
 
 def ovo_train(Z, labels, C, gamma):
     """One-vs-one models at (C, gamma), every pair trained in one lockstep
-    SMO batch; each pair's model is bit-identical to smo_train's on it."""
+    SMO batch; each pair's model is bit-identical to solving it alone."""
     classes, pairs = _ovo_pairs(np.asarray(Z, dtype=float), labels)
     checked = [_check_problem(Zp, y, C, gamma) for _, Zp, y in pairs]
     results, _ = _smo_lockstep([(Zp, y, C, gamma, SMO_MAX_UPDATES)
@@ -514,7 +505,7 @@ def load_model(path):
                     and np.isfinite([m.b, m.gamma, m.C]).all()):
                 raise ValueError(f"pair {key}: non-finite value")
             if not (m.C > 0 and m.gamma >= 0):
-                # the rules smo_train applies: no trainer writes such a pair
+                # the rules _check_problem applies: no trainer writes such a pair
                 raise ValueError(f"pair {key}: C = {m.C}, gamma = {m.gamma}")
             models[key] = m
         if not models:

@@ -168,14 +168,15 @@ def _load_beats(args):
                 else synthetic.amplitude_varying_beats if args.amp_vary
                 else synthetic.synthetic_beats)
         return make(args.synthetic, seed=args.seed), 0
-    if args.beats:
-        return ingest.read_beats_csv(
-            Path(args.beats).read_text(), source_id=Path(args.beats).name), 0
+    if args.beats:  # read line by line: the text is not held beside the beats
+        with open(args.beats) as lines:
+            return ingest.read_beats_csv(lines, source_id=Path(args.beats).name), 0
     if args.record:
         if not args.annotations:
             raise BadConfigError("--record requires --annotations")
         record = ingest.read_wfdb(args.record)
-        anns = ingest.read_annotations(Path(args.annotations).read_text())
+        with open(args.annotations) as lines:
+            anns = ingest.read_annotations(lines)
         return ingest.process_record(record, anns, pre_s=args.pre, post_s=args.post,
                                      channel=args.channel)
     raise BadConfigError("no beat source given (--beats / --record / --synthetic)")

@@ -24,14 +24,14 @@ from .sparse_coding import BLOCK_COLUMNS, encode_all
 from .wavelet import Pyramid, dwt, idwt
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseCode:
     """Sparse k x Omega coefficient matrix for one beat.
 
     rows, cols and vals are parallel arrays in canonical order: sorted by
     (col, row), unique, no zero values.  source_id identifies the beat for
-    seeding purposes and is not part of the stored payload (equality
-    ignores it).
+    seeding purposes and is not part of the stored payload.  Codes compare
+    by identity: == on their arrays would be ambiguous.
     """
 
     k: int
@@ -41,15 +41,6 @@ class SparseCode:
     vals: np.ndarray
     label: str = OTHER_LABEL
     source_id: str = ""
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseCode):
-            return NotImplemented
-        return (self.k == other.k and self.omega == other.omega
-                and self.label == other.label
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols)
-                and np.array_equal(self.vals, other.vals))
 
     @property
     def nnz(self):
@@ -170,13 +161,14 @@ def _split_pyramid(column, template):
                    lengths=list(template.lengths))
 
 
-def reconstruct_beat(Y_hat, geometry, n=BEAT_LENGTH):
+def reconstruct_beat(Y_hat, geometry):
     """Invert each window feature by idwt and overlap-add with averaging.
 
     geometry is (w, s, fb, wl) matching the extract_windows call that
     produced the features.  Samples covered by no window stay zero.
     """
     w, s, fb, wl = geometry
+    n = BEAT_LENGTH
     cols = np.asarray(Y_hat)
     template = dwt(np.zeros(w), fb, wl)
     omega = cols.shape[1]
@@ -218,12 +210,12 @@ def err_metric(reconstructed, originals):
     return total / len(originals) if originals else 0.0
 
 
-def cr_metric(codes, n=BEAT_LENGTH):
-    """Eq. 10: mean over beats of (n - m)/n with m the triplet count."""
-    if n <= 0:
-        raise ShapeMismatchError("n must be positive")
+def cr_metric(codes):
+    """Eq. 10: mean over beats of (n - m)/n with m the triplet count and
+    n = BEAT_LENGTH."""
     if not codes:
         return 0.0
+    n = BEAT_LENGTH
     return float(np.mean([(n - c.nnz) / n for c in codes]))
 
 
@@ -269,19 +261,6 @@ def _sbc1_chunks(codes, count):
         yield struct.pack("<IBI", code.omega, label_code, rec.size) + rec.tobytes()
     if i + 1 != count:
         raise ShapeMismatchError(f"{i + 1} codes, header says {count}")
-
-
-def serialize_codes(codes):
-    """SBC1 bytes: magic, u32 k, u32 count; per beat u32 Omega, u8 label,
-    u32 nnz, then (u32 row, u32 col, f32 value) triplets in canonical order.
-
-    Values are quantized to f32 on disk; triplets whose f32 image is exactly
-    zero are dropped so every stored value is nonzero, and a value that is
-    not finite as f32 raises DegenerateInputError.  A beat has at least one
-    and at most BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by
-    those, and k by MAX_K.
-    """
-    return b"".join(_sbc1_chunks(codes, len(codes)))
 
 
 def parse_codes(blob):
@@ -338,7 +317,14 @@ def save_codes(path, codes, count):
     """Write count codes to path as SBC1 while the iterable codes makes them,
     holding one record at a time; returns the file's byte size.
 
-    The file is written atomically: an error from codes leaves no file.
+    SBC1 is: magic, u32 k, u32 count; per beat u32 Omega, u8 label, u32
+    nnz, then (u32 row, u32 col, f32 value) triplets in canonical order.
+    Values are quantized to f32 on disk; triplets whose f32 image is exactly
+    zero are dropped so every stored value is nonzero, and a value that is
+    not finite as f32 raises DegenerateInputError.  A beat has at least one
+    and at most BEAT_LENGTH windows (w >= 1, s >= 1), so Omega is bounded by
+    those, and k by MAX_K.  The file is written atomically: an error from
+    codes leaves no file.
     """
     return atomic_write_chunks(path, _sbc1_chunks(codes, count))
 

@@ -92,12 +92,12 @@ def update_stats(stats, Xb, Yb):
                        t=stats.t + 1)
 
 
-def update_atoms(D, stats, Yb=None, Xb=None, counts=None):
+def update_atoms(D, stats, Yb, Xb, counts=None):
     """One pass of block coordinate descent over atoms against the accumulated stats.
 
-    Atoms whose accumulated energy A_jj has stayed at zero are dead; when
-    the current batch is supplied they are re-seeded to the batch column the
-    dictionary currently reconstructs worst, normalized.  A given counts
+    Atoms whose accumulated energy A_jj has stayed at zero are dead; they
+    are re-seeded to the columns of the current batch (features Yb, codes
+    Xb) the dictionary reconstructs worst, normalized.  A given counts
     dict gets the number of re-seeded atoms added to its "reseeds".
     """
     if stats.t < 1:
@@ -108,7 +108,7 @@ def update_atoms(D, stats, Yb=None, Xb=None, counts=None):
 
     dead = [j for j in range(k) if A[j, j] <= DEAD_ATOM_EPS]
     reseeds = 0
-    if dead and Yb is not None and Xb is not None:
+    if dead:
         resid = np.linalg.norm(Yb - D @ Xb, axis=0)
         order = np.argsort(resid)[::-1]
         for rank, j in enumerate(dead):

@@ -5,7 +5,7 @@ os.replace, so a failed run never leaves a partial artifact behind.
 """
 
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 
@@ -15,10 +15,12 @@ def atomic_write_chunks(path, chunks):
 
     The chunks may be made while the file is written: an error from the
     iterable, as from writing, removes the temp file and leaves path as it
-    was.
+    was.  The file's mode is 0666 less the umask, as open(path, "w") gives.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
+    # a fresh name, created exclusively: an existing file is never opened
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     size = 0
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -26,7 +26,6 @@ CODE_LABELS = {v: k for k, v in LABEL_CODES.items()}
 class EcgRecord:
     record_id: str
     sampling_rate: float
-    gain: float
     channels: list
     samples_per_channel: int
 
@@ -88,22 +87,12 @@ def encode_212(ch0, ch1):
     return out.tobytes()
 
 
-def _parse_gain(token):
-    # header gain tokens look like "200", "200(0)", or "200/mV"
-    for sep in ("(", "/"):
-        token = token.split(sep)[0]
-    try:
-        g = float(token)
-    except ValueError:
-        return 200.0
-    return g if g > 0 else 200.0
-
-
 def read_header(text):
     """Parse the plain-text .hea format.
 
     Returns (record_id, n_signals, sampling_rate, samples_per_channel,
-    dat_file_name, gain).
+    dat_file_name).  The signal lines' ADC gain is not read: beats are
+    z-scored, so it cancels out.
     """
     lines = [ln.strip() for ln in text.splitlines()
              if ln.strip() and not ln.startswith("#")]
@@ -121,22 +110,19 @@ def read_header(text):
         raise ParseError(f"bad header field: {e}", line_no=1)
     if fs <= 0 or n_sig < 1 or n_samp < 0:
         raise ParseError("header values out of range", line_no=1)
-    dat_name, gain = None, 200.0
+    dat_name = None
     if len(lines) > 1:
         sig = lines[1].split()
         if len(sig) >= 2 and sig[1].split("+")[0] != "212":
             raise ParseError(f"unsupported signal format {sig[1]!r}", line_no=2)
         dat_name = sig[0]
-        if len(sig) >= 3:
-            gain = _parse_gain(sig[2])
-    return record_id, n_sig, fs, n_samp, dat_name, gain
+    return record_id, n_sig, fs, n_samp, dat_name
 
 
 def read_wfdb(header_path):
     """Load a WFDB record (format 212) given the path to its .hea file."""
     header_path = Path(header_path)
-    record_id, n_sig, fs, n_samp, dat_name, gain = read_header(
-        header_path.read_text())
+    record_id, n_sig, fs, n_samp, dat_name = read_header(header_path.read_text())
     if n_sig not in (1, 2):
         raise ParseError(f"expected 1 or 2 signals, header declares {n_sig}")
     dat_path = header_path.with_name(dat_name) if dat_name \
@@ -151,8 +137,8 @@ def read_wfdb(header_path):
         channels = [flat]
     else:
         channels = [ch0, ch1]
-    return EcgRecord(record_id=record_id, sampling_rate=fs, gain=gain,
-                     channels=channels, samples_per_channel=n_samp)
+    return EcgRecord(record_id=record_id, sampling_rate=fs, channels=channels,
+                     samples_per_channel=n_samp)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +146,12 @@ def read_wfdb(header_path):
 
 
 def read_annotations(lines):
-    """Parse `sample_index,label` lines into sorted BeatAnnotations.
+    """Parse an iterable of `sample_index,label` lines, such as an open
+    text file, into sorted BeatAnnotations.
 
     '#' comments and blank lines are skipped; labels outside the six target
     classes map to Other.  Raises ParseError (with line number) on garbage.
     """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
     out = []
     for i, line in enumerate(lines, start=1):
         line = line.strip()
@@ -260,8 +245,8 @@ def process_record(record, annotations, pre_s=0.25, post_s=0.45, channel=0):
 
 
 def read_beats_csv(lines, source_id="csv"):
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+    """Beats from an iterable of `label,v1..v300` lines, such as an open
+    text file, each z-scored; '#' comments and blank lines are skipped."""
     beats = []
     for i, line in enumerate(lines, start=1):
         line = line.strip()

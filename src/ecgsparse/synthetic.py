@@ -22,6 +22,12 @@ MORPHOLOGIES = {
 }
 
 
+# per-beat jitter of each pulse: s.d. of its center in samples and of its
+# relative amplitude
+_CENTER_JITTER = 2.0
+_AMP_JITTER = 0.05
+
+
 def _pulse(t, kind, center, width, amp):
     if kind == "g":
         return amp * np.exp(-0.5 * ((t - center) / width) ** 2)
@@ -29,14 +35,14 @@ def _pulse(t, kind, center, width, amp):
     return amp * np.maximum(1.0 - np.abs(t - center) / width, 0.0)
 
 
-def render_beat(pulses, rng, noise=0.05, center_jitter=2.0, amp_jitter=0.05,
-                shift=0.0):
-    """One noisy beat from a pulse list; `shift` translates every pulse."""
+def render_beat(pulses, rng, noise, shift=0.0):
+    """One beat from a pulse list, jittered, with white noise of s.d. noise;
+    `shift` translates every pulse."""
     t = np.arange(BEAT_LENGTH, dtype=float)
     x = np.zeros(BEAT_LENGTH)
     for kind, center, width, amp in pulses:
-        c = center + shift + rng.normal(0.0, center_jitter)
-        a = amp * (1.0 + rng.normal(0.0, amp_jitter))
+        c = center + shift + rng.normal(0.0, _CENTER_JITTER)
+        a = amp * (1.0 + rng.normal(0.0, _AMP_JITTER))
         x += _pulse(t, kind, c, width, a)
     x += rng.normal(0.0, noise, BEAT_LENGTH)
     return x
@@ -63,9 +69,10 @@ def synthetic_beats(n_per_class, seed=0, classes=("N", "/", "A", "V", "R", "L"),
 _SHARED = [("g", 0, 4, 1.5), ("g", 14, 6, -0.8), ("t", 30, 10, 0.6)]
 _TRIO_BASE = 80
 _TRIO_SHIFT = 50  # two stride lengths under the default w=50, s=25 geometry
+_TRIO_NOISE = 0.05
 
 
-def shifted_trio_beats(n_per_class, seed=0, noise=0.05):
+def shifted_trio_beats(n_per_class, seed=0):
     """3-class set where classes 'A' and 'V' differ only by pulse position.
 
     'N' keeps its usual morphology; 'A' renders the shared pulse group at
@@ -83,19 +90,26 @@ def shifted_trio_beats(n_per_class, seed=0, noise=0.05):
     ]
     for label, pulses, shift in specs:
         for _ in range(n_per_class):
-            raw = render_beat(pulses, rng, noise=noise, shift=shift)
+            raw = render_beat(pulses, rng, _TRIO_NOISE, shift=shift)
             beats.append(Beat(values=normalize_beat(raw), label=label,
                               source=("trio", i)))
             i += 1
     return beats
 
 
-def amplitude_varying_beats(n_per_class, seed=0, noise=0.0005,
-                            amp_low=0.5, amp_high=1.5, flip_prob=0.5):
+# amplitude_varying_beats draws each pulse scale from U(*_AMP_SCALE_RANGE),
+# flips its sign with probability _FLIP_PROB and adds white noise of s.d.
+# _AMP_VARY_NOISE
+_AMP_SCALE_RANGE = (0.5, 1.5)
+_FLIP_PROB = 0.5
+_AMP_VARY_NOISE = 0.0005
+
+
+def amplitude_varying_beats(n_per_class, seed=0):
     """Beats whose pulses keep fixed positions but vary freely in amplitude.
 
-    Every pulse scale is drawn from U(amp_low, amp_high) and flips sign with
-    probability flip_prob, so each class spans a combinatorial family of
+    Every pulse scale is drawn from U(0.5, 1.5) and flips sign with
+    probability 0.5, so each class spans a combinatorial family of
     shapes that a continuous-coefficient code represents with a handful of
     atoms while a one-centroid-per-beat quantizer needs a codeword per
     branch.  This is the compression benchmark set.
@@ -108,11 +122,11 @@ def amplitude_varying_beats(n_per_class, seed=0, noise=0.0005,
         for _ in range(n_per_class):
             x = np.zeros(BEAT_LENGTH)
             for kind, center, width, amp in MORPHOLOGIES[label]:
-                scale = rng.uniform(amp_low, amp_high)
-                if rng.random() < flip_prob:
+                scale = rng.uniform(*_AMP_SCALE_RANGE)
+                if rng.random() < _FLIP_PROB:
                     scale = -scale
                 x += _pulse(t, kind, center, width, amp * scale)
-            x += rng.normal(0.0, noise, BEAT_LENGTH)
+            x += rng.normal(0.0, _AMP_VARY_NOISE, BEAT_LENGTH)
             beats.append(Beat(values=normalize_beat(x), label=label,
                               source=("amp", i)))
             i += 1

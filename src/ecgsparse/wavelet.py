@@ -32,7 +32,6 @@ from .errors import BadConfigError, ShapeMismatchError, TooShortError
 class FilterBank:
     """Two-channel perfect-reconstruction filter bank."""
 
-    name: str
     dec_lo: np.ndarray
     dec_hi: np.ndarray
     rec_lo: np.ndarray
@@ -48,13 +47,13 @@ class FilterBank:
         return len(self.dec_lo)
 
 
-def _from_lowpass(name, dec_lo, rec_lo):
+def _from_lowpass(dec_lo, rec_lo):
     dec_lo = np.asarray(dec_lo, dtype=float)
     rec_lo = np.asarray(rec_lo, dtype=float)
     n = np.arange(len(dec_lo))
     dec_hi = ((-1.0) ** (n + 1)) * rec_lo
     rec_hi = ((-1.0) ** n) * dec_lo
-    return FilterBank(name, dec_lo, dec_hi, rec_lo, rec_hi)
+    return FilterBank(dec_lo, dec_hi, rec_lo, rec_hi)
 
 
 # Daubechies-4 scaling coefficients (8 taps, orthonormal).
@@ -107,13 +106,13 @@ def filter_bank(name):
     if key == "haar":
         s = 1.0 / np.sqrt(2.0)
         lo = np.array([s, s])
-        return _from_lowpass("haar", lo, lo.copy())
+        return _from_lowpass(lo, lo.copy())
     if key == "db4":
         rec_lo = _DB4_REC_LO.copy()
-        return _from_lowpass("db4", rec_lo[::-1].copy(), rec_lo)
+        return _from_lowpass(rec_lo[::-1].copy(), rec_lo)
     if key in ("bior2.6", "bior26"):
         dec_lo, rec_lo = _bior26_lowpass()
-        return _from_lowpass("bior2.6", dec_lo, rec_lo)
+        return _from_lowpass(dec_lo, rec_lo)
     raise BadConfigError(f"unknown filter bank {name!r}; known: "
                          f"{', '.join(FILTER_BANK_NAMES)}")
 
@@ -164,10 +163,6 @@ class Pyramid:
     approx: np.ndarray
     details: list = field(default_factory=list)
     lengths: list = field(default_factory=list)
-
-    @property
-    def levels(self):
-        return len(self.details)
 
     def concat(self):
         """All coefficients as one vector: approx, then details coarse->fine."""

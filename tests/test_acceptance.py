@@ -16,7 +16,6 @@ from ecgsparse.classify import (
     ovo_predict_batch,
     ovo_train,
     pso_optimize,
-    smo_train,
     svm_decision,
 )
 from ecgsparse.codec import (
@@ -27,7 +26,6 @@ from ecgsparse.codec import (
     err_metric,
     parse_codes,
     reconstruct_beat,
-    serialize_codes,
 )
 from ecgsparse.dictionary import (
     TrainConfig,
@@ -49,6 +47,8 @@ from verification import (
     lasso_objective,
     make_sparse_synthesis,
     oracle_solve,
+    serialize_codes,
+    smo_train,
 )
 
 

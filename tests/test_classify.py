@@ -20,10 +20,10 @@ from ecgsparse.classify import (
     pso_optimize,
     pso_search,
     save_model,
-    smo_train,
     stratified_folds,
     svm_decision,
 )
+from verification import smo_train
 
 
 def blobs(rng, centers, n_per, spread=0.15):

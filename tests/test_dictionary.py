@@ -99,16 +99,16 @@ def _unit_dict(rng, d, k):
 def test_update_atoms_fixed_point():
     rng = np.random.default_rng(3)
     D = _unit_dict(rng, 5, 8)
-    stats = OnlineStats(A=np.eye(8), B=D.copy(), t=1)
-    out = update_atoms(D.copy(), stats)
+    stats = OnlineStats(A=np.eye(8), B=D.copy(), t=1)  # batch Y = D, X = I
+    out = update_atoms(D.copy(), stats, D.copy(), np.eye(8))
     np.testing.assert_allclose(out, D, atol=1e-12)
 
 
 def test_update_atoms_ball_projection():
     rng = np.random.default_rng(4)
     D = _unit_dict(rng, 5, 8)
-    stats = OnlineStats(A=np.eye(8), B=2.0 * D, t=1)
-    out = update_atoms(D.copy(), stats)
+    stats = OnlineStats(A=np.eye(8), B=2.0 * D, t=1)  # batch Y = 2D, X = I
+    out = update_atoms(D.copy(), stats, 2.0 * D, np.eye(8))
     # u_j = 2 d_j projects straight back onto the unit sphere
     np.testing.assert_allclose(out, D, atol=1e-12)
 
@@ -122,7 +122,7 @@ def test_update_atoms_surrogate_non_increasing():
     before = surrogate(D, stats)
     out = D.copy()
     for _ in range(3):
-        out = update_atoms(out, stats)
+        out = update_atoms(out, stats, Y, X)
     assert surrogate(out, stats) <= before + 1e-12
     assert np.all(np.linalg.norm(out, axis=0) <= 1.0 + 1e-9)
 

@@ -67,13 +67,12 @@ HEADER = "100 2 360 650000\n100.dat 212 200 11 1024 995 -22131 0 MLII\n100.dat 2
 
 
 def test_read_header():
-    record_id, n_sig, fs, n_samp, dat_name, gain = read_header(HEADER)
+    record_id, n_sig, fs, n_samp, dat_name = read_header(HEADER)
     assert record_id == "100"
     assert n_sig == 2
     assert fs == 360.0
     assert n_samp == 650000
     assert dat_name == "100.dat"
-    assert gain == 200.0
 
 
 def test_read_header_malformed():
@@ -101,23 +100,23 @@ def test_read_wfdb_roundtrip(tmp_path):
 # --- annotations -------------------------------------------------------------
 
 def test_read_annotations_parse_and_sort():
-    anns = read_annotations("450,V\n100,N\n")
+    anns = read_annotations("450,V\n100,N\n".splitlines())
     assert [(a.sample_index, a.label) for a in anns] == [(100, "N"), (450, "V")]
 
 
 def test_read_annotations_unknown_label():
-    anns = read_annotations("100,Q\n")
+    anns = read_annotations("100,Q\n".splitlines())
     assert anns[0].label == "Other"
 
 
 def test_read_annotations_comments_and_blanks():
-    anns = read_annotations("# header\n\n10,N\n  \n20,/\n")
+    anns = read_annotations("# header\n\n10,N\n  \n20,/\n".splitlines())
     assert [(a.sample_index, a.label) for a in anns] == [(10, "N"), (20, "/")]
 
 
 def test_read_annotations_parse_error_line_number():
     with pytest.raises(ParseError) as err:
-        read_annotations("10,N\nnot-a-number,V\n")
+        read_annotations("10,N\nnot-a-number,V\n".splitlines())
     assert err.value.line_no == 2
 
 
@@ -126,13 +125,13 @@ def test_read_annotations_parse_error_line_number():
 def _record(n=3000, fs=360.0):
     rng = np.random.default_rng(0)
     ch = rng.integers(-500, 500, size=n)
-    return EcgRecord(record_id="t", sampling_rate=fs, gain=200.0,
+    return EcgRecord(record_id="t", sampling_rate=fs,
                      samples_per_channel=n, channels=[ch, ch.copy()])
 
 
 def test_segment_window_arithmetic():
     rec = _record()
-    anns = read_annotations("1000,N\n")
+    anns = read_annotations("1000,N\n".splitlines())
     segments, skipped = segment_beats(rec, anns, pre_s=0.25, post_s=0.45)
     assert skipped == 0
     values, label, index = segments[0]
@@ -144,7 +143,7 @@ def test_segment_window_arithmetic():
 
 def test_segment_skips_out_of_bounds():
     rec = _record()
-    anns = read_annotations("10,N\n2995,V\n1000,N\n")
+    anns = read_annotations("10,N\n2995,V\n1000,N\n".splitlines())
     segments, skipped = segment_beats(rec, anns, 0.25, 0.45)
     assert skipped == 2
     assert len(segments) == 1
@@ -152,7 +151,7 @@ def test_segment_skips_out_of_bounds():
 
 def test_segment_count_conservation():
     rec = _record()
-    anns = read_annotations("500,N\n1000,N\n1500,N\n2000,Other\n")
+    anns = read_annotations("500,N\n1000,N\n1500,N\n2000,Other\n".splitlines())
     segments, skipped = segment_beats(rec, anns, 0.25, 0.45)
     # Other is not a target class; the three N beats all fit
     assert skipped == 0
@@ -205,7 +204,7 @@ def test_normalize_idempotent():
 
 def test_process_record_emits_300_sample_beats():
     rec = _record(n=5000)
-    anns = read_annotations("700,N\n1500,V\n2300,A\n3100,Q\n4000,L\n")
+    anns = read_annotations("700,N\n1500,V\n2300,A\n3100,Q\n4000,L\n".splitlines())
     beats, skipped = process_record(rec, anns)
     assert skipped == 0
     assert len(beats) == 4  # Q maps to Other and is dropped
@@ -223,9 +222,9 @@ def test_beats_csv_roundtrip():
     for label in ("N", "V", "/"):
         vals = rng.standard_normal(300)
         rows.append(label + "," + ",".join(f"{v:.9g}" for v in vals))
-    beats = read_beats_csv("\n".join(rows))
+    beats = read_beats_csv("\n".join(rows).splitlines())
     assert [b.label for b in beats] == ["N", "V", "/"]
-    again = read_beats_csv(format_beats_csv(beats))
+    again = read_beats_csv(format_beats_csv(beats).splitlines())
     for a, b in zip(beats, again):
         assert a.label == b.label
         np.testing.assert_allclose(a.values, b.values, atol=1e-7)
@@ -233,7 +232,7 @@ def test_beats_csv_roundtrip():
 
 def test_beats_csv_wrong_column_count():
     with pytest.raises(ParseError):
-        read_beats_csv("N,1.0,2.0\n")
+        read_beats_csv("N,1.0,2.0\n".splitlines())
 
 
 def test_beats_csv_rejects_non_finite():
@@ -242,4 +241,4 @@ def test_beats_csv_rejects_non_finite():
         cells = ["V"] + ["0.25"] * 300
         cells[17] = bad
         with pytest.raises(ParseError, match="^line 3: "):
-            read_beats_csv("\n".join([good, "# comment", ",".join(cells)]))
+            read_beats_csv("\n".join([good, "# comment", ",".join(cells)]).splitlines())

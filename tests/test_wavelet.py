@@ -21,7 +21,6 @@ ALL_BANKS = [filter_bank(n) for n in FILTER_BANK_NAMES]
 def test_filter_bank_names():
     for name in FILTER_BANK_NAMES:
         fb = filter_bank(name)
-        assert fb.name == name
         assert len(fb.dec_lo) == len(fb.dec_hi) == len(fb.rec_lo) == len(fb.rec_hi)
         assert len(fb.dec_lo) % 2 == 0
 

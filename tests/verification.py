@@ -3,8 +3,9 @@
 A one-column coding problem and feature_sign, which codes it through
 encode_all; an independent LASSO solver (cyclic coordinate descent), the
 objective and subgradient optimality measures it is compared by; the
-surrogate the atom update descends; and the ground-truth sparse synthesis
-model used for dictionary recovery.  Nothing in the package calls these;
+surrogate the atom update descends; the ground-truth sparse synthesis
+model used for dictionary recovery; one binary SVM by SMO; SBC1 bytes in
+memory; and equality of sparse codes.  Nothing in the package calls these;
 the file name keeps pytest from collecting it.
 """
 
@@ -13,6 +14,8 @@ from operator import mul
 
 import numpy as np
 
+from ecgsparse import codec
+from ecgsparse.classify import SMO_MAX_UPDATES, _check_problem, _smo_lockstep, _svm_model
 from ecgsparse.errors import ShapeMismatchError
 from ecgsparse.sparse_coding import OPT_TOL, encode_all
 
@@ -110,3 +113,29 @@ def make_sparse_synthesis(d, k, n, sparsity, seed=0, noise=0.0):
     if noise > 0:
         Y = Y + rng.normal(0.0, noise, Y.shape)
     return D, X, Y
+
+
+def smo_train(Z, y, C, gamma, max_updates=SMO_MAX_UPDATES):
+    """One binary SVM by the package's SMO, alone in its lockstep batch.
+
+    Working pairs are chosen by maximal KKT violation (largest b_low - b_up
+    gap); convergence is declared when the gap drops to KKT_TOL, at which
+    point every KKT condition holds within KKT_TOL.  Hitting the update
+    cap returns the best iterate with converged=False rather than raising.
+    """
+    Z, y = _check_problem(Z, y, C, gamma)
+    (result,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)])
+    return _svm_model(Z, y, C, gamma, *result)
+
+
+def serialize_codes(codes):
+    """The SBC1 bytes save_codes writes for a list of codes."""
+    return b"".join(codec._sbc1_chunks(codes, len(codes)))
+
+
+def same_code(a, b):
+    """Whether two SparseCodes store the same beat: k, Omega, label and
+    triplets (the source id is not stored)."""
+    return (a.k == b.k and a.omega == b.omega and a.label == b.label
+            and np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+            and np.array_equal(a.vals, b.vals))
