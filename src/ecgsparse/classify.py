@@ -80,12 +80,11 @@ def _smo_lockstep(problems):
     Working pairs are chosen by maximal KKT violation (largest b_low - b_up
     gap); a problem converges when the gap drops to KKT_TOL, and one that
     hits its update cap ends with converged=False rather than raising.
-    Returns one (alpha, F, converged) per problem, in order, for
-    _svm_model, and the number of pair updates made.  Consecutive problems
-    run together in chunks whose padded kernel stack stays within
-    SMO_CHUNK_BYTES.
+    Returns one BinarySvmModel per problem, in order, and the number of
+    pair updates made.  Consecutive problems run together in chunks whose
+    padded kernel stack stays within SMO_CHUNK_BYTES.
     """
-    results, updates, start = [], 0, 0
+    models, updates, start = [], 0, 0
     while start < len(problems):
         stop, n = start + 1, len(problems[start][1])
         while stop < len(problems):
@@ -93,66 +92,61 @@ def _smo_lockstep(problems):
             if (stop + 1 - start) * wider * wider * 8 > SMO_CHUNK_BYTES:
                 break
             stop, n = stop + 1, wider
-        chunk_results, chunk_updates = _smo_chunk(problems[start:stop])
-        results += chunk_results
+        chunk_models, chunk_updates = _smo_chunk(problems[start:stop])
+        models += chunk_models
         updates += chunk_updates
         start = stop
-    return results, updates
+    return models, updates
 
 
 def _smo_chunk(problems):
     """Lockstep SMO: every live problem takes one pair update per step.
 
-    S stacks, per problem, F_t = f_raw(z_t) - y_t and F restricted to the up
-    and low sets (+inf and -inf outside them), so one argmin and one argmax
+    S stacks, per problem, F_t = f_raw(z_t) - y_t restricted to the up and
+    low sets (+inf and -inf outside them), so one argmin and one argmax
     pick every problem's maximal violating pair; an empty set reads as
     b_up = +inf or b_low = -inf, which passes the convergence test.  Padding
     lies outside both sets and its kernel entries are zero.  The pair step
     runs on Python floats with every expression of the one-problem loop in
     its order, and F takes the same two kernel-row products, so each
     problem's iterates are bit-identical to solving it alone.  A problem
-    leaves on convergence, on a stuck pair and on its update cap.
+    leaves on convergence, on a stuck pair and on its update cap, and its
+    bias is b = -(b_up + b_low)/2 (Keerthi et al., Neural Computation 2001)
+    of the step it leaves at, an empty set's bound read as 0.
     """
     P = len(problems)
     width = max(len(y) for _, y, _, _, _ in problems)
     K = np.zeros((P, width, width))
-    S = np.empty((P, 3, width))
-    S[:, 0], S[:, 1], S[:, 2] = 0.0, np.inf, -np.inf
+    S = np.empty((P, 2, width))
+    S[:, 0], S[:, 1] = np.inf, -np.inf
     alphas, consts = [], []
     for p, (Z, y, C, gamma, cap) in enumerate(problems):
         n = len(y)
         K[p, :n, :n] = kernel_matrix(Z, Z, gamma)
         c = float(C)
         top = c - 1e-12
-        alpha = np.zeros(n)
-        up = ((y > 0) & (alpha < top)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < top))
-        S[p, 0, :n] = -y
-        S[p, 1, :n] = np.where(up, -y, np.inf)
-        S[p, 2, :n] = np.where(low, -y, -np.inf)
-        alphas.append(alpha.tolist())
+        # at alpha = 0 the up set is y > 0 and the low set y < 0, both
+        # empty when C <= 1e-12
+        S[p, 0, :n] = np.where((y > 0) & (0.0 < top), -y, np.inf)
+        S[p, 1, :n] = np.where((y < 0) & (0.0 < top), -y, -np.inf)
+        alphas.append([0.0] * n)
         consts.append((y.tolist(), K[p].diagonal()[:n].tolist(), c, top, cap, p * width))
 
-    updates, converged, F_out = [0] * P, [False] * P, [None] * P
+    updates, exits = [0] * P, [None] * P  # exits: b_up, b_low, converged
     K_rows = K.reshape(P * width, width)
-    live = list(range(P))  # problem of each row of S
-    up_at, low_at = width, 2 * width  # the rows of S, as flat offsets
+    live = list(range(P))  # problem of each row pair of S
     while live:
         S_flat = S.reshape(-1)
-        pick_i = S[:, 1].argmin(axis=1).tolist()
-        pick_j = S[:, 2].argmax(axis=1).tolist()
-        stay, leave, rows, coefs, at, values = [], [], [], [], [], []
+        pick_i = S[:, 0].argmin(axis=1).tolist()
+        pick_j = S[:, 1].argmax(axis=1).tolist()
+        stay, rows, coefs, at, values = [], [], [], [], []
         for q, (p, i, j) in enumerate(zip(live, pick_i, pick_j)):
             a = alphas[p]
             ys, kd, c, top, cap, row = consts[p]
-            b_up = S_flat.item(3 * width * q + up_at + i)
-            b_low = S_flat.item(3 * width * q + low_at + j)
-            if updates[p] == cap:
-                leave.append(q)
-                continue
-            if b_low - b_up <= KKT_TOL:
-                converged[p] = True
-                leave.append(q)
+            b_up = S_flat.item(2 * width * q + i)
+            b_low = S_flat.item(2 * width * q + width + j)
+            if updates[p] == cap or b_low - b_up <= KKT_TOL:
+                exits[p] = b_up, b_low, updates[p] != cap
                 continue
             # max() and min() spelled out as the comparisons they make
             # (max(a, b) is b if b > a else a), which saves the calls
@@ -173,7 +167,7 @@ def _smo_chunk(problems):
             dj = aj - aj_old
             if abs(dj) < 1e-14:
                 # numerically stuck pair; no progress possible from here
-                leave.append(q)
+                exits[p] = b_up, b_low, False
                 continue
             ai = ai_old + yi * yj * (-dj)
             di = ai - ai_old
@@ -185,43 +179,26 @@ def _smo_chunk(problems):
             # and b_low, or +-inf where the index has left the set
             up_i, low_i = (ai < top, ai > 1e-12) if yi > 0 else (ai > 1e-12, ai < top)
             up_j, low_j = (aj < top, aj > 1e-12) if yj > 0 else (aj > 1e-12, aj < top)
-            base = 3 * width * len(stay)
-            at += (base + up_at + i, base + up_at + j, base + low_at + i, base + low_at + j)
+            base = 2 * width * len(stay)
+            at += (base + i, base + j, base + width + i, base + width + j)
             values += (b_up if up_i else np.inf, b_low if up_j else np.inf,
                        b_up if low_i else -np.inf, b_low if low_j else -np.inf)
             stay.append(q)
-        if leave:
-            for q in leave:
-                p = live[q]
-                F_out[p] = S[q, 0, :len(alphas[p])].copy()
+        if len(stay) < len(live):
             S, live = S[stay], [live[q] for q in stay]
-            if not live:
-                break
         S.reshape(-1)[at] = values
         step = K_rows[rows]
         step *= np.array(coefs)[:, None]
         S += (step[0::2] + step[1::2])[:, None, :]
 
-    return list(zip(map(np.array, alphas), F_out, converged)), sum(updates)
-
-
-def _svm_model(Z, y, C, gamma, alpha, F, converged):
-    """The model of a finished SMO run: bias from the KKT gap, retained vectors."""
-    up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
-    b_up = float(np.min(F[up])) if np.any(up) else 0.0
-    b_low = float(np.max(F[low])) if np.any(low) else 0.0
-    b = -(b_up + b_low) / 2.0
-
-    keep = alpha > 1e-12
-    return BinarySvmModel(
-        support_vectors=Z[keep].copy(),
-        dual_coef=(alpha * y)[keep],
-        b=b,
-        gamma=gamma,
-        C=C,
-        converged=converged,
-    )
+    models = []
+    for (Z, y, C, gamma, _), a, (b_up, b_low, done) in zip(problems, alphas, exits):
+        alpha = np.array(a)
+        keep = alpha > 1e-12
+        b = -((b_up if b_up < np.inf else 0.0) + (b_low if b_low > -np.inf else 0.0)) / 2.0
+        models.append(BinarySvmModel(support_vectors=Z[keep], dual_coef=(alpha * y)[keep],
+                                     b=b, gamma=gamma, C=C, converged=done))
+    return models, sum(updates)
 
 
 def svm_decision(model, Z):
@@ -260,16 +237,27 @@ def _ovo_pairs(Z, labels):
     return classes, pairs
 
 
+def _ovo_batch(splits, points):
+    """One-vs-one models at each (C, gamma) of points on each split (Z,
+    labels), every pair of every split trained in one lockstep SMO batch;
+    each pair's model is bit-identical to solving it alone.  Returns per
+    point the models of the splits, in order, and the SMO pair updates made.
+    """
+    pairs_of = [_ovo_pairs(Z, labels) for Z, labels in splits]
+    models, updates = _smo_lockstep([
+        (*_check_problem(Zp, y, C, gamma), C, gamma, SMO_MAX_UPDATES)
+        for C, gamma in points for _, pairs in pairs_of for _, Zp, y in pairs])
+    solved = iter(models)
+    return [[OvoModel(classes=classes, models={key: next(solved) for key, _, _ in pairs})
+             for classes, pairs in pairs_of]
+            for _ in points], updates
+
+
 def ovo_train(Z, labels, C, gamma):
     """One-vs-one models at (C, gamma), every pair trained in one lockstep
-    SMO batch; each pair's model is bit-identical to solving it alone."""
-    classes, pairs = _ovo_pairs(np.asarray(Z, dtype=float), labels)
-    checked = [_check_problem(Zp, y, C, gamma) for _, Zp, y in pairs]
-    results, _ = _smo_lockstep([(Zp, y, C, gamma, SMO_MAX_UPDATES)
-                                for Zp, y in checked])
-    models = {key: _svm_model(Zp, y, C, gamma, *result)
-              for (key, _, _), (Zp, y), result in zip(pairs, checked, results)}
-    return OvoModel(classes=classes, models=models)
+    SMO batch."""
+    [[model]], _ = _ovo_batch([(np.asarray(Z, dtype=float), labels)], [(C, gamma)])
+    return model
 
 
 def ovo_predict_batch(model, Z):
@@ -327,25 +315,12 @@ def cross_validate(Z, labels, points, folds=5, seed=0):
     Z = np.asarray(Z, dtype=float)
     labels = np.array(list(labels))
     fold_of = stratified_folds(labels, folds, seed)
-    splits = []
-    for f in range(folds):
-        test = fold_of == f
-        splits.append((test, *_ovo_pairs(Z[~test], labels[~test])))
-    problems = [(*_check_problem(Zp, y, C, gamma), C, gamma, SMO_MAX_UPDATES)
-                for C, gamma in points
-                for _, _, pairs in splits
-                for _, Zp, y in pairs]
-    results, updates = _smo_lockstep(problems)
-    solved = iter(results)
+    tests = [fold_of == f for f in range(folds)]
+    models, updates = _ovo_batch([(Z[~test], labels[~test]) for test in tests], points)
     scores = []
-    for C, gamma in points:
-        accs = []
-        for test, classes, pairs in splits:
-            model = OvoModel(classes=classes, models={
-                key: _svm_model(Zp, y, C, gamma, *next(solved))
-                for key, Zp, y in pairs})
-            pred = ovo_predict_batch(model, Z[test])
-            accs.append(float(np.mean(pred == labels[test])))
+    for point_models in models:
+        accs = [float(np.mean(ovo_predict_batch(model, Z[test]) == labels[test]))
+                for model, test in zip(point_models, tests)]
         scores.append(float(np.mean(accs)))
     return scores, updates
 
@@ -488,8 +463,10 @@ def load_model(path):
                     or type(p["converged"]) is not bool):
                 raise ValueError(f"pair {key}: bias, gamma and C must be JSON numbers "
                                  "and converged a JSON bool")
+            sv = np.array(p["support_vectors"], dtype=float)
             m = BinarySvmModel(
-                support_vectors=np.array(p["support_vectors"], dtype=float),
+                # save_model writes [] for a pair that retained no vector
+                support_vectors=sv.reshape(0, 0) if sv.shape == (0,) else sv,
                 dual_coef=np.array(p["dual_coef"], dtype=float),
                 b=float(p["bias"]),
                 gamma=float(p["gamma"]),
@@ -497,10 +474,11 @@ def load_model(path):
                 converged=p["converged"],
             )
             sv, coef = m.support_vectors, m.dual_coef
-            if sv.ndim != 2 or coef.shape != (len(sv),) or dim not in (None, sv.shape[1]):
+            if (sv.ndim != 2 or coef.shape != (len(sv),)
+                    or len(sv) and dim not in (None, sv.shape[1])):
                 raise ValueError(f"pair {key}: support vectors {sv.shape} "
                                  f"with coefficients {coef.shape}")
-            dim = sv.shape[1]
+            dim = sv.shape[1] if len(sv) else dim
             if not (np.isfinite(sv).all() and np.isfinite(coef).all()
                     and np.isfinite([m.b, m.gamma, m.C]).all()):
                 raise ValueError(f"pair {key}: non-finite value")

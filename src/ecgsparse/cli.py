@@ -42,14 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(path):
     cfg = {}
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise BadConfigError(f"{path}:{i}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+    with open(path) as lines:
+        for i, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise BadConfigError(f"{path}:{i}: expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -387,11 +388,8 @@ def cmd_reconstruct(args):
 def cmd_metrics(args):
     fb, D, codes, beats = _load_coded_beats(args)
     recons = _reconstruct_all(args, D, codes, fb)
-    originals = [b.values for b in beats]
-    err_mean = codec.err_metric(recons, originals)
+    errs, err_mean = codec.beat_errs(recons, [b.values for b in beats])
     cr_mean = codec.cr_metric(codes)
-    errs = [float(np.linalg.norm(m - n) / np.linalg.norm(n))
-            for m, n in zip(recons, originals)]
     per_class = {}
     for code, err in zip(codes, errs):
         bucket = per_class.setdefault(code.label, {"count": 0, "err": 0.0, "nnz": 0})
@@ -429,7 +427,8 @@ def cmd_featurize(args):
 
 
 def cmd_train_svm(args):
-    feats = features.parse_features_csv(Path(args.features).read_text())
+    with open(args.features) as lines:
+        feats = features.parse_features_csv(lines)
     model, C, gamma, cv_acc, counts = _train_svm(args, *feats)
     classify.save_model(args.out, model)
     _emit({"schema_version": SCHEMA_VERSION, "command": "train-svm",
@@ -441,10 +440,14 @@ def cmd_train_svm(args):
 
 def cmd_evaluate(args):
     model = classify.load_model(args.model)
-    labels, Z = features.parse_features_csv(Path(args.features).read_text())
-    dim = model.models[min(model.models)].support_vectors.shape[1]
-    if Z.shape[1] != dim:
-        raise ShapeMismatchError(f"features have dim {Z.shape[1]} but model expects {dim}")
+    with open(args.features) as lines:
+        labels, Z = features.parse_features_csv(lines)
+    # a pair that retained no vector predicts its bias at any width
+    dims = {m.support_vectors.shape[1] for m in model.models.values()
+            if len(m.support_vectors)}
+    if dims and Z.shape[1] not in dims:
+        raise ShapeMismatchError(f"features have dim {Z.shape[1]} but model expects "
+                                 f"{min(dims)}")
     accuracy, per_class, confusion = _evaluate(model, labels, Z)
     doc = {"schema_version": SCHEMA_VERSION, "command": "evaluate",
            "beats": len(labels), "accuracy": accuracy, "per_class": per_class}

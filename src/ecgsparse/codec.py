@@ -192,12 +192,14 @@ def reconstruct_beat(Y_hat, geometry):
 # metrics
 
 
-def err_metric(reconstructed, originals):
-    """Eq. 9: mean over beats of ||M_i - N_i||_2 / ||N_i||_2."""
+def beat_errs(reconstructed, originals):
+    """Eq. 9 per beat: the list of ||M_i - N_i||_2 / ||N_i||_2, and their
+    mean.  The mean adds left to right: sum() compensates on Python 3.12+
+    and np.mean adds pairwise, either of which would change its bits."""
     if len(reconstructed) != len(originals):
         raise ShapeMismatchError(
             f"{len(reconstructed)} reconstructions vs {len(originals)} originals")
-    total = 0.0
+    errs, total = [], 0.0
     for i, (m, nvec) in enumerate(zip(reconstructed, originals)):
         m = np.asarray(m, dtype=float)
         nvec = np.asarray(nvec, dtype=float)
@@ -206,8 +208,14 @@ def err_metric(reconstructed, originals):
         denom = np.linalg.norm(nvec)
         if denom == 0.0:
             raise DegenerateInputError(f"beat {i} has zero norm")
-        total += np.linalg.norm(m - nvec) / denom
-    return total / len(originals) if originals else 0.0
+        errs.append(float(np.linalg.norm(m - nvec) / denom))
+        total += errs[-1]
+    return errs, total / len(errs) if errs else 0.0
+
+
+def err_metric(reconstructed, originals):
+    """Eq. 9: mean over beats of ||M_i - N_i||_2 / ||N_i||_2."""
+    return beat_errs(reconstructed, originals)[1]
 
 
 def cr_metric(codes):

@@ -137,10 +137,11 @@ def format_features_csv(labels, Z):
     return "\n".join(rows) + ("\n" if rows else "")
 
 
-def parse_features_csv(text):
-    """(labels, N x k feature matrix) of a features CSV with at least one row."""
+def parse_features_csv(lines):
+    """(labels, N x k feature matrix) of a features CSV with at least one row,
+    from an iterable of its lines, such as an open text file."""
     labels, rows = [], []
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

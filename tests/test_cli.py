@@ -367,6 +367,50 @@ def test_evaluate_malformed_model_exits_2(capsys, small_chain, tmp_path):
         assert "CorruptFileError" in err and "Traceback" not in err
 
 
+def test_evaluate_model_without_support_vectors(capsys, small_chain, tmp_path):
+    # at a tiny C no pair retains a vector: train-svm writes
+    # "support_vectors": [] and evaluate reads it, every pair deciding by its bias
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    model = tmp_path / "model.json"
+    status, summary, _ = run(capsys, "train-svm", "--features", str(feats),
+                             "--C", "1e-13", "--gamma", "1", "--out", str(model))
+    assert status == 0 and summary["unconverged_pairs"] == 0
+    assert all(p["support_vectors"] == [] for p in json.loads(model.read_text())["pairs"])
+    status, summary, err = run(capsys, "evaluate", "--model", str(model),
+                               "--features", str(feats))
+    assert status == 0, err
+    assert summary["beats"] == 24
+
+
+def test_features_csv_read_as_lines(capsys, small_chain, tmp_path):
+    # only \n, \r and \r\n end a line: a form feed inside a cell is
+    # whitespace around its number, and a NEL at a row's end shifts no
+    # later line number
+    _, _, _, codes_path = small_chain
+    feats = tmp_path / "feats.csv"
+    run(capsys, "featurize", "--codes", str(codes_path), "--out", str(feats))
+    rows = feats.read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[5] = "\x0c" + cells[5]
+    models = []
+    for name, text in (("clean", feats.read_text()),
+                       ("form_feed", "\n".join(rows[:3] + [",".join(cells)] + rows[4:]))):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        models.append(tmp_path / f"{name}.json")
+        status, _, err = run(capsys, "train-svm", "--features", str(path), "--C", "8",
+                             "--gamma", "2", "--out", str(models[-1]))
+        assert status == 0, err
+    assert models[0].read_bytes() == models[1].read_bytes()
+    nel = tmp_path / "nel.csv"
+    nel.write_text("\n".join([rows[0] + "\x85"] + rows[1:3] + ["N,oops"] + rows[4:]))
+    status, _, err = run(capsys, "evaluate", "--model", str(models[0]),
+                         "--features", str(nel))
+    assert status == 2 and "line 4" in err, err
+
+
 def test_non_finite_features_exit_2(capsys, small_chain, tmp_path):
     _, _, _, codes_path = small_chain
     feats = tmp_path / "feats.csv"

@@ -264,9 +264,9 @@ def test_features_csv_roundtrip():
                                PyramidConfig(levels=1))
                    for i in range(4)])
     text = format_features_csv(["N", "V", "/", "Q"], Z)
-    labels, again = parse_features_csv(text)
+    labels, again = parse_features_csv(text.splitlines())
     # a label outside the target classes reads back as the other class
     assert labels == ["N", "V", "/", "Other"]
     np.testing.assert_allclose(again, Z, atol=1e-9)
     with pytest.raises(ParseError, match="no feature rows"):
-        parse_features_csv("# no rows\n")
+        parse_features_csv(["# no rows"])

@@ -15,7 +15,7 @@ from operator import mul
 import numpy as np
 
 from ecgsparse import codec
-from ecgsparse.classify import SMO_MAX_UPDATES, _check_problem, _smo_lockstep, _svm_model
+from ecgsparse.classify import SMO_MAX_UPDATES, _check_problem, _smo_lockstep
 from ecgsparse.errors import ShapeMismatchError
 from ecgsparse.sparse_coding import OPT_TOL, encode_all
 
@@ -124,8 +124,8 @@ def smo_train(Z, y, C, gamma, max_updates=SMO_MAX_UPDATES):
     cap returns the best iterate with converged=False rather than raising.
     """
     Z, y = _check_problem(Z, y, C, gamma)
-    (result,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)])
-    return _svm_model(Z, y, C, gamma, *result)
+    (model,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)])
+    return model
 
 
 def serialize_codes(codes):
