@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (BadConfigError, CorruptFileError, DegenerateInputError,
                      ShapeMismatchError, SingleClassError, TooFewPerClassError)
-from .fileio import atomic_write_text
+from .fileio import atomic_write_chunks
 
 KKT_TOL = 1e-3
 # bytes of padded kernel matrices one lockstep SMO chunk holds; bounds the
@@ -418,24 +418,28 @@ def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
 # model persistence (JSON)
 
 
+def _model_json_chunks(model):
+    """The bytes of json.dumps of the model document, made pair by pair."""
+    yield f'{{"classes": {json.dumps(model.classes)}, "pairs": ['.encode()
+    for i, ((ia, ib), m) in enumerate(sorted(model.models.items())):
+        pair = {
+            "a": ia,
+            "b": ib,
+            "support_vectors": m.support_vectors.tolist(),
+            "dual_coef": m.dual_coef.tolist(),
+            "bias": m.b,
+            "gamma": m.gamma,
+            "C": m.C,
+            "converged": m.converged,
+        }
+        yield (", " * (i > 0) + json.dumps(pair)).encode()
+    yield b"]}"
+
+
 def save_model(path, model):
-    doc = {
-        "classes": model.classes,
-        "pairs": [
-            {
-                "a": ia,
-                "b": ib,
-                "support_vectors": m.support_vectors.tolist(),
-                "dual_coef": m.dual_coef.tolist(),
-                "bias": m.b,
-                "gamma": m.gamma,
-                "C": m.C,
-                "converged": m.converged,
-            }
-            for (ia, ib), m in sorted(model.models.items())
-        ],
-    }
-    atomic_write_text(path, json.dumps(doc))
+    """Write model as the JSON text of {"classes": [...], "pairs": [...]},
+    one pair at a time, so the whole text is never held."""
+    atomic_write_chunks(path, _model_json_chunks(model))
 
 
 def load_model(path):

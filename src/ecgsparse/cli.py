@@ -404,17 +404,20 @@ def cmd_metrics(args):
         }
         for label, v in sorted(per_class.items())
     }
-    doc = {"schema_version": SCHEMA_VERSION, "command": "metrics",
-           "beats": len(codes), "err_mean": err_mean, "cr_mean": cr_mean,
-           "per_class": breakdown}
+    head = {"schema_version": SCHEMA_VERSION, "command": "metrics",
+            "beats": len(codes), "err_mean": err_mean, "cr_mean": cr_mean}
     if args.out_json:
-        _write_json(args.out_json, doc)
+        _write_json(args.out_json, {**head, "per_class": breakdown})
     if args.out_csv:
         rows = ["beat_id,label,nnz,err"]
         rows += [f"{i},{code.label},{code.nnz},{err:.9g}"
                  for i, (code, err) in enumerate(zip(codes, errs))]
         atomic_write_text(args.out_csv, "\n".join(rows) + "\n")
-    _emit(doc)
+    # the real size of the codes read, next to Eq. 10's Cr
+    sbc_bytes = Path(args.codes).stat().st_size
+    _emit({**head, "sbc_bytes": sbc_bytes,
+           "sbc_bytes_per_beat": sbc_bytes / len(codes) if codes else 0.0,
+           "per_class": breakdown})
 
 
 def cmd_featurize(args):

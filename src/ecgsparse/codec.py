@@ -21,7 +21,7 @@ from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from .fileio import atomic_write_chunks
 from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
 from .sparse_coding import BLOCK_COLUMNS, encode_all
-from .wavelet import Pyramid, dwt, idwt
+from .wavelet import Pyramid, idwt, pyramid_layout
 
 
 @dataclass(eq=False)
@@ -151,37 +151,33 @@ def decompress(D, code):
 # beat reconstruction
 
 
-def _split_pyramid(column, template):
-    sizes = [len(template.approx)] + [len(d) for d in template.details]
-    if len(column) != sum(sizes):
-        raise ShapeMismatchError(
-            f"feature column has {len(column)} coefficients, geometry implies {sum(sizes)}")
-    parts = np.split(np.asarray(column, dtype=float), np.cumsum(sizes)[:-1])
-    return Pyramid(approx=parts[0], details=list(parts[1:]),
-                   lengths=list(template.lengths))
-
-
 def reconstruct_beat(Y_hat, geometry):
-    """Invert each window feature by idwt and overlap-add with averaging.
+    """Invert the window features in one idwt call, their columns the rows
+    of one array, and overlap-add them with averaging.
 
     geometry is (w, s, fb, wl) matching the extract_windows call that
-    produced the features.  Samples covered by no window stay zero.
+    produced the features.  A sample's window contributions are added in
+    window order.  Samples covered by no window stay zero.
     """
     w, s, fb, wl = geometry
     n = BEAT_LENGTH
-    cols = np.asarray(Y_hat)
-    template = dwt(np.zeros(w), fb, wl)
+    cols = np.asarray(Y_hat, dtype=float)
+    sizes, lengths = pyramid_layout(fb, w, wl)
     omega = cols.shape[1]
     positions = np.arange(omega) * s
     if omega and positions[-1] + w > n:
         raise ShapeMismatchError(
             f"{omega} windows of length {w} at stride {s} overrun {n} samples")
+    if len(cols) != sum(sizes):
+        raise ShapeMismatchError(
+            f"feature column has {len(cols)} coefficients, geometry implies {sum(sizes)}")
+    ends = list(itertools.accumulate(sizes))
+    bands = [cols[end - size:end].T for size, end in zip(sizes, ends)]
+    windows = idwt(Pyramid(approx=bands[0], details=bands[1:], lengths=lengths), fb)
+    samples = (positions[:, None] + np.arange(w)).ravel()
     acc = np.zeros(n)
-    cover = np.zeros(n)
-    for i, p in enumerate(positions):
-        win = idwt(_split_pyramid(cols[:, i], template), fb)
-        acc[p:p + w] += win
-        cover[p:p + w] += 1.0
+    np.add.at(acc, samples, windows.ravel())  # in order, window by window
+    cover = np.bincount(samples, minlength=n)
     out = np.zeros(n)
     hit = cover > 0
     out[hit] = acc[hit] / cover[hit]

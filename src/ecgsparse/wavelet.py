@@ -1,7 +1,8 @@
 """Discrete wavelet transform machinery.
 
 Provides the three filter banks used in the pipeline (haar, db4, bior2.6),
-single- and multi-level DWT/IDWT with half-point symmetric extension,
+single- and multi-level DWT/IDWT with half-point symmetric extension of a
+signal or of each row of an array,
 wavelet denoising (baseline-drift removal + soft thresholding), and the
 sliding-window local wavelet feature extractor.
 
@@ -119,31 +120,86 @@ def filter_bank(name):
 
 # ---------------------------------------------------------------------------
 # single-level transform
+#
+# Both directions work on the rows of a 2-D array, each row transformed as
+# if alone and bit for bit as np.convolve transforms it.  np.convolve takes
+# every output whose inputs all lie in the signal as one dot product of
+# len(h) terms, the same however long the signal is, so one convolution of
+# the rows laid end to end gives each row's outputs; the outputs that
+# straddle two rows are dropped.  Full mode's edge outputs are shorter dot
+# products (NumPy's dot routine), which a stack of one-row matmuls makes too.
+
+
+def _rows(R, m, L):
+    """A zeroed R x m array, and the flat buffer that holds its rows end to
+    end and then L - 1 zeros, for _convolve_rows."""
+    flat = np.zeros(R * m + L - 1)
+    return flat[:R * m].reshape(R, m), flat
+
+
+def _convolve_rows(flat, m, h):
+    """np.convolve(row, h, "valid") of every row of a _rows buffer, rows m
+    >= len(h) long (np.convolve swaps a shorter operand)."""
+    R = (len(flat) - len(h) + 1) // m
+    if R == 0:
+        return np.zeros((0, m - len(h) + 1))
+    # R * m outputs, m per row, of which the last L - 1 straddle two rows
+    return np.convolve(flat, h, mode="valid").reshape(R, m)[:, :m - len(h) + 1]
+
+
+def _edge_dot(u, hr):
+    """Dot of each row of u with hr, as np.convolve takes an edge output."""
+    return (u[:, None, :] @ hr[:, None])[:, 0, 0]
+
+
+def _full_rows(u, flat, h, n):
+    """Samples L - 2 to L - 3 + n of np.convolve(row, h), L = len(h), for
+    every row of u, the _rows array of flat, where L <= len(row) and 1 <= n
+    <= len(row) + 1.
+
+    Sample L - 2 is the left edge; from sample len(row) on the right edge
+    is reached, which only a hand-built pyramid does.
+    """
+    L, m = len(h), u.shape[1]
+    hr = h[::-1].copy()  # np.convolve correlates with a contiguous reversed h
+    out = np.empty((len(u), n))
+    out[:, 0] = _edge_dot(u[:, :L - 1], hr[1:])
+    inner = _convolve_rows(flat, m, h)[:, :n - 1]
+    out[:, 1:1 + inner.shape[1]] = inner
+    for t in range(n - 1 - inner.shape[1]):
+        out[:, 1 + inner.shape[1] + t] = _edge_dot(u[:, m - L + 1 + t:], hr[:L - 1 - t])
+    return out
 
 
 def _analyze(x, fb):
-    L = fb.length
-    p = L - 1
-    ext = np.concatenate([x[:p][::-1], x, x[-p:][::-1]])
-    a = np.convolve(ext, fb.dec_lo, mode="valid")[1::2]
-    d = np.convolve(ext, fb.dec_hi, mode="valid")[1::2]
+    p = fb.length - 1
+    m = x.shape[1] + 2 * p
+    ext, flat = _rows(len(x), m, fb.length)
+    np.concatenate([x[:, :p][:, ::-1], x, x[:, -p:][:, ::-1]], axis=1, out=ext)
+    a = _convolve_rows(flat, m, fb.dec_lo)[:, 1::2]
+    d = _convolve_rows(flat, m, fb.dec_hi)[:, 1::2]
     return a, d
 
 
 def _synthesize(a, d, n, fb):
-    if len(a) != len(d):
+    if a.shape[1] != d.shape[1]:
         raise ShapeMismatchError(
-            f"approximation/detail length mismatch: {len(a)} vs {len(d)}")
-    L = fb.length
-    ua = np.zeros(2 * len(a))
-    ua[0::2] = a
-    ud = np.zeros(2 * len(d))
-    ud[0::2] = d
-    r = np.convolve(ua, fb.rec_lo) + np.convolve(ud, fb.rec_hi)
-    out = r[L - 2:L - 2 + n]
-    if len(out) != n:
+            f"approximation/detail length mismatch: {a.shape[1]} vs {d.shape[1]}")
+    L, A = fb.length, a.shape[1]
+    ua, flat_a = _rows(len(a), 2 * A, L)
+    ua[:, 0::2] = a
+    ud, flat_d = _rows(len(d), 2 * A, L)
+    ud[:, 0::2] = d
+    if 2 * A >= L and 1 <= n <= 2 * A + 1:
+        return _full_rows(ua, flat_a, fb.rec_lo, n) + _full_rows(ud, flat_d, fb.rec_hi, n)
+    # hand-built pyramids only: row by row, where np.convolve swaps its
+    # operands (2A < L), and for the errors of lengths that do not fit
+    r = np.reshape([np.convolve(u, fb.rec_lo) + np.convolve(v, fb.rec_hi)
+                    for u, v in zip(ua, ud)], (len(a), 2 * A + L - 1))
+    out = r[:, L - 2:L - 2 + n]
+    if out.shape[1] != n:
         raise ShapeMismatchError(
-            f"cannot reconstruct {n} samples from {len(a)} coefficients")
+            f"cannot reconstruct {n} samples from {A} coefficients")
     return out
 
 
@@ -153,11 +209,12 @@ def _synthesize(a, d, n, fb):
 
 @dataclass
 class Pyramid:
-    """Multi-level DWT coefficients.
+    """Multi-level DWT coefficients of a signal, or of each row of an array.
 
-    details are ordered coarse to fine (deepest level first); lengths[i]
-    records the signal length that was analyzed to produce details[i],
-    which the synthesis pass needs to trim each stage correctly.
+    Each band holds one row of coefficients per signal (a 1-D band for a
+    1-D signal).  details are ordered coarse to fine (deepest level first);
+    lengths[i] records the signal length that was analyzed to produce
+    details[i], which the synthesis pass needs to trim each stage correctly.
     """
 
     approx: np.ndarray
@@ -165,45 +222,63 @@ class Pyramid:
     lengths: list = field(default_factory=list)
 
     def concat(self):
-        """All coefficients as one vector: approx, then details coarse->fine."""
-        return np.concatenate([self.approx] + list(self.details))
+        """All coefficients along the last axis: approx, then details
+        coarse->fine."""
+        return np.concatenate([self.approx] + list(self.details), axis=-1)
+
+
+def pyramid_layout(fb, n, levels):
+    """(sizes, lengths) of dwt on length-n signals, found without a
+    transform: the coefficient counts of the approximation and of each
+    detail coarse to fine, and Pyramid.lengths.  Raises as dwt does."""
+    if levels < 1:
+        raise BadConfigError("levels must be >= 1")
+    if int(n).bit_length() <= levels:  # n < 2**levels, without building 2**levels
+        raise TooShortError(f"signal length {n} < 2**{levels}")
+    lengths = []
+    for _ in range(levels):
+        if n < fb.length:
+            raise TooShortError(f"signal length {n} < filter length {fb.length}")
+        lengths.append(n)
+        n = (n + fb.length - 1) // 2  # the analysis keeps odd outputs of n + L - 1
+    lengths.reverse()
+    return [n] + [(m + fb.length - 1) // 2 for m in lengths], lengths
 
 
 def dwt(signal, fb, levels):
-    """Multi-level analysis with half-point symmetric extension.
+    """Multi-level analysis with half-point symmetric extension of a 1-D
+    signal, or of each row of a 2-D array.
 
     Raises TooShortError if the signal (or any intermediate approximation)
     is shorter than the analysis filters, or shorter than 2**levels.
     """
     x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise ShapeMismatchError("dwt expects a 1-D signal")
-    if levels < 1:
-        raise BadConfigError("levels must be >= 1")
-    if len(x).bit_length() <= levels:  # len(x) < 2**levels, without building 2**levels
-        raise TooShortError(f"signal length {len(x)} < 2**{levels}")
+    if x.ndim not in (1, 2):
+        raise ShapeMismatchError("dwt expects a 1-D signal or a 2-D array of rows")
+    _, lengths = pyramid_layout(fb, x.shape[-1], levels)
+    rows = np.atleast_2d(x)
     details = []
-    lengths = []
-    for _ in range(levels):
-        if len(x) < fb.length:
-            raise TooShortError(
-                f"signal length {len(x)} < filter length {fb.length}")
-        lengths.append(len(x))
-        x, d = _analyze(x, fb)
-        details.append(d)
-    details.reverse()
-    lengths.reverse()
-    return Pyramid(approx=x, details=details, lengths=lengths)
+    for _ in lengths:
+        rows, d = _analyze(rows, fb)
+        details.insert(0, d)
+    if x.ndim == 1:
+        rows, details = rows[0], [d[0] for d in details]
+    return Pyramid(approx=rows, details=details, lengths=lengths)
 
 
 def idwt(pyramid, fb):
-    """Invert dwt; exact to roundoff under the same filter bank."""
+    """Invert dwt, of one signal or of each row; exact to roundoff under the
+    same filter bank."""
     x = np.asarray(pyramid.approx, dtype=float)
     if len(pyramid.details) != len(pyramid.lengths):
         raise ShapeMismatchError("pyramid details/lengths are inconsistent")
+    rows = np.atleast_2d(x)
     for d, n in zip(pyramid.details, pyramid.lengths):
-        x = _synthesize(x, np.asarray(d, dtype=float), n, fb)
-    return x
+        d = np.asarray(d, dtype=float)
+        if d.shape[:-1] != x.shape[:-1]:
+            raise ShapeMismatchError("pyramid bands differ in their number of rows")
+        rows = _synthesize(rows, np.atleast_2d(d), n, fb)
+    return rows[0] if x.ndim == 1 else rows
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +316,7 @@ class FeatureMatrix:
 
 def feature_dimension(fb, w, wl):
     """Coefficient count of the per-window feature for geometry (fb, w, wl)."""
-    probe = dwt(np.zeros(w), fb, wl)
-    return len(probe.concat())
+    return sum(pyramid_layout(fb, w, wl)[0])
 
 
 def window_starts(n, w, s):
@@ -259,7 +333,8 @@ def extract_windows(beat, fb, w, s, wl):
     """Slide a length-w window by stride s and stack per-window DWT features.
 
     Each feature column is the concatenated level-wl decomposition of the
-    window (approximation first, then details coarse to fine).  Returns a
+    window (approximation first, then details coarse to fine), all windows
+    transformed by one dwt call as the rows of one array.  Returns a
     FeatureMatrix with one column per window_starts entry.
     """
     x = np.asarray(getattr(beat, "values", beat), dtype=float)
@@ -268,5 +343,5 @@ def extract_windows(beat, fb, w, s, wl):
         raise BadConfigError("window decomposition level wl must be >= 1")
     if int(w).bit_length() <= wl:  # w < 2**wl
         raise BadConfigError(f"w={w} < 2**wl = 2**{wl}")
-    cols = [dwt(x[p:p + w], fb, wl).concat() for p in starts]
-    return FeatureMatrix(columns=np.column_stack(cols))
+    windows = x[starts[:, None] + np.arange(w)]
+    return FeatureMatrix(columns=np.ascontiguousarray(dwt(windows, fb, wl).concat().T))

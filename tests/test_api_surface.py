@@ -1,5 +1,6 @@
 """Every public top-level name and every optional parameter in the package
-has a user outside tests.
+has a user outside tests, and the CLI imports nothing beyond NumPy and the
+standard library.
 
 A public name (no leading underscore) defined at the top level of a module
 in src/ecgsparse must be read somewhere in src/, demos/ or perfbench/
@@ -11,6 +12,9 @@ only tests use belongs in the tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -138,3 +142,25 @@ def test_every_optional_parameter_is_set_outside_tests():
                    and not any(_sets(c, name, pos) for c in calls.get(func, ()))
                    and f"{module}.{func}.{name}" not in PARAMETER_EXEMPTIONS)
     assert unset == [], f"parameters only tests set: {unset}"
+
+
+# stdlib modules whose import would start workers or processes the CLI never
+# needs, and would add to every command's start-up time
+HEAVY_STDLIB = {"multiprocessing", "concurrent", "asyncio", "subprocess"}
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # a fresh interpreter: what this one has imported must not hide a module
+    probe = ("import sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "import ecgsparse.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "ecgsparse.cli" in out
+    tops = {name.split(".")[0] for name in out}
+    outside = sorted(t for t in tops if t != "ecgsparse" and t not in sys.stdlib_module_names)
+    assert outside == [], f"the CLI imports more than NumPy and the stdlib: {outside}"
+    assert sorted(tops & HEAVY_STDLIB) == []

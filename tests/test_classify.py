@@ -587,6 +587,25 @@ def test_model_json_roundtrip(tmp_path):
     assert ovo_predict_batch(loaded, probes) == ovo_predict_batch(model, probes)
 
 
+def test_save_model_writes_json_dumps_of_the_document(tmp_path):
+    # written pair by pair, the file is still json.dumps of the whole model
+    rng = np.random.default_rng(16)
+    Z, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 12)
+    model = ovo_train(Z, labels, C=4.0, gamma=1.0)
+    model.models[(0, 2)] = ovo_train(Z, labels, C=1e-13, gamma=1.0).models[(0, 2)]
+    assert len(model.models) == 3 and model.models[(0, 2)].support_vectors.size == 0
+    doc = {"classes": model.classes,
+           "pairs": [{"a": ia, "b": ib, "support_vectors": m.support_vectors.tolist(),
+                      "dual_coef": m.dual_coef.tolist(), "bias": m.b, "gamma": m.gamma,
+                      "C": m.C, "converged": m.converged}
+                     for (ia, ib), m in sorted(model.models.items())]}
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert path.read_bytes() == json.dumps(doc).encode()
+    save_model(path, OvoModel(classes=["a", "b"]))
+    assert path.read_bytes() == json.dumps({"classes": ["a", "b"], "pairs": []}).encode()
+
+
 def test_load_model_rejects_malformed(tmp_path):
     rng = np.random.default_rng(15)
     Z, labels = blobs(rng, [(0, 0), (3, 0), (0, 3)], 10)

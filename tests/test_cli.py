@@ -266,6 +266,11 @@ def test_metrics_outputs(capsys, small_chain, tmp_path):
     assert set(doc["per_class"]) == {"N", "/", "A", "V", "R", "L"}
     header = out_csv.read_text().splitlines()[0]
     assert header == "beat_id,label,nnz,err"
+    # stdout adds the size of the codes read; the JSON file keeps its keys
+    size = codes_path.stat().st_size
+    assert (summary["sbc_bytes"], summary["sbc_bytes_per_beat"]) == (size, size / doc["beats"])
+    assert {k: v for k, v in summary.items() if not k.startswith("sbc_")} == doc
+    assert not any(k.startswith("sbc_") for k in doc)
 
 
 def test_metrics_k_mismatch_exits_2(capsys, small_chain, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgsparse.codec import reconstruct_beat
 from ecgsparse.errors import BadConfigError, ShapeMismatchError, TooShortError
 from ecgsparse.ingest import Beat
 from ecgsparse.wavelet import (
@@ -13,7 +14,9 @@ from ecgsparse.wavelet import (
     feature_dimension,
     filter_bank,
     idwt,
+    Pyramid,
 )
+from verification import dwt_one, extract_windows_one, idwt_one, reconstruct_beat_one
 
 ALL_BANKS = [filter_bank(n) for n in FILTER_BANK_NAMES]
 
@@ -203,3 +206,89 @@ def test_extract_windows_bad_config():
         extract_windows(x, fb, w=50, s=25, wl=0)
     with pytest.raises(BadConfigError):
         extract_windows(x, fb, w=4, s=2, wl=3)  # w < 2**wl
+
+
+# --- row transforms: bit for bit the per-window code ------------------------------
+
+GEOMETRIES = [(50, 25, 2), (64, 16, 3), (40, 20, 1), (300, 1, 3), (33, 7, 2)]
+
+
+def same_bytes(a, b):
+    """Equal shapes and bytes: -0.0 and 0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", FILTER_BANK_NAMES)
+@pytest.mark.parametrize("w,s,wl", GEOMETRIES)
+def test_windows_and_reconstruction_match_per_window_code(name, w, s, wl):
+    fb = filter_bank(name)
+    rng = np.random.default_rng(w * 1000 + s * 10 + wl)
+    for beat in (rng.standard_normal(300), np.zeros(300)):
+        Y = extract_windows(beat, fb, w, s, wl).columns
+        assert Y.flags.c_contiguous
+        assert same_bytes(Y, extract_windows_one(beat, fb, w, s, wl))
+        for Y_hat in (Y, Y + rng.standard_normal(Y.shape), -np.zeros_like(Y)):
+            assert same_bytes(reconstruct_beat(Y_hat, (w, s, fb, wl)),
+                              reconstruct_beat_one(Y_hat, (w, s, fb, wl)))
+
+
+@pytest.mark.parametrize("name", FILTER_BANK_NAMES)
+def test_dwt_idwt_of_rows_match_each_row_alone(name):
+    fb = filter_bank(name)
+    rng = np.random.default_rng(8)
+    for n, levels in ((fb.length, 1), (2 * fb.length + 1, 2), (97, 3), (256, 4)):
+        X = rng.standard_normal((5, n))
+        X[2] = 0.0
+        pyr = dwt(X, fb, levels)
+        back = idwt(pyr, fb)
+        assert back.shape == X.shape
+        for i, x in enumerate(X):
+            want = dwt_one(x, fb, levels)
+            assert pyr.lengths == want.lengths
+            assert same_bytes(pyr.concat()[i], want.concat())
+            assert same_bytes(back[i], idwt_one(want, fb))
+            assert same_bytes(dwt(x, fb, levels).concat(), want.concat())
+            assert same_bytes(idwt(want, fb), idwt_one(want, fb))
+
+
+@pytest.mark.parametrize("name", FILTER_BANK_NAMES)
+def test_hand_built_pyramids_match_per_row_code(name):
+    # lengths up to 2A + 1 reach full-mode samples past the band's end, bands
+    # shorter than the filters make np.convolve swap its operands, and lengths
+    # that do not fit raise ShapeMismatchError, alone or in rows
+    fb = filter_bank(name)
+    rng = np.random.default_rng(12)
+    raised = fitted = 0
+    for A in (1, 3, fb.length // 2, fb.length - 1, fb.length + 2, 20):
+        rows = rng.standard_normal((2, 3, A))
+        rows[:, 1] = 0.0
+        for n in range(-1, 2 * A + 3):
+            pyrs = [Pyramid(approx=a, details=[d], lengths=[n]) for a, d in zip(*rows)]
+            try:
+                want = [idwt_one(p, fb) for p in pyrs]
+            except ShapeMismatchError:
+                raised += 1
+                with pytest.raises(ShapeMismatchError):
+                    idwt(pyrs[0], fb)
+                with pytest.raises(ShapeMismatchError):
+                    idwt(Pyramid(approx=rows[0], details=[rows[1]], lengths=[n]), fb)
+                continue
+            fitted += 1
+            got = idwt(Pyramid(approx=rows[0], details=[rows[1]], lengths=[n]), fb)
+            for i, p in enumerate(pyrs):
+                assert same_bytes(idwt(p, fb), want[i])
+                assert same_bytes(got[i], want[i])
+    assert raised and fitted
+
+
+def test_idwt_rejects_bands_of_unequal_rows():
+    fb = filter_bank("haar")
+    pyr = dwt(np.ones((3, 16)), fb, 2)
+    pyr.details[1] = pyr.details[1][:2]
+    with pytest.raises(ShapeMismatchError):
+        idwt(pyr, fb)
+
+
+def test_dwt_rejects_three_dimensional_input():
+    with pytest.raises(ShapeMismatchError):
+        dwt(np.ones((2, 2, 16)), filter_bank("haar"), 1)

@@ -5,8 +5,10 @@ encode_all; an independent LASSO solver (cyclic coordinate descent), the
 objective and subgradient optimality measures it is compared by; the
 surrogate the atom update descends; the ground-truth sparse synthesis
 model used for dictionary recovery; one binary SVM by SMO; SBC1 bytes in
-memory; and equality of sparse codes.  Nothing in the package calls these;
-the file name keeps pytest from collecting it.
+memory; equality of sparse codes; and the wavelet transforms one signal
+and one window at a time, which the row transforms must match bit for bit.
+Nothing in the package calls these; the file name keeps pytest from
+collecting it.
 """
 
 from collections import namedtuple
@@ -17,7 +19,9 @@ import numpy as np
 from ecgsparse import codec
 from ecgsparse.classify import SMO_MAX_UPDATES, _check_problem, _smo_lockstep
 from ecgsparse.errors import ShapeMismatchError
+from ecgsparse.ingest import BEAT_LENGTH
 from ecgsparse.sparse_coding import OPT_TOL, encode_all
+from ecgsparse.wavelet import Pyramid, window_starts
 
 CodingProblem = namedtuple("CodingProblem", "dictionary target lam")
 
@@ -139,3 +143,75 @@ def same_code(a, b):
     return (a.k == b.k and a.omega == b.omega and a.label == b.label
             and np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
             and np.array_equal(a.vals, b.vals))
+
+
+# --- wavelet transforms, one signal and one window at a time ------------------
+
+
+def _analyze_one(x, fb):
+    p = fb.length - 1
+    ext = np.concatenate([x[:p][::-1], x, x[-p:][::-1]])
+    a = np.convolve(ext, fb.dec_lo, mode="valid")[1::2]
+    d = np.convolve(ext, fb.dec_hi, mode="valid")[1::2]
+    return a, d
+
+
+def _synthesize_one(a, d, n, fb):
+    if len(a) != len(d):
+        raise ShapeMismatchError(f"approximation/detail length mismatch: {len(a)} vs {len(d)}")
+    L = fb.length
+    ua = np.zeros(2 * len(a))
+    ua[0::2] = a
+    ud = np.zeros(2 * len(d))
+    ud[0::2] = d
+    r = np.convolve(ua, fb.rec_lo) + np.convolve(ud, fb.rec_hi)
+    out = r[L - 2:L - 2 + n]
+    if len(out) != n:
+        raise ShapeMismatchError(f"cannot reconstruct {n} samples from {len(a)} coefficients")
+    return out
+
+
+def dwt_one(x, fb, levels):
+    """dwt of one 1-D signal, with np.convolve on that signal alone (no
+    length checks)."""
+    x = np.asarray(x, dtype=float)
+    details, lengths = [], []
+    for _ in range(levels):
+        lengths.insert(0, len(x))
+        x, d = _analyze_one(x, fb)
+        details.insert(0, d)
+    return Pyramid(approx=x, details=details, lengths=lengths)
+
+
+def idwt_one(pyramid, fb):
+    """idwt of one 1-D pyramid, with np.convolve on that signal alone."""
+    x = np.asarray(pyramid.approx, dtype=float)
+    for d, n in zip(pyramid.details, pyramid.lengths):
+        x = _synthesize_one(x, np.asarray(d, dtype=float), n, fb)
+    return x
+
+
+def extract_windows_one(x, fb, w, s, wl):
+    """The d x Omega feature matrix of a beat, one dwt_one per window."""
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([dwt_one(x[p:p + w], fb, wl).concat()
+                            for p in window_starts(len(x), w, s)])
+
+
+def reconstruct_beat_one(Y_hat, geometry):
+    """reconstruct_beat with one idwt_one per window, overlap-added window
+    by window."""
+    w, s, fb, wl = geometry
+    template = dwt_one(np.zeros(w), fb, wl)
+    sizes = [len(template.approx)] + [len(d) for d in template.details]
+    acc = np.zeros(BEAT_LENGTH)
+    cover = np.zeros(BEAT_LENGTH)
+    for i, column in enumerate(np.asarray(Y_hat, dtype=float).T):
+        parts = np.split(column, np.cumsum(sizes)[:-1])
+        win = idwt_one(Pyramid(parts[0], parts[1:], template.lengths), fb)
+        acc[i * s:i * s + w] += win
+        cover[i * s:i * s + w] += 1.0
+    out = np.zeros(BEAT_LENGTH)
+    hit = cover > 0
+    out[hit] = acc[hit] / cover[hit]
+    return out
