@@ -11,7 +11,7 @@ import numpy as np
 
 from ecgsparse import wavelet
 from ecgsparse.codec import compress, cr_metric, decompress, err_metric, reconstruct_beat
-from ecgsparse.dictionary import TrainConfig, kmeans_vq, nearest_atoms, train_online
+from ecgsparse.dictionary import kmeans_vq, nearest_atoms, train_online
 from ecgsparse.sparse_coding import default_lambda
 from ecgsparse.synthetic import amplitude_varying_beats
 
@@ -38,11 +38,9 @@ Y = np.hstack(windows)
 
 # --- learn the dictionary ---------------------------------------------------
 k = 310
-cfg = TrainConfig(k=k, lam=lam, batch_size=64, epochs=3, seed=9)
-result = train_online(Y, cfg)
-D = result.dictionary
+D, objective_log = train_online(Y, k, lam, batch_size=64, epochs=3, seed=9)
 print(f"trained ODL dictionary: {d} x {k}, "
-      f"final batch mean LASSO objective {result.objective_log[-1]:.4f}")
+      f"final batch mean LASSO objective {objective_log[-1]:.4f}")
 
 # --- sparse codec ------------------------------------------------------------
 geometry = (w, s, fb, wl)

@@ -11,8 +11,8 @@ from ecgsparse import wavelet
 from ecgsparse.classify import ovo_predict_batch, ovo_train
 from ecgsparse.cli import split_dataset
 from ecgsparse.codec import compress
-from ecgsparse.dictionary import TrainConfig, train_online
-from ecgsparse.features import PyramidConfig, bow_feature, tpm_feature
+from ecgsparse.dictionary import train_online
+from ecgsparse.features import bow_feature, tpm_feature, unit
 from ecgsparse.sparse_coding import default_lambda
 
 from ecgsparse.synthetic import shifted_trio_beats
@@ -35,21 +35,19 @@ windows_test = [wavelet.extract_windows(b, fb, w, s, wl).columns for b in test]
 Y = np.hstack(windows_train)
 rng = np.random.default_rng(SEED)
 Y = Y[:, rng.choice(Y.shape[1], size=min(3000, Y.shape[1]), replace=False)]
-D = train_online(Y, TrainConfig(k=150, lam=lam, batch_size=64, epochs=2,
-                                seed=SEED)).dictionary
+D, _ = train_online(Y, 150, lam, batch_size=64, epochs=2, seed=SEED)
 
 codes_train = list(compress(D, windows_train, lam, [b.label for b in train]))
 codes_test = list(compress(D, windows_test, lam, [b.label for b in test]))
 
 
 def tpm_matrix(codes, levels=2):
-    cfg = PyramidConfig(levels=levels, mode="expectation", seed=SEED)
-    return np.vstack([tpm_feature(c, cfg) for c in codes])
+    return np.vstack([unit(tpm_feature(c, levels, "expectation", SEED)) for c in codes])
 
 
 def bow_matrix(codes):
     # hard-assign every window to its strongest atom, histogram, normalize
-    return np.vstack([bow_feature(c) for c in codes])
+    return np.vstack([unit(bow_feature(c)) for c in codes])
 
 
 truth = np.array([c.label for c in codes_test])

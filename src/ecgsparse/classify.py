@@ -446,9 +446,9 @@ def load_model(path):
     """Read a model written by save_model.
 
     Raises CorruptFileError for anything else: malformed JSON, a missing
-    key, class indices outside the class list, arrays of the wrong shape,
-    a parameter of the wrong JSON type, non-finite parameters, C <= 0 or
-    gamma < 0.
+    key, a class name listed twice, class indices outside the class list,
+    arrays of the wrong shape, a parameter of the wrong JSON type,
+    non-finite parameters, C <= 0 or gamma < 0.
     """
     try:
         with open(path) as fh:
@@ -456,6 +456,8 @@ def load_model(path):
         classes = doc["classes"]
         if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
             raise ValueError("classes must be a list of strings")
+        if len(set(classes)) != len(classes):
+            raise ValueError(f"duplicate class names in {classes}")
         models, dim = {}, None
         for p in doc["pairs"]:
             key = (p["a"], p["b"])

@@ -201,12 +201,10 @@ def _train_dictionary(args, windows, geometry, method, counts):
         rng = np.random.default_rng(args.seed)
         Y = Y[:, rng.choice(Y.shape[1], size=args.max_cols, replace=False)]
     if method == "odl":
-        cfg = dictionary.TrainConfig(
-            k=k, lam=lam, batch_size=args.batch_size,
-            epochs=10 if args.epochs is None else args.epochs, seed=args.seed)
-        result = dictionary.train_online(Y, cfg, counts)
-        final_obj = result.objective_log[-1] if result.objective_log else None
-        return result.dictionary, Y, final_obj
+        D, log = dictionary.train_online(Y, k, lam, args.batch_size,
+                                         10 if args.epochs is None else args.epochs,
+                                         args.seed, counts)
+        return D, Y, log[-1] if log else None
     D, _ = dictionary.kmeans_vq(Y, k, seed=args.seed,
                                 iters=50 if args.epochs is None else args.epochs)
     return D, Y, None
@@ -250,11 +248,12 @@ def _waveforms_csv(beats, recons):
 def _featurize(args, codes, method, normalize):
     """(labels, N x k feature matrix) of the codes."""
     if method == "tpm":
-        cfg = features.PyramidConfig(levels=args.levels, mode=args.mode, seed=args.seed,
-                                     normalize_output=normalize)
-        rows = [features.tpm_feature(c, cfg) for c in codes]
+        features.check_pyramid_options(args.levels, args.mode)  # refused with no codes too
+        rows = [features.tpm_feature(c, args.levels, args.mode, args.seed) for c in codes]
     else:
-        rows = [features.bow_feature(c, normalize) for c in codes]
+        rows = [features.bow_feature(c) for c in codes]
+    if normalize:
+        rows = [features.unit(z) for z in rows]
     return [c.label for c in codes], np.vstack(rows) if rows else np.zeros((0, 0))
 
 
@@ -464,7 +463,7 @@ def cmd_evaluate(args):
 def cmd_pipeline(args):
     """Split, then every stage in memory with pipeline's own defaults."""
     # the option rules of later stages, before any work or output
-    features.PyramidConfig(levels=args.levels, mode=args.mode)
+    features.check_pyramid_options(args.levels, args.mode)
     if args.pso:
         classify.check_pso_options(args.swarm, args.iters, args.folds)
     beats, _ = _load_beats(args)

@@ -10,7 +10,6 @@ the surrogate 0.5*Tr(D'DA) - Tr(D'B) never increases across atom updates.
 """
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,42 +22,6 @@ DEAD_ATOM_EPS = 1e-10
 # Most atoms a dictionary may have: SBD1 and SBC1 files refuse more, in both
 # reader and writer, so a damaged header cannot ask for a huge k x Omega code.
 MAX_K = 2 ** 16
-
-
-@dataclass
-class OnlineStats:
-    A: np.ndarray
-    B: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def empty(cls, d, k):
-        return cls(A=np.zeros((k, k)), B=np.zeros((d, k)), t=0)
-
-
-@dataclass
-class TrainConfig:
-    k: int
-    lam: float
-    batch_size: int = 64
-    epochs: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise BadConfigError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if not 0 < self.lam < np.inf:  # NaN fails too
-            raise BadConfigError(f"lambda must be finite and positive, got {self.lam}")
-        if self.batch_size < 1:
-            raise BadConfigError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise BadConfigError("epochs must be >= 1")
-
-
-@dataclass
-class TrainResult:
-    dictionary: np.ndarray
-    objective_log: list = field(default_factory=list)
 
 
 def init_dictionary(Y, k, seed):
@@ -79,31 +42,28 @@ def init_dictionary(Y, k, seed):
     return D
 
 
-def update_stats(stats, Xb, Yb):
-    """A += Xb Xb', B += Yb Xb', t += 1; returns a new OnlineStats."""
+def update_stats(A, B, Xb, Yb):
+    """The statistics after one batch: (A + Xb Xb', B + Yb Xb')."""
     Xb = np.asarray(Xb, dtype=float)
     Yb = np.asarray(Yb, dtype=float)
     if Xb.ndim != 2 or Yb.ndim != 2 or Xb.shape[1] != Yb.shape[1]:
         raise ShapeMismatchError(
             f"batch shapes disagree: codes {Xb.shape}, features {Yb.shape}")
-    if stats.A.shape[0] != Xb.shape[0] or stats.B.shape[0] != Yb.shape[0]:
+    if A.shape[0] != Xb.shape[0] or B.shape[0] != Yb.shape[0]:
         raise ShapeMismatchError("batch dimensions do not match the stats")
-    return OnlineStats(A=stats.A + Xb @ Xb.T, B=stats.B + Yb @ Xb.T,
-                       t=stats.t + 1)
+    return A + Xb @ Xb.T, B + Yb @ Xb.T
 
 
-def update_atoms(D, stats, Yb, Xb, counts=None):
-    """One pass of block coordinate descent over atoms against the accumulated stats.
+def update_atoms(D, A, B, Yb, Xb, counts=None):
+    """One pass of block coordinate descent over atoms against the accumulated
+    statistics A and B.
 
     Atoms whose accumulated energy A_jj has stayed at zero are dead; they
     are re-seeded to the columns of the current batch (features Yb, codes
     Xb) the dictionary reconstructs worst, normalized.  A given counts
     dict gets the number of re-seeded atoms added to its "reseeds".
     """
-    if stats.t < 1:
-        raise BadConfigError("update_atoms needs at least one accumulated batch")
     D = np.array(D, dtype=float)
-    A, B = stats.A, stats.B
     k = D.shape[1]
 
     dead = [j for j in range(k) if A[j, j] <= DEAD_ATOM_EPS]
@@ -130,36 +90,44 @@ def update_atoms(D, stats, Yb, Xb, counts=None):
     return D
 
 
-def train_online(Y, cfg, counts=None):
-    """Mini-batch online dictionary learning over the columns of Y.
+def train_online(Y, k, lam, batch_size, epochs, seed, counts=None):
+    """Mini-batch online dictionary learning of k atoms over the columns of Y.
 
     Seeded column shuffle each epoch; per batch: feature-sign encode against
-    the current dictionary, accumulate stats, update atoms.  Returns a
-    TrainResult whose objective_log holds the per-batch mean LASSO objective
+    the current dictionary, accumulate stats, update atoms.  Returns (D,
+    objective_log), the log holding the per-batch mean LASSO objective
     (evaluated at encode time, so the log tracks coding quality over training).
     A given counts dict gets every encode_all call's solver tallies and
     the dead atoms re-seeded ("reseeds") added into it.
     """
+    if not 1 <= k <= MAX_K:
+        raise BadConfigError(f"k must be in [1, {MAX_K}], got {k}")
+    if not 0 < lam < np.inf:  # NaN fails too
+        raise BadConfigError(f"lambda must be finite and positive, got {lam}")
+    if batch_size < 1:
+        raise BadConfigError("batch_size must be >= 1")
+    if epochs < 1:
+        raise BadConfigError("epochs must be >= 1")
     Y = np.asarray(Y, dtype=float)
     d, n = Y.shape
-    if cfg.k <= d:
-        raise BadConfigError(f"dictionary must be overcomplete: k={cfg.k} <= d={d}")
-    D = init_dictionary(Y, cfg.k, cfg.seed)
-    stats = OnlineStats.empty(d, cfg.k)
-    rng = np.random.default_rng(cfg.seed)
+    if k <= d:
+        raise BadConfigError(f"dictionary must be overcomplete: k={k} <= d={d}")
+    D = init_dictionary(Y, k, seed)
+    A, B = np.zeros((k, k)), np.zeros((d, k))
+    rng = np.random.default_rng(seed)
     log = []
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
             Yb = Y[:, batch]
-            Xb = encode_all(D, Yb, cfg.lam, counts=counts)
+            Xb = encode_all(D, Yb, lam, counts=counts)
             R = Yb - D @ Xb
-            obj = 0.5 * np.sum(R * R, axis=0) + cfg.lam * np.sum(np.abs(Xb), axis=0)
+            obj = 0.5 * np.sum(R * R, axis=0) + lam * np.sum(np.abs(Xb), axis=0)
             log.append(float(obj.mean()))
-            stats = update_stats(stats, Xb, Yb)
-            D = update_atoms(D, stats, Yb, Xb, counts)
-    return TrainResult(dictionary=D, objective_log=log)
+            A, B = update_stats(A, B, Xb, Yb)
+            D = update_atoms(D, A, B, Yb, Xb, counts)
+    return D, log
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ pool to zero and are never visited.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +22,12 @@ from .ingest import OTHER_LABEL, TARGET_LABELS
 MAX_LEVELS = 64
 
 
-@dataclass
-class PyramidConfig:
-    levels: int = 2
-    mode: str = "expectation"  # or "stochastic"
-    seed: int = 0
-    normalize_output: bool = True
-
-    def __post_init__(self):
-        if not 0 <= self.levels <= MAX_LEVELS:
-            raise BadConfigError(f"levels must be in [0, {MAX_LEVELS}], got {self.levels}")
-        if self.mode not in ("stochastic", "expectation"):
-            raise BadConfigError(f"unknown pooling mode {self.mode!r}")
+def check_pyramid_options(levels, mode):
+    """Refuse a pyramid depth or pooling mode tpm_feature cannot use."""
+    if not 0 <= levels <= MAX_LEVELS:
+        raise BadConfigError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
+    if mode not in ("stochastic", "expectation"):
+        raise BadConfigError(f"unknown pooling mode {mode!r}")
 
 
 def build_blocks(omega, levels):
@@ -82,23 +75,24 @@ def _source_key(source_id):
     return int.from_bytes(digest[:8], "little")
 
 
-def tpm_feature(code, cfg):
-    """Pyramid-pooled feature z for one SparseCode (Eq. 5, on |X|)."""
+def tpm_feature(code, levels, mode, seed):
+    """Pyramid-pooled feature z for one SparseCode (Eq. 5, on |X|), unnormalized."""
+    check_pyramid_options(levels, mode)
     X = np.abs(code.to_dense())
     z = np.zeros(code.k)
-    stochastic = cfg.mode == "stochastic"
+    stochastic = mode == "stochastic"
     # counter-based streams keyed by (seed, hash(source), block), so draws do
     # not depend on the order beats or blocks are evaluated in
     key = _source_key(code.source_id) if stochastic else None
-    for bi, a, b in build_blocks(code.omega, cfg.levels):
+    for bi, a, b in build_blocks(code.omega, levels):
         if b - a == 1:
             # one window: both modes pool to its column (P = [1], or no mass)
             z += X[:, a]
             continue
-        rng = (np.random.default_rng(np.random.SeedSequence([cfg.seed, key, bi]))
+        rng = (np.random.default_rng(np.random.SeedSequence([seed, key, bi]))
                if stochastic else None)
-        z += pool_block(X[:, a:b], cfg.mode, rng)
-    return _unit(z) if cfg.normalize_output else z
+        z += pool_block(X[:, a:b], mode, rng)
+    return z
 
 
 def bow_histogram(assignments, k):
@@ -109,20 +103,18 @@ def bow_histogram(assignments, k):
     return np.bincount(assignments, minlength=k).astype(float)
 
 
-def bow_feature(code, normalize=True):
+def bow_feature(code):
     """Bag-of-words baseline for one SparseCode: each window votes for the
     atom of its largest |coefficient| (ties to the lowest atom); windows
-    with no coefficient cast no vote.  The histogram is l2-normalized
-    unless it is all zero or normalize is False.
+    with no coefficient cast no vote.  The histogram is unnormalized.
     """
     X = np.abs(code.to_dense())
     filled = np.flatnonzero(X.sum(axis=0) > 0)
     assign = np.argmax(X[:, filled], axis=0) if filled.size else []
-    h = bow_histogram(assign, code.k)
-    return _unit(h) if normalize else h
+    return bow_histogram(assign, code.k)
 
 
-def _unit(z):
+def unit(z):
     """z scaled to unit l2 norm, or z itself when it is all zero."""
     norm = np.linalg.norm(z)
     return z / norm if norm > 0.0 else z

@@ -108,7 +108,7 @@ def read_header(text):
         n_samp = int(head[3])
     except ValueError as e:
         raise ParseError(f"bad header field: {e}", line_no=1)
-    if fs <= 0 or n_sig < 1 or n_samp < 0:
+    if not 0 < fs < np.inf or n_sig < 1 or n_samp < 0:  # NaN fails too
         raise ParseError("header values out of range", line_no=1)
     dat_name = None
     if len(lines) > 1:

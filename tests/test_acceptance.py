@@ -28,14 +28,13 @@ from ecgsparse.codec import (
     reconstruct_beat,
 )
 from ecgsparse.dictionary import (
-    TrainConfig,
     kmeans_vq,
     load_dictionary,
     nearest_atoms,
     save_dictionary,
     train_online,
 )
-from ecgsparse.features import PyramidConfig, bow_feature, tpm_feature
+from ecgsparse.features import bow_feature, tpm_feature, unit
 from ecgsparse.ingest import decode_212
 from ecgsparse.sparse_coding import default_lambda, encode_all
 from ecgsparse.synthetic import amplitude_varying_beats, shifted_trio_beats
@@ -88,10 +87,9 @@ def test_acceptance_2_dictionary_recovery(capsys):
     # the data back to within 1% mean relative error, in under 60 seconds.
     t0 = time.perf_counter()
     _, _, Y = make_sparse_synthesis(10, 20, 2000, 5, seed=11)
-    result = train_online(Y, TrainConfig(k=20, lam=0.05, batch_size=64,
-                                         epochs=10, seed=11))
-    X = encode_all(result.dictionary, Y, lam=0.002)
-    resid = Y - result.dictionary @ X
+    D, _ = train_online(Y, 20, 0.05, batch_size=64, epochs=10, seed=11)
+    X = encode_all(D, Y, lam=0.002)
+    resid = Y - D @ X
     rel = np.linalg.norm(resid, axis=0) / np.linalg.norm(Y, axis=0)
     mean_rel = float(np.mean(rel))
     elapsed = time.perf_counter() - t0
@@ -113,8 +111,7 @@ def test_acceptance_3_sparse_beats_vq(capsys):
     windows = [wavelet.extract_windows(b, fb, w, s, wl).columns for b in beats]
     Y = np.hstack(windows)
 
-    D = train_online(Y, TrainConfig(k=310, lam=lam, batch_size=64,
-                                    epochs=3, seed=9)).dictionary
+    D, _ = train_online(Y, 310, lam, batch_size=64, epochs=3, seed=9)
     geometry = (w, s, fb, wl)
     recons = [reconstruct_beat(decompress(D, code), geometry)
               for code in compress(D, windows, lam)]
@@ -173,8 +170,7 @@ def test_acceptance_5_tpm_beats_bow(capsys):
     Y = np.hstack([fm.columns for fm in mats_train])
     rng = np.random.default_rng(3)
     Y = Y[:, rng.choice(Y.shape[1], size=3000, replace=False)]
-    D = train_online(Y, TrainConfig(k=150, lam=lam, batch_size=64,
-                                    epochs=2, seed=3)).dictionary
+    D, _ = train_online(Y, 150, lam, batch_size=64, epochs=2, seed=3)
 
     def codes(group, mats):  # one beat per call: the per-beat path is timed here
         return [next(compress(D, [fm.columns], lam, [b.label]))
@@ -183,12 +179,11 @@ def test_acceptance_5_tpm_beats_bow(capsys):
     codes_train = codes(train, mats_train)
     codes_test = codes(test, mats_test)
 
-    cfg = PyramidConfig(levels=2, mode="expectation", seed=3)
     def tpm_matrix(cs):
-        return np.vstack([tpm_feature(c, cfg) for c in cs])
+        return np.vstack([unit(tpm_feature(c, 2, "expectation", 3)) for c in cs])
 
     def bow_matrix(cs):
-        return np.vstack([bow_feature(c) for c in cs])
+        return np.vstack([unit(bow_feature(c)) for c in cs])
 
     labels_train = [c.label for c in codes_train]
     labels_test = np.array([c.label for c in codes_test])

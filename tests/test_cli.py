@@ -372,6 +372,29 @@ def test_evaluate_malformed_model_exits_2(capsys, small_chain, tmp_path):
         assert "CorruptFileError" in err and "Traceback" not in err
 
 
+def test_evaluate_duplicate_class_names_exits_2(capsys, tmp_path):
+    # a class listed twice would make per_class and the confusion rows
+    # disagree; load_model refuses it as a damaged file
+    model = tmp_path / "model.json"
+    pair = {"a": 0, "b": 1, "support_vectors": [[1.0, 0.0], [0.0, 1.0]],
+            "dual_coef": [1.0, -1.0], "bias": 0.0, "gamma": 1.0, "C": 8.0,
+            "converged": True}
+    feats = tmp_path / "feats.csv"
+    feats.write_text("N,1,0\nN,0,1\n")
+    report, confusion = tmp_path / "report.json", tmp_path / "confusion.csv"
+    for classes, want in ((["N", "V"], 0), (["N", "N"], 2)):
+        model.write_text(json.dumps({"classes": classes, "pairs": [pair]}))
+        status, _, err = run(capsys, "evaluate", "--model", str(model),
+                             "--features", str(feats), "--out-json", str(report),
+                             "--out-confusion", str(confusion))
+        assert status == want, err
+        assert report.exists() == confusion.exists() == (want == 0)
+        report.unlink(missing_ok=True)
+        confusion.unlink(missing_ok=True)
+    assert "CorruptFileError" in err and "duplicate class names" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_model_without_support_vectors(capsys, small_chain, tmp_path):
     # at a tiny C no pair retains a vector: train-svm writes
     # "support_vectors": [] and evaluate reads it, every pair deciding by its bias
@@ -983,6 +1006,9 @@ CONTRACT_CALLS = {  # id: (argv, output flag, exit code)
     "vq --k 0": (["train-dict", "--synthetic", "2", "--method", "vq", "--k", "0"],
                  "--out", 1),
     "odl --k 65537": (["train-dict", "--synthetic", "2", "--k", "65537"], "--out", 1),
+    "odl --batch-size 0": (["train-dict", "--synthetic", "2", "--batch-size", "0"],
+                           "--out", 1),
+    "odl --epochs 0": (["train-dict", "--synthetic", "2", "--epochs", "0"], "--out", 1),
     "--train-per-class -1": (["pipeline", "--synthetic", "4", "--train-per-class", "-1"],
                              "--out-dir", 1),
     "--train-total -3": (["pipeline", "--synthetic", "4", "--train-total", "-3"],

@@ -1,9 +1,11 @@
-"""The demo scripts run to the end.
+"""The demo scripts run to the end, and every name they import exists.
 
-pyramid_vs_bow.py is left out: acceptance 5 runs the same chain at a larger
-size.
+pyramid_vs_bow.py is left out of the runs: acceptance 5 runs the same chain
+at a larger size.  The import check covers every demo.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -26,3 +28,16 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_exist(script):
+    # parsed, not run: a renamed or removed API breaks a demo at import
+    tree = ast.parse((ROOT / "demos" / script).read_text())
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ecgsparse"):
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if not hasattr(module, a.name)]
+    assert not missing, missing

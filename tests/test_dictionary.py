@@ -13,8 +13,6 @@ from ecgsparse.errors import (
 )
 from ecgsparse.dictionary import (
     MAX_K,
-    OnlineStats,
-    TrainConfig,
     init_dictionary,
     kmeans_vq,
     load_dictionary,
@@ -54,39 +52,52 @@ def test_init_replaces_zero_columns():
 
 # --- sufficient statistics -----------------------------------------------------
 
+def _empty_stats(d, k):
+    return np.zeros((k, k)), np.zeros((d, k))
+
+
 def test_update_stats_zero_codes():
-    stats = OnlineStats.empty(d=3, k=4)
-    out = update_stats(stats, np.zeros((4, 5)), np.random.default_rng(0).standard_normal((3, 5)))
-    np.testing.assert_array_equal(out.A, np.zeros((4, 4)))
-    np.testing.assert_array_equal(out.B, np.zeros((3, 4)))
-    assert out.t == 1
-    assert stats.t == 0  # input untouched
+    A, B = _empty_stats(d=3, k=4)
+    A1, B1 = update_stats(A, B, np.zeros((4, 5)),
+                          np.random.default_rng(0).standard_normal((3, 5)))
+    np.testing.assert_array_equal(A1, np.zeros((4, 4)))
+    np.testing.assert_array_equal(B1, np.zeros((3, 4)))
+    assert A1 is not A and B1 is not B  # new arrays, inputs untouched
 
 
 def test_update_stats_outer_product():
-    stats = OnlineStats.empty(d=3, k=4)
+    A, B = _empty_stats(d=3, k=4)
     x = np.zeros((4, 1))
     x[1, 0] = 1.0
     y = np.array([[2.0], [3.0], [4.0]])
-    out = update_stats(stats, x, y)
+    A1, B1 = update_stats(A, B, x, y)
     expect_a = np.zeros((4, 4))
     expect_a[1, 1] = 1.0
-    np.testing.assert_array_equal(out.A, expect_a)
+    np.testing.assert_array_equal(A1, expect_a)
     expect_b = np.zeros((3, 4))
     expect_b[:, 1] = [2, 3, 4]
-    np.testing.assert_array_equal(out.B, expect_b)
+    np.testing.assert_array_equal(B1, expect_b)
+    np.testing.assert_array_equal(A, np.zeros((4, 4)))  # inputs untouched
+    np.testing.assert_array_equal(B, np.zeros((3, 4)))
 
 
 def test_update_stats_additivity():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((4, 6))
     Y = rng.standard_normal((3, 6))
-    whole = update_stats(OnlineStats.empty(3, 4), X, Y)
-    split = update_stats(update_stats(OnlineStats.empty(3, 4),
-                                      X[:, :2], Y[:, :2]), X[:, 2:], Y[:, 2:])
-    np.testing.assert_allclose(split.A, whole.A, atol=1e-9)
-    np.testing.assert_allclose(split.B, whole.B, atol=1e-9)
-    assert split.t == 2 and whole.t == 1
+    whole = update_stats(*_empty_stats(3, 4), X, Y)
+    split = update_stats(*update_stats(*_empty_stats(3, 4), X[:, :2], Y[:, :2]),
+                         X[:, 2:], Y[:, 2:])
+    np.testing.assert_allclose(split[0], whole[0], atol=1e-9)
+    np.testing.assert_allclose(split[1], whole[1], atol=1e-9)
+
+
+def test_update_stats_shape_checks():
+    A, B = _empty_stats(d=3, k=4)
+    with pytest.raises(ShapeMismatchError, match="batch shapes disagree"):
+        update_stats(A, B, np.zeros((4, 5)), np.zeros((3, 6)))
+    with pytest.raises(ShapeMismatchError, match="do not match the stats"):
+        update_stats(A, B, np.zeros((5, 5)), np.zeros((3, 5)))
 
 
 # --- atom updates ---------------------------------------------------------------
@@ -99,16 +110,16 @@ def _unit_dict(rng, d, k):
 def test_update_atoms_fixed_point():
     rng = np.random.default_rng(3)
     D = _unit_dict(rng, 5, 8)
-    stats = OnlineStats(A=np.eye(8), B=D.copy(), t=1)  # batch Y = D, X = I
-    out = update_atoms(D.copy(), stats, D.copy(), np.eye(8))
+    # batch Y = D, X = I
+    out = update_atoms(D.copy(), np.eye(8), D.copy(), D.copy(), np.eye(8))
     np.testing.assert_allclose(out, D, atol=1e-12)
 
 
 def test_update_atoms_ball_projection():
     rng = np.random.default_rng(4)
     D = _unit_dict(rng, 5, 8)
-    stats = OnlineStats(A=np.eye(8), B=2.0 * D, t=1)  # batch Y = 2D, X = I
-    out = update_atoms(D.copy(), stats, 2.0 * D, np.eye(8))
+    # batch Y = 2D, X = I
+    out = update_atoms(D.copy(), np.eye(8), 2.0 * D, 2.0 * D, np.eye(8))
     # u_j = 2 d_j projects straight back onto the unit sphere
     np.testing.assert_allclose(out, D, atol=1e-12)
 
@@ -118,12 +129,12 @@ def test_update_atoms_surrogate_non_increasing():
     D = _unit_dict(rng, 6, 10)
     X = rng.standard_normal((10, 30)) * (rng.random((10, 30)) < 0.3)
     Y = _unit_dict(rng, 6, 10) @ X + 0.01 * rng.standard_normal((6, 30))
-    stats = update_stats(OnlineStats.empty(6, 10), X, Y)
-    before = surrogate(D, stats)
+    A, B = update_stats(*_empty_stats(6, 10), X, Y)
+    before = surrogate(D, A, B)
     out = D.copy()
     for _ in range(3):
-        out = update_atoms(out, stats, Y, X)
-    assert surrogate(out, stats) <= before + 1e-12
+        out = update_atoms(out, A, B, Y, X)
+    assert surrogate(out, A, B) <= before + 1e-12
     assert np.all(np.linalg.norm(out, axis=0) <= 1.0 + 1e-9)
 
 
@@ -138,7 +149,7 @@ def test_update_atoms_reseeds_dead_atoms():
     Yb = rng.standard_normal((5, 7))
     Xb = np.zeros((4, 7))
     counts = {"reseeds": 2}
-    out = update_atoms(D.copy(), OnlineStats(A=A, B=B, t=1), Yb=Yb, Xb=Xb, counts=counts)
+    out = update_atoms(D.copy(), A, B, Yb=Yb, Xb=Xb, counts=counts)
     assert np.max(np.abs(out[:, 2] - dead)) > 1e-6
     assert np.linalg.norm(out[:, 2]) == pytest.approx(1.0, abs=1e-9)
     assert counts == {"reseeds": 3}  # one atom re-seeded, added to the tally
@@ -147,32 +158,33 @@ def test_update_atoms_reseeds_dead_atoms():
 # --- full training ---------------------------------------------------------------
 
 def test_train_config_validation():
-    with pytest.raises(BadConfigError):
-        TrainConfig(k=10, lam=0.1, epochs=0)
-    with pytest.raises(BadConfigError):
-        TrainConfig(k=10, lam=-0.1)
-    with pytest.raises(BadConfigError):
-        TrainConfig(k=10, lam=0.1, batch_size=0)
-    with pytest.raises(BadConfigError):
-        TrainConfig(k=MAX_K + 1, lam=0.1)
+    # the checks run before Y is read, k first, then lambda, batch size, epochs
+    Y = np.zeros((8, 20))
+    with pytest.raises(BadConfigError, match="epochs must be >= 1"):
+        train_online(Y, 10, 0.1, batch_size=64, epochs=0, seed=0)
+    with pytest.raises(BadConfigError, match="lambda must be finite and positive"):
+        train_online(Y, 10, -0.1, batch_size=64, epochs=0, seed=0)
+    with pytest.raises(BadConfigError, match="batch_size must be >= 1"):
+        train_online(Y, 10, 0.1, batch_size=0, epochs=0, seed=0)
+    with pytest.raises(BadConfigError, match=r"k must be in \[1, 65536\]"):
+        train_online(Y, MAX_K + 1, float("nan"), batch_size=0, epochs=0, seed=0)
+    with pytest.raises(BadConfigError, match="overcomplete"):
+        train_online(Y, 8, 0.1, batch_size=64, epochs=1, seed=0)
 
 
 def test_train_online_deterministic():
     _, _, Y = make_sparse_synthesis(d=8, k=12, n=200, sparsity=3, seed=0)
-    cfg = TrainConfig(k=12, lam=0.1, batch_size=32, epochs=2, seed=5)
-    D1 = train_online(Y, cfg).dictionary
-    D2 = train_online(Y, cfg).dictionary
+    D1, _ = train_online(Y, 12, 0.1, batch_size=32, epochs=2, seed=5)
+    D2, _ = train_online(Y, 12, 0.1, batch_size=32, epochs=2, seed=5)
     np.testing.assert_array_equal(D1, D2)
 
 
 def test_train_online_objective_improves():
     _, _, Y = make_sparse_synthesis(d=8, k=12, n=400, sparsity=3, seed=1)
-    cfg = TrainConfig(k=12, lam=0.1, batch_size=32, epochs=3, seed=0)
-    result = train_online(Y, cfg)
-    log = result.objective_log
+    D, log = train_online(Y, 12, 0.1, batch_size=32, epochs=3, seed=0)
     per_epoch = len(log) // 3
     assert np.mean(log[-per_epoch:]) <= np.mean(log[:per_epoch])
-    assert np.all(np.linalg.norm(result.dictionary, axis=0) > 0)
+    assert np.all(np.linalg.norm(D, axis=0) > 0)
 
 
 # --- k-means baseline ---------------------------------------------------------

@@ -9,14 +9,15 @@ from ecgsparse.errors import BadConfigError, ParseError
 from ecgsparse.codec import SparseCode
 from ecgsparse.features import (
     MAX_LEVELS,
-    PyramidConfig,
     bow_feature,
     bow_histogram,
     build_blocks,
+    check_pyramid_options,
     format_features_csv,
     parse_features_csv,
     pool_block,
     tpm_feature,
+    unit,
 )
 
 
@@ -65,16 +66,21 @@ def test_build_blocks_bad_omega():
 def test_pyramid_config_bounds():
     # past MAX_LEVELS a level only repeats single-window blocks; at the top
     # level a beat still pools each non-empty block once
-    with pytest.raises(BadConfigError):
-        PyramidConfig(levels=-1)
-    with pytest.raises(BadConfigError):
-        PyramidConfig(levels=MAX_LEVELS + 1)
-    with pytest.raises(BadConfigError):
-        PyramidConfig(mode="max")
+    with pytest.raises(BadConfigError, match=r"levels must be in \[0, 64\], got -1"):
+        check_pyramid_options(-1, "expectation")
+    with pytest.raises(BadConfigError, match="got 65"):
+        check_pyramid_options(MAX_LEVELS + 1, "expectation")
+    with pytest.raises(BadConfigError, match="unknown pooling mode 'max'"):
+        check_pyramid_options(2, "max")
     code = make_code(np.random.default_rng(0).standard_normal((5, 11)))
+    # tpm_feature makes the same checks
+    with pytest.raises(BadConfigError, match="got 65"):
+        tpm_feature(code, MAX_LEVELS + 1, "expectation", 0)
+    with pytest.raises(BadConfigError, match="unknown pooling mode 'max'"):
+        tpm_feature(code, 2, "max", 0)
     assert len(build_blocks(11, MAX_LEVELS)) == 1 + 2 + 4 + 8 + 11 * (MAX_LEVELS - 3)
     for mode in ("expectation", "stochastic"):
-        z = tpm_feature(code, PyramidConfig(levels=MAX_LEVELS, mode=mode))
+        z = unit(tpm_feature(code, MAX_LEVELS, mode, 0))
         assert z.shape == (5,) and np.linalg.norm(z) == pytest.approx(1.0)
 
 
@@ -132,22 +138,22 @@ def make_code(X, label="N", source_id="b0"):
 
 def test_tpm_zero_code():
     code = make_code(np.zeros((5, 4)))
-    z = tpm_feature(code, PyramidConfig(levels=2))
+    z = tpm_feature(code, 2, "expectation", 0)
     np.testing.assert_array_equal(z, np.zeros(5))
+    np.testing.assert_array_equal(unit(z), np.zeros(5))  # all zero stays zero
 
 
 def test_tpm_single_window_level0():
     c = np.array([[1.0], [-2.0], [0.0]])
     code = make_code(c)
-    cfg = PyramidConfig(levels=0, normalize_output=False)
-    np.testing.assert_allclose(tpm_feature(code, cfg), np.abs(c[:, 0]),
+    np.testing.assert_allclose(tpm_feature(code, 0, "expectation", 0), np.abs(c[:, 0]),
                                atol=1e-12)
 
 
 def test_tpm_normalized_output():
     rng = np.random.default_rng(4)
     code = make_code(rng.standard_normal((6, 8)))
-    z = tpm_feature(code, PyramidConfig(levels=2))
+    z = unit(tpm_feature(code, 2, "expectation", 0))
     assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
     assert np.all(z >= 0)
 
@@ -155,13 +161,12 @@ def test_tpm_normalized_output():
 def test_tpm_deterministic_stochastic_mode():
     rng = np.random.default_rng(5)
     code = make_code(rng.standard_normal((6, 8)), source_id="beat-42")
-    cfg = PyramidConfig(levels=2, mode="stochastic", seed=9)
-    z1 = tpm_feature(code, cfg)
-    z2 = tpm_feature(code, cfg)
+    z1 = tpm_feature(code, 2, "stochastic", 9)
+    z2 = tpm_feature(code, 2, "stochastic", 9)
     np.testing.assert_array_equal(z1, z2)
     # a different source id draws differently somewhere
     other = make_code(code.to_dense(), source_id="beat-43")
-    z3 = tpm_feature(other, cfg)
+    z3 = tpm_feature(other, 2, "stochastic", 9)
     assert not np.array_equal(z1, z3)
 
 
@@ -173,22 +178,21 @@ def _block_rng(seed, source_id, block_index):
     return np.random.default_rng(np.random.SeedSequence([seed, key, block_index]))
 
 
-def _full_pyramid_tpm(code, cfg):
+def _full_pyramid_tpm(code, levels, mode, seed):
     """Reference: pool all 2^(L+1) - 1 ranges in order, empty ones included."""
     X = np.abs(code.to_dense())
     z = np.zeros(code.k)
     bi = 0
-    for level in range(cfg.levels + 1):
+    for level in range(levels + 1):
         base, rem = divmod(code.omega, 2 ** level)
         start = 0
         for i in range(2 ** level):
             stop = start + base + (1 if i < rem else 0)
-            rng = (_block_rng(cfg.seed, code.source_id, bi)
-                   if cfg.mode == "stochastic" else None)
-            z += pool_block(X[:, start:stop], cfg.mode, rng)
+            rng = (_block_rng(seed, code.source_id, bi)
+                   if mode == "stochastic" else None)
+            z += pool_block(X[:, start:stop], mode, rng)
             start, bi = stop, bi + 1
-    norm = np.linalg.norm(z)
-    return z / norm if cfg.normalize_output and norm > 0.0 else z
+    return z
 
 
 def test_tpm_matches_full_pyramid_walk():
@@ -200,11 +204,11 @@ def test_tpm_matches_full_pyramid_walk():
         code = make_code(X, source_id=f"b{omega}")
         for levels in range(5):
             for mode in ("expectation", "stochastic"):
-                for normalize in (True, False):
-                    cfg = PyramidConfig(levels=levels, mode=mode, seed=omega,
-                                        normalize_output=normalize)
-                    assert np.array_equal(tpm_feature(code, cfg),
-                                          _full_pyramid_tpm(code, cfg))
+                z = tpm_feature(code, levels, mode, omega)
+                ref = _full_pyramid_tpm(code, levels, mode, omega)
+                assert np.array_equal(z, ref)
+                norm = np.linalg.norm(ref)
+                assert np.array_equal(unit(z), ref / norm if norm > 0.0 else ref)
 
 
 def test_tpm_sees_permutation_bow_does_not():
@@ -215,9 +219,8 @@ def test_tpm_sees_permutation_bow_does_not():
     X[1, 1] = 1.0
     X[2, 2] = 1.0
     Xp = X[:, ::-1]
-    cfg = PyramidConfig(levels=1, normalize_output=False)
-    z = tpm_feature(make_code(X), cfg)
-    zp = tpm_feature(make_code(Xp), cfg)
+    z = tpm_feature(make_code(X), 1, "expectation", 0)
+    zp = tpm_feature(make_code(Xp), 1, "expectation", 0)
     assert np.max(np.abs(z - zp)) > 1e-9
     h = bow_histogram(np.argmax(np.abs(X), axis=0), 4)
     hp = bow_histogram(np.argmax(np.abs(Xp), axis=0), 4)
@@ -241,12 +244,12 @@ def test_bow_feature_hand_built_code():
     X[1, 2], X[3, 2], X[4, 2] = -3.0, 1.0, 3.0
     X[4, 3] = 0.1
     code = make_code(X, label="V")
-    raw = bow_feature(code, normalize=False)
+    raw = bow_feature(code)
     np.testing.assert_array_equal(raw, [0.0, 1.0, 1.0, 0.0, 1.0])
-    np.testing.assert_allclose(bow_feature(code),
+    np.testing.assert_allclose(unit(raw),
                                np.array([0.0, 1.0, 1.0, 0.0, 1.0]) / np.sqrt(3.0),
                                rtol=0, atol=1e-15)
-    empty = bow_feature(make_code(np.zeros((5, 3))))
+    empty = unit(bow_feature(make_code(np.zeros((5, 3)))))
     np.testing.assert_array_equal(empty, np.zeros(5))
 
 
@@ -260,8 +263,8 @@ def test_bow_count_conservation():
 
 def test_features_csv_roundtrip():
     rng = np.random.default_rng(7)
-    Z = np.vstack([tpm_feature(make_code(rng.standard_normal((5, 6)), source_id=f"b{i}"),
-                               PyramidConfig(levels=1))
+    Z = np.vstack([unit(tpm_feature(make_code(rng.standard_normal((5, 6)),
+                                              source_id=f"b{i}"), 1, "expectation", 0))
                    for i in range(4)])
     text = format_features_csv(["N", "V", "/", "Q"], Z)
     labels, again = parse_features_csv(text.splitlines())

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgsparse.cli import run_command
 from ecgsparse.errors import ParseError, TruncatedInputError
 from ecgsparse.ingest import (
     BEAT_LENGTH,
@@ -78,6 +79,22 @@ def test_read_header():
 def test_read_header_malformed():
     with pytest.raises(ParseError):
         read_header("garbage\n")
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf", "1e400", "-inf"])
+def test_read_header_non_finite_rate(fs, tmp_path, capsys):
+    # a damaged sampling rate is the header's fault, named on its line 1
+    with pytest.raises(ParseError, match="line 1: header values out of range"):
+        read_header(f"r9 1 {fs} 2000\nr9.dat 212 200 11 1024 0 0 0 MLII\n")
+    (tmp_path / "r9.hea").write_text(f"r9 1 {fs} 2000\nr9.dat 212 200 11 1024 0 0 0 MLII\n")
+    (tmp_path / "r9.dat").write_bytes(encode_212([0] * 2000, [0] * 2000))
+    (tmp_path / "r9.csv").write_text("1000,N\n")
+    status = run_command(["ingest", "--record", str(tmp_path / "r9.hea"),
+                          "--annotations", str(tmp_path / "r9.csv"),
+                          "--out", str(tmp_path / "beats.csv")])
+    err = capsys.readouterr().err
+    assert status == 2 and "ParseError" in err, err
+    assert not (tmp_path / "beats.csv").exists()
 
 
 def test_read_wfdb_roundtrip(tmp_path):

@@ -93,9 +93,9 @@ def check_optimality(problem, x, tol=OPT_TOL):
     return worst
 
 
-def surrogate(D, stats):
+def surrogate(D, A, B):
     """0.5*Tr(D'DA) - Tr(D'B): the quantity update_atoms descends."""
-    return 0.5 * float(np.sum((D.T @ D) * stats.A)) - float(np.sum(D * stats.B))
+    return 0.5 * float(np.sum((D.T @ D) * A)) - float(np.sum(D * B))
 
 
 def make_sparse_synthesis(d, k, n, sparsity, seed=0, noise=0.0):
