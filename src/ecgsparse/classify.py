@@ -74,17 +74,18 @@ def _check_problem(Z, y, C, gamma):
     return Z, y
 
 
-def _smo_lockstep(problems):
+def _smo_lockstep(problems, counts):
     """SMO on many checked problems (Z, y, C, gamma, max_updates) at once.
 
     Working pairs are chosen by maximal KKT violation (largest b_low - b_up
     gap); a problem converges when the gap drops to KKT_TOL, and one that
     hits its update cap ends with converged=False rather than raising.
-    Returns one BinarySvmModel per problem, in order, and the number of
-    pair updates made.  Consecutive problems run together in chunks whose
-    padded kernel stack stays within SMO_CHUNK_BYTES.
+    Consecutive problems run together in chunks whose padded kernel stack
+    stays within SMO_CHUNK_BYTES.  Yields one BinarySvmModel per problem,
+    in order, each chunk's as the chunk finishes, and adds the pair updates
+    made into counts["smo_updates"].
     """
-    models, updates, start = [], 0, 0
+    start = 0
     while start < len(problems):
         stop, n = start + 1, len(problems[start][1])
         while stop < len(problems):
@@ -92,11 +93,11 @@ def _smo_lockstep(problems):
             if (stop + 1 - start) * wider * wider * 8 > SMO_CHUNK_BYTES:
                 break
             stop, n = stop + 1, wider
-        chunk_models, chunk_updates = _smo_chunk(problems[start:stop])
-        models += chunk_models
-        updates += chunk_updates
+        models, updates = _smo_chunk(problems[start:stop])
+        counts["smo_updates"] += updates
         start = stop
-    return models, updates
+        yield from models
+        del models  # let the caller's dropped models go before the next chunk
 
 
 def _smo_chunk(problems):
@@ -237,26 +238,28 @@ def _ovo_pairs(Z, labels):
     return classes, pairs
 
 
-def _ovo_batch(splits, points):
+def _ovo_batch(splits, points, counts):
     """One-vs-one models at each (C, gamma) of points on each split (Z,
     labels), every pair of every split trained in one lockstep SMO batch;
-    each pair's model is bit-identical to solving it alone.  Returns per
-    point the models of the splits, in order, and the SMO pair updates made.
+    each pair's model is bit-identical to solving it alone.  Every problem
+    is built and checked before any is solved.  Yields per point the models
+    of the splits, in order, as soon as they are trained, and adds the SMO
+    pair updates made into counts["smo_updates"].
     """
     pairs_of = [_ovo_pairs(Z, labels) for Z, labels in splits]
-    models, updates = _smo_lockstep([
+    solved = _smo_lockstep([
         (*_check_problem(Zp, y, C, gamma), C, gamma, SMO_MAX_UPDATES)
-        for C, gamma in points for _, pairs in pairs_of for _, Zp, y in pairs])
-    solved = iter(models)
-    return [[OvoModel(classes=classes, models={key: next(solved) for key, _, _ in pairs})
-             for classes, pairs in pairs_of]
-            for _ in points], updates
+        for C, gamma in points for _, pairs in pairs_of for _, Zp, y in pairs], counts)
+    for _ in points:
+        yield [OvoModel(classes=classes, models={key: next(solved) for key, _, _ in pairs})
+               for classes, pairs in pairs_of]
 
 
 def ovo_train(Z, labels, C, gamma):
     """One-vs-one models at (C, gamma), every pair trained in one lockstep
     SMO batch."""
-    [[model]], _ = _ovo_batch([(np.asarray(Z, dtype=float), labels)], [(C, gamma)])
+    [[model]] = _ovo_batch([(np.asarray(Z, dtype=float), labels)], [(C, gamma)],
+                           {"smo_updates": 0})
     return model
 
 
@@ -308,21 +311,23 @@ def cross_validate(Z, labels, points, folds=5, seed=0):
     """Mean held-out accuracy at each (C, gamma) of points over the same
     stratified seeded folds.
 
-    Every (point, fold, pair) SVM is trained in one lockstep SMO batch.
-    Returns the accuracies, in the order of points, and the number of SMO
-    pair updates made.
+    Every (point, fold, pair) SVM is trained in one lockstep SMO batch, and
+    each point is scored as soon as its models are trained, so only the
+    models of one SMO chunk are held at a time.  Returns the accuracies, in
+    the order of points, and the number of SMO pair updates made.
     """
     Z = np.asarray(Z, dtype=float)
     labels = np.array(list(labels))
     fold_of = stratified_folds(labels, folds, seed)
     tests = [fold_of == f for f in range(folds)]
-    models, updates = _ovo_batch([(Z[~test], labels[~test]) for test in tests], points)
+    counts = {"smo_updates": 0}
     scores = []
-    for point_models in models:
+    for point_models in _ovo_batch([(Z[~test], labels[~test]) for test in tests], points,
+                                   counts):
         accs = [float(np.mean(ovo_predict_batch(model, Z[test]) == labels[test]))
                 for model, test in zip(point_models, tests)]
         scores.append(float(np.mean(accs)))
-    return scores, updates
+    return scores, counts["smo_updates"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from .fileio import atomic_write_chunks
 from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
 from .sparse_coding import BLOCK_COLUMNS, encode_all
-from .wavelet import Pyramid, idwt, pyramid_layout
+from .wavelet import feature_dimension, idwt
 
 
 @dataclass(eq=False)
@@ -162,18 +162,16 @@ def reconstruct_beat(Y_hat, geometry):
     w, s, fb, wl = geometry
     n = BEAT_LENGTH
     cols = np.asarray(Y_hat, dtype=float)
-    sizes, lengths = pyramid_layout(fb, w, wl)
+    d = feature_dimension(fb, w, wl)
     omega = cols.shape[1]
     positions = np.arange(omega) * s
     if omega and positions[-1] + w > n:
         raise ShapeMismatchError(
             f"{omega} windows of length {w} at stride {s} overrun {n} samples")
-    if len(cols) != sum(sizes):
+    if len(cols) != d:
         raise ShapeMismatchError(
-            f"feature column has {len(cols)} coefficients, geometry implies {sum(sizes)}")
-    ends = list(itertools.accumulate(sizes))
-    bands = [cols[end - size:end].T for size, end in zip(sizes, ends)]
-    windows = idwt(Pyramid(approx=bands[0], details=bands[1:], lengths=lengths), fb)
+            f"feature column has {len(cols)} coefficients, geometry implies {d}")
+    windows = idwt(cols.T, fb, w, wl)
     samples = (positions[:, None] + np.arange(w)).ravel()
     acc = np.zeros(n)
     np.add.at(acc, samples, windows.ravel())  # in order, window by window

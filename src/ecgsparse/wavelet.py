@@ -1,9 +1,10 @@
 """Discrete wavelet transform machinery.
 
 Provides the three filter banks used in the pipeline (haar, db4, bior2.6),
-single- and multi-level DWT/IDWT with half-point symmetric extension of a
-signal or of each row of an array,
-wavelet denoising (baseline-drift removal + soft thresholding), and the
+multi-level DWT/IDWT with half-point symmetric extension of a signal or of
+each row of an array (dwt returns, and idwt takes, one coefficient array:
+the approximation, then the details coarse to fine), wavelet denoising of
+one signal (baseline-drift removal + soft thresholding), and the
 sliding-window local wavelet feature extractor.
 
 Conventions
@@ -22,7 +23,7 @@ reconstruction then reduces to the half-band condition on
 conv(rec_lo, dec_lo), satisfied by construction below.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,8 +127,9 @@ def filter_bank(name):
 # every output whose inputs all lie in the signal as one dot product of
 # len(h) terms, the same however long the signal is, so one convolution of
 # the rows laid end to end gives each row's outputs; the outputs that
-# straddle two rows are dropped.  Full mode's edge outputs are shorter dot
-# products (NumPy's dot routine), which a stack of one-row matmuls makes too.
+# straddle two rows are dropped.  Synthesis' one full-mode edge output is a
+# shorter dot product (NumPy's dot routine), which a stack of one-row
+# matmuls makes too.
 
 
 def _rows(R, m, L):
@@ -147,27 +149,15 @@ def _convolve_rows(flat, m, h):
     return np.convolve(flat, h, mode="valid").reshape(R, m)[:, :m - len(h) + 1]
 
 
-def _edge_dot(u, hr):
-    """Dot of each row of u with hr, as np.convolve takes an edge output."""
-    return (u[:, None, :] @ hr[:, None])[:, 0, 0]
-
-
 def _full_rows(u, flat, h, n):
     """Samples L - 2 to L - 3 + n of np.convolve(row, h), L = len(h), for
     every row of u, the _rows array of flat, where L <= len(row) and 1 <= n
-    <= len(row) + 1.
-
-    Sample L - 2 is the left edge; from sample len(row) on the right edge
-    is reached, which only a hand-built pyramid does.
-    """
-    L, m = len(h), u.shape[1]
+    <= len(row) - L + 2: the left-edge sample, then valid outputs."""
+    L = len(h)
     hr = h[::-1].copy()  # np.convolve correlates with a contiguous reversed h
     out = np.empty((len(u), n))
-    out[:, 0] = _edge_dot(u[:, :L - 1], hr[1:])
-    inner = _convolve_rows(flat, m, h)[:, :n - 1]
-    out[:, 1:1 + inner.shape[1]] = inner
-    for t in range(n - 1 - inner.shape[1]):
-        out[:, 1 + inner.shape[1] + t] = _edge_dot(u[:, m - L + 1 + t:], hr[:L - 1 - t])
+    out[:, 0] = (u[:, None, :L - 1] @ hr[1:, None])[:, 0, 0]
+    out[:, 1:] = _convolve_rows(flat, u.shape[1], h)[:, :n - 1]
     return out
 
 
@@ -182,55 +172,31 @@ def _analyze(x, fb):
 
 
 def _synthesize(a, d, n, fb):
-    if a.shape[1] != d.shape[1]:
-        raise ShapeMismatchError(
-            f"approximation/detail length mismatch: {a.shape[1]} vs {d.shape[1]}")
+    """n samples from the rows of a and d, A coefficients each.  Every stage
+    of a dwt layout has n >= L, A = (n + L - 1) // 2, so 2A >= L and n <= 2A
+    - L + 2, as _full_rows needs."""
     L, A = fb.length, a.shape[1]
     ua, flat_a = _rows(len(a), 2 * A, L)
     ua[:, 0::2] = a
     ud, flat_d = _rows(len(d), 2 * A, L)
     ud[:, 0::2] = d
-    if 2 * A >= L and 1 <= n <= 2 * A + 1:
-        return _full_rows(ua, flat_a, fb.rec_lo, n) + _full_rows(ud, flat_d, fb.rec_hi, n)
-    # hand-built pyramids only: row by row, where np.convolve swaps its
-    # operands (2A < L), and for the errors of lengths that do not fit
-    r = np.reshape([np.convolve(u, fb.rec_lo) + np.convolve(v, fb.rec_hi)
-                    for u, v in zip(ua, ud)], (len(a), 2 * A + L - 1))
-    out = r[:, L - 2:L - 2 + n]
-    if out.shape[1] != n:
-        raise ShapeMismatchError(
-            f"cannot reconstruct {n} samples from {A} coefficients")
-    return out
+    return _full_rows(ua, flat_a, fb.rec_lo, n) + _full_rows(ud, flat_d, fb.rec_hi, n)
 
 
 # ---------------------------------------------------------------------------
-# multi-level pyramid
+# multi-level transform
+#
+# The coefficients of a signal are one vector: the approximation, then the
+# details coarse to fine (deepest level first).  Its layout, the size of
+# each band and the signal length each synthesis stage restores, follows
+# from (fb, n, levels) alone.
 
 
-@dataclass
-class Pyramid:
-    """Multi-level DWT coefficients of a signal, or of each row of an array.
-
-    Each band holds one row of coefficients per signal (a 1-D band for a
-    1-D signal).  details are ordered coarse to fine (deepest level first);
-    lengths[i] records the signal length that was analyzed to produce
-    details[i], which the synthesis pass needs to trim each stage correctly.
-    """
-
-    approx: np.ndarray
-    details: list = field(default_factory=list)
-    lengths: list = field(default_factory=list)
-
-    def concat(self):
-        """All coefficients along the last axis: approx, then details
-        coarse->fine."""
-        return np.concatenate([self.approx] + list(self.details), axis=-1)
-
-
-def pyramid_layout(fb, n, levels):
+def _pyramid_layout(fb, n, levels):
     """(sizes, lengths) of dwt on length-n signals, found without a
     transform: the coefficient counts of the approximation and of each
-    detail coarse to fine, and Pyramid.lengths.  Raises as dwt does."""
+    detail coarse to fine, and the signal length that each detail's
+    analysis took in, coarse to fine.  Raises as dwt does."""
     if levels < 1:
         raise BadConfigError("levels must be >= 1")
     if int(n).bit_length() <= levels:  # n < 2**levels, without building 2**levels
@@ -247,7 +213,9 @@ def pyramid_layout(fb, n, levels):
 
 def dwt(signal, fb, levels):
     """Multi-level analysis with half-point symmetric extension of a 1-D
-    signal, or of each row of a 2-D array.
+    signal, or of each row of a 2-D array.  Returns the coefficients, one
+    row per signal (a vector for a 1-D signal): the approximation, then
+    the details coarse to fine.
 
     Raises TooShortError if the signal (or any intermediate approximation)
     is shorter than the analysis filters, or shorter than 2**levels.
@@ -255,30 +223,35 @@ def dwt(signal, fb, levels):
     x = np.asarray(signal, dtype=float)
     if x.ndim not in (1, 2):
         raise ShapeMismatchError("dwt expects a 1-D signal or a 2-D array of rows")
-    _, lengths = pyramid_layout(fb, x.shape[-1], levels)
-    rows = np.atleast_2d(x)
-    details = []
-    for _ in lengths:
-        rows, d = _analyze(rows, fb)
-        details.insert(0, d)
-    if x.ndim == 1:
-        rows, details = rows[0], [d[0] for d in details]
-    return Pyramid(approx=rows, details=details, lengths=lengths)
+    _pyramid_layout(fb, x.shape[-1], levels)  # for its refusals
+    bands = [np.atleast_2d(x)]
+    for _ in range(levels):
+        a, d = _analyze(bands[0], fb)
+        bands[:1] = [a, d]
+    coeffs = np.concatenate(bands, axis=1)
+    return coeffs[0] if x.ndim == 1 else coeffs
 
 
-def idwt(pyramid, fb):
-    """Invert dwt, of one signal or of each row; exact to roundoff under the
-    same filter bank."""
-    x = np.asarray(pyramid.approx, dtype=float)
-    if len(pyramid.details) != len(pyramid.lengths):
-        raise ShapeMismatchError("pyramid details/lengths are inconsistent")
-    rows = np.atleast_2d(x)
-    for d, n in zip(pyramid.details, pyramid.lengths):
-        d = np.asarray(d, dtype=float)
-        if d.shape[:-1] != x.shape[:-1]:
-            raise ShapeMismatchError("pyramid bands differ in their number of rows")
-        rows = _synthesize(rows, np.atleast_2d(d), n, fb)
-    return rows[0] if x.ndim == 1 else rows
+def idwt(coeffs, fb, n, levels):
+    """Invert dwt of length-n signals at levels levels, for one coefficient
+    vector or for each row; exact to roundoff under the same filter bank.
+
+    Raises on n and levels as dwt does, and ShapeMismatchError when the
+    coefficients are not the layout's.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim not in (1, 2):
+        raise ShapeMismatchError("idwt expects a coefficient vector or a 2-D array of rows")
+    sizes, lengths = _pyramid_layout(fb, n, levels)
+    if c.shape[-1] != sum(sizes):
+        raise ShapeMismatchError(f"{c.shape[-1]} coefficients, but a length-{n} signal "
+                                 f"at {levels} levels has {sum(sizes)}")
+    rows = np.atleast_2d(c)
+    x, end = rows[:, :sizes[0]], sizes[0]
+    for size, m in zip(sizes[1:], lengths):
+        x = _synthesize(x, rows[:, end:end + size], m, fb)
+        end += size
+    return x[0] if c.ndim == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +267,16 @@ def denoise(signal, fb, levels, threshold_scale=1.0):
     median(|d1|) / 0.6745.
     """
     x = np.asarray(signal, dtype=float)
-    pyr = dwt(x, fb, levels)
-    pyr.approx = np.zeros_like(pyr.approx)
-    finest = pyr.details[-1]
-    sigma = float(np.median(np.abs(finest))) / 0.6745 if len(finest) else 0.0
+    if x.ndim != 1:
+        raise ShapeMismatchError("denoise expects a 1-D signal")
+    c = dwt(x, fb, levels)
+    sizes, _ = _pyramid_layout(fb, len(x), levels)
+    sigma = float(np.median(np.abs(c[len(c) - sizes[-1]:]))) / 0.6745
     thr = threshold_scale * sigma * np.sqrt(2.0 * np.log(max(len(x), 2)))
-    pyr.details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0) for d in pyr.details]
-    return idwt(pyr, fb)
+    d = c[sizes[0]:]
+    c[:sizes[0]] = 0.0
+    c[sizes[0]:] = np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
+    return idwt(c, fb, len(x), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +285,17 @@ def denoise(signal, fb, levels, threshold_scale=1.0):
 
 @dataclass
 class FeatureMatrix:
-    """d x Omega matrix of local wavelet feature columns for one beat."""
+    """d x Omega matrix of local wavelet feature columns for one beat.
+
+    Kept as a wrapper rather than a bare array because the benchmark
+    harness (perfbench/checks.py) reads its .columns."""
 
     columns: np.ndarray
 
 
 def feature_dimension(fb, w, wl):
     """Coefficient count of the per-window feature for geometry (fb, w, wl)."""
-    return sum(pyramid_layout(fb, w, wl)[0])
+    return sum(_pyramid_layout(fb, w, wl)[0])
 
 
 def window_starts(n, w, s):
@@ -344,4 +323,4 @@ def extract_windows(beat, fb, w, s, wl):
     if int(w).bit_length() <= wl:  # w < 2**wl
         raise BadConfigError(f"w={w} < 2**wl = 2**{wl}")
     windows = x[starts[:, None] + np.arange(w)]
-    return FeatureMatrix(columns=np.ascontiguousarray(dwt(windows, fb, wl).concat().T))
+    return FeatureMatrix(columns=np.ascontiguousarray(dwt(windows, fb, wl).T))

@@ -292,6 +292,13 @@ def _reference_batch():
             + [(*_random_smo_problem(seed), 3000) for seed in range(40)])
 
 
+def _lockstep(batch):
+    """_smo_lockstep's models as a list, and the pair updates it counted."""
+    counts = {"smo_updates": 0}
+    models = list(classify._smo_lockstep(batch, counts))
+    return models, counts["smo_updates"]
+
+
 @pytest.mark.parametrize("chunk_bytes", [None, 4 * 60 * 60 * 8])
 def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
     problems = _reference_batch()
@@ -307,7 +314,7 @@ def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
     monkeypatch.setattr(classify, "_smo_chunk", counting_chunk)
     batch = [(*classify._check_problem(Z, y, C, gamma), C, gamma, cap)
              for Z, y, C, gamma, cap in problems]
-    models, updates = classify._smo_lockstep(batch)
+    models, updates = _lockstep(batch)
     assert sum(chunks) == len(problems)
     assert (len(chunks) == 1) == (chunk_bytes is None)
     for (Z, y, C, gamma, cap), got in zip(problems, models):
@@ -317,7 +324,7 @@ def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
         assert got.b == want.b
         assert got.converged == want.converged
     # the update count is the sum of the problems solved one at a time
-    alone = [classify._smo_lockstep([p])[1] for p in batch]
+    alone = [_lockstep([p])[1] for p in batch]
     assert updates == sum(alone) and alone[3] == 5
 
 
@@ -336,6 +343,32 @@ def test_cross_validate_many_matches_per_fold_training():
             accs.append(float(np.mean(ovo_predict_batch(model, Z[test]) == lab[test])))
         assert score == float(np.mean(accs))
     assert updates > 0
+
+
+def test_cross_validate_predicts_before_the_last_chunk_is_trained(monkeypatch):
+    # each point is scored as soon as its models exist, not after every
+    # (point, fold, pair) model of the batch is held at once
+    rng = np.random.default_rng(18)
+    Z, labels = blobs(rng, [(0, 0), (1.2, 0), (0, 1.2)], 9, spread=0.7)
+    points = [(0.5, 0.25), (8.0, 2.0), (100.0, 0.05)]
+    want = cross_validate(Z, labels, points, 3, 4)
+    monkeypatch.setattr(classify, "SMO_CHUNK_BYTES", 4 * 18 * 18 * 8)
+    calls = []
+    run_chunk, predict = classify._smo_chunk, classify.ovo_predict_batch
+
+    def logged_chunk(batch):
+        calls.append("chunk")
+        return run_chunk(batch)
+
+    def logged_predict(model, Z):
+        calls.append("predict")
+        return predict(model, Z)
+
+    monkeypatch.setattr(classify, "_smo_chunk", logged_chunk)
+    monkeypatch.setattr(classify, "ovo_predict_batch", logged_predict)
+    assert cross_validate(Z, labels, points, 3, 4) == want
+    assert calls.count("chunk") > 1
+    assert calls.index("predict") < len(calls) - 1 - calls[::-1].index("chunk")
 
 
 def test_svm_predict_zero_maps_to_positive():

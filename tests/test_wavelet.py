@@ -1,5 +1,7 @@
 """Filter banks, DWT/IDWT round trips, denoising, and window features."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from ecgsparse.wavelet import (
     feature_dimension,
     filter_bank,
     idwt,
-    Pyramid,
 )
 from verification import dwt_one, extract_windows_one, idwt_one, reconstruct_beat_one
 
@@ -41,16 +42,16 @@ def test_filter_bank_unknown_name_lists_known_banks():
 
 def test_haar_constant_signal():
     fb = filter_bank("haar")
-    pyr = dwt(np.ones(4), fb, 1)
-    np.testing.assert_allclose(pyr.approx, [np.sqrt(2)] * 2, atol=1e-12)
-    np.testing.assert_allclose(pyr.details[0], [0, 0], atol=1e-12)
+    coeffs = dwt(np.ones(4), fb, 1)
+    np.testing.assert_allclose(coeffs[:2], [np.sqrt(2)] * 2, atol=1e-12)
+    np.testing.assert_allclose(coeffs[2:], [0, 0], atol=1e-12)
 
 
 def test_haar_pure_alternation():
     fb = filter_bank("haar")
-    pyr = dwt(np.array([1.0, -1.0, 1.0, -1.0]), fb, 1)
-    np.testing.assert_allclose(pyr.approx, [0, 0], atol=1e-12)
-    np.testing.assert_allclose(pyr.details[0], [np.sqrt(2)] * 2, atol=1e-12)
+    coeffs = dwt(np.array([1.0, -1.0, 1.0, -1.0]), fb, 1)
+    np.testing.assert_allclose(coeffs[:2], [0, 0], atol=1e-12)
+    np.testing.assert_allclose(coeffs[2:], [np.sqrt(2)] * 2, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", FILTER_BANK_NAMES)
@@ -64,31 +65,30 @@ def test_perfect_reconstruction_even_lengths(name):
         if n < 2 ** levels:
             levels = 1
         try:
-            pyr = dwt(x, fb, levels)
+            coeffs = dwt(x, fb, levels)
         except TooShortError:
             continue
-        np.testing.assert_allclose(idwt(pyr, fb), x, atol=1e-8)
+        np.testing.assert_allclose(idwt(coeffs, fb, n, levels), x, atol=1e-8)
 
 
 def test_perfect_reconstruction_odd_length():
     # odd lengths are supported too as long as the filter fits
     for fb in ALL_BANKS:
         x = np.random.default_rng(5).standard_normal(2 * fb.length + 1)
-        np.testing.assert_allclose(idwt(dwt(x, fb, 1), fb), x, atol=1e-8)
+        np.testing.assert_allclose(idwt(dwt(x, fb, 1), fb, len(x), 1), x, atol=1e-8)
 
 
 def test_bior26_reconstruction_length_512():
     fb = filter_bank("bior2.6")
     x = np.random.default_rng(7).standard_normal(512)
-    pyr = dwt(x, fb, 3)
-    np.testing.assert_allclose(idwt(pyr, fb), x, atol=1e-8)
+    np.testing.assert_allclose(idwt(dwt(x, fb, 3), fb, 512, 3), x, atol=1e-8)
 
 
 def test_dwt_linearity():
     fb = filter_bank("db4")
     x = np.random.default_rng(0).standard_normal(64)
-    a = dwt(3.5 * x, fb, 2).concat()
-    b = 3.5 * dwt(x, fb, 2).concat()
+    a = dwt(3.5 * x, fb, 2)
+    b = 3.5 * dwt(x, fb, 2)
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -105,33 +105,58 @@ def test_dwt_too_short_and_bad_levels():
 
 def test_idwt_zero_pyramid():
     fb = filter_bank("haar")
-    pyr = dwt(np.zeros(32), fb, 3)
-    np.testing.assert_array_equal(idwt(pyr, fb), np.zeros(32))
+    np.testing.assert_array_equal(idwt(dwt(np.zeros(32), fb, 3), fb, 32, 3), np.zeros(32))
 
 
 def test_idwt_linearity():
     fb = filter_bank("db4")
     rng = np.random.default_rng(2)
     x1, x2 = rng.standard_normal(48), rng.standard_normal(48)
-    p1, p2 = dwt(x1, fb, 2), dwt(x2, fb, 2)
-    p1.approx = 2.0 * p1.approx + 0.5 * p2.approx
-    p1.details = [2.0 * a + 0.5 * b for a, b in zip(p1.details, p2.details)]
+    c = 2.0 * dwt(x1, fb, 2) + 0.5 * dwt(x2, fb, 2)
     expect = 2.0 * x1 + 0.5 * x2
-    np.testing.assert_allclose(idwt(p1, fb), expect, atol=1e-10)
+    np.testing.assert_allclose(idwt(c, fb, 48, 2), expect, atol=1e-10)
 
 
 def test_idwt_inconsistent_pyramid():
+    # coefficients and (n, levels) must be a layout dwt could have made
     fb = filter_bank("haar")
-    pyr = dwt(np.ones(16), fb, 2)
-    pyr.lengths = pyr.lengths[:-1]
+    coeffs = dwt(np.ones(16), fb, 2)
     with pytest.raises(ShapeMismatchError):
-        idwt(pyr, fb)
+        idwt(coeffs[:-1], fb, 16, 2)        # one coefficient short
+    with pytest.raises(ShapeMismatchError):
+        idwt(coeffs, fb, 17, 2)             # 17 samples take 5 + 5 + 9
+    for bank, n, levels in ((fb, 4, 3), (fb, 16, 0), (filter_bank("bior2.6"), 8, 1)):
+        with pytest.raises((BadConfigError, TooShortError)) as refused:
+            dwt(np.ones(n), bank, levels)
+        with pytest.raises(refused.type, match=re.escape(str(refused.value))):
+            idwt(np.ones(n), bank, n, levels)
+
+
+def test_idwt_rejects_bands_of_unequal_rows():
+    # rows come as one 2-D array, each row one signal's whole layout
+    fb = filter_bank("haar")
+    coeffs = dwt(np.ones((3, 16)), fb, 2)
+    with pytest.raises(ShapeMismatchError):
+        idwt(coeffs[:, :-1], fb, 16, 2)     # every row one coefficient short
+    with pytest.raises(ShapeMismatchError):
+        idwt(coeffs, fb, 17, 2)
+    with pytest.raises(ShapeMismatchError):
+        idwt(coeffs[None], fb, 16, 2)       # 3-D
 
 
 def test_denoise_zero_signal():
     fb = filter_bank("bior2.6")
     out = denoise(np.zeros(512), fb, 4)
     np.testing.assert_allclose(out, np.zeros(512), atol=1e-12)
+
+
+def test_denoise_refuses_anything_but_one_signal():
+    # its threshold grows with the signal length, which rows would not give
+    x = np.random.default_rng(3).standard_normal(256)
+    fb = filter_bank("db4")
+    for bad in (np.vstack([x, x]), x[None], np.float64(1.0)):
+        with pytest.raises(ShapeMismatchError):
+            denoise(bad, fb, 4)
 
 
 def test_denoise_removes_baseline_sinusoid():
@@ -169,7 +194,7 @@ def test_extract_windows_default_geometry():
     assert fm.columns.shape == (feature_dimension(fb, 50, 2), 11)
     for i in range(11):  # window i starts at sample 25 i
         np.testing.assert_array_equal(fm.columns[:, i],
-                                      dwt(beat.values[25 * i:25 * i + 50], fb, 2).concat())
+                                      dwt(beat.values[25 * i:25 * i + 50], fb, 2))
 
 
 def test_extract_windows_whole_beat():
@@ -177,7 +202,7 @@ def test_extract_windows_whole_beat():
     x = np.random.default_rng(4).standard_normal(300)
     fm = extract_windows(x, fb, w=300, s=1, wl=4)
     assert fm.columns.shape[1] == 1
-    np.testing.assert_allclose(fm.columns[:, 0], dwt(x, fb, 4).concat())
+    np.testing.assert_allclose(fm.columns[:, 0], dwt(x, fb, 4))
 
 
 def test_extract_windows_zero_beat():
@@ -234,59 +259,32 @@ def test_windows_and_reconstruction_match_per_window_code(name, w, s, wl):
 
 @pytest.mark.parametrize("name", FILTER_BANK_NAMES)
 def test_dwt_idwt_of_rows_match_each_row_alone(name):
+    # every length from L to 3L at every level up to 4, so every stage of
+    # every small layout, and two longer signals; idwt refuses the lengths
+    # and levels that dwt refuses, with its error
     fb = filter_bank(name)
     rng = np.random.default_rng(8)
-    for n, levels in ((fb.length, 1), (2 * fb.length + 1, 2), (97, 3), (256, 4)):
-        X = rng.standard_normal((5, n))
-        X[2] = 0.0
-        pyr = dwt(X, fb, levels)
-        back = idwt(pyr, fb)
-        assert back.shape == X.shape
-        for i, x in enumerate(X):
-            want = dwt_one(x, fb, levels)
-            assert pyr.lengths == want.lengths
-            assert same_bytes(pyr.concat()[i], want.concat())
-            assert same_bytes(back[i], idwt_one(want, fb))
-            assert same_bytes(dwt(x, fb, levels).concat(), want.concat())
-            assert same_bytes(idwt(want, fb), idwt_one(want, fb))
-
-
-@pytest.mark.parametrize("name", FILTER_BANK_NAMES)
-def test_hand_built_pyramids_match_per_row_code(name):
-    # lengths up to 2A + 1 reach full-mode samples past the band's end, bands
-    # shorter than the filters make np.convolve swap its operands, and lengths
-    # that do not fit raise ShapeMismatchError, alone or in rows
-    fb = filter_bank(name)
-    rng = np.random.default_rng(12)
-    raised = fitted = 0
-    for A in (1, 3, fb.length // 2, fb.length - 1, fb.length + 2, 20):
-        rows = rng.standard_normal((2, 3, A))
-        rows[:, 1] = 0.0
-        for n in range(-1, 2 * A + 3):
-            pyrs = [Pyramid(approx=a, details=[d], lengths=[n]) for a, d in zip(*rows)]
+    fitted = 0
+    for n in list(range(fb.length, 3 * fb.length + 1)) + [97, 256]:
+        for levels in range(1, 5):
+            X = rng.standard_normal((5, n))
+            X[2] = 0.0
             try:
-                want = [idwt_one(p, fb) for p in pyrs]
-            except ShapeMismatchError:
-                raised += 1
-                with pytest.raises(ShapeMismatchError):
-                    idwt(pyrs[0], fb)
-                with pytest.raises(ShapeMismatchError):
-                    idwt(Pyramid(approx=rows[0], details=[rows[1]], lengths=[n]), fb)
+                coeffs = dwt(X, fb, levels)
+            except TooShortError as refused:
+                with pytest.raises(TooShortError, match=re.escape(str(refused))):
+                    idwt(np.zeros((5, 1)), fb, n, levels)
                 continue
             fitted += 1
-            got = idwt(Pyramid(approx=rows[0], details=[rows[1]], lengths=[n]), fb)
-            for i, p in enumerate(pyrs):
-                assert same_bytes(idwt(p, fb), want[i])
-                assert same_bytes(got[i], want[i])
-    assert raised and fitted
-
-
-def test_idwt_rejects_bands_of_unequal_rows():
-    fb = filter_bank("haar")
-    pyr = dwt(np.ones((3, 16)), fb, 2)
-    pyr.details[1] = pyr.details[1][:2]
-    with pytest.raises(ShapeMismatchError):
-        idwt(pyr, fb)
+            back = idwt(coeffs, fb, n, levels)
+            assert back.shape == X.shape
+            for i, x in enumerate(X):
+                want = dwt_one(x, fb, levels)
+                assert same_bytes(coeffs[i], want)
+                assert same_bytes(back[i], idwt_one(want, fb, n, levels))
+                assert same_bytes(dwt(x, fb, levels), want)
+                assert same_bytes(idwt(want, fb, n, levels), back[i])
+    assert fitted
 
 
 def test_dwt_rejects_three_dimensional_input():

@@ -21,7 +21,7 @@ from ecgsparse.classify import SMO_MAX_UPDATES, _check_problem, _smo_lockstep
 from ecgsparse.errors import ShapeMismatchError
 from ecgsparse.ingest import BEAT_LENGTH
 from ecgsparse.sparse_coding import OPT_TOL, encode_all
-from ecgsparse.wavelet import Pyramid, window_starts
+from ecgsparse.wavelet import window_starts
 
 CodingProblem = namedtuple("CodingProblem", "dictionary target lam")
 
@@ -128,7 +128,7 @@ def smo_train(Z, y, C, gamma, max_updates=SMO_MAX_UPDATES):
     cap returns the best iterate with converged=False rather than raising.
     """
     Z, y = _check_problem(Z, y, C, gamma)
-    (model,), _ = _smo_lockstep([(Z, y, C, gamma, max_updates)])
+    [model] = _smo_lockstep([(Z, y, C, gamma, max_updates)], {"smo_updates": 0})
     return model
 
 
@@ -157,44 +157,47 @@ def _analyze_one(x, fb):
 
 
 def _synthesize_one(a, d, n, fb):
-    if len(a) != len(d):
-        raise ShapeMismatchError(f"approximation/detail length mismatch: {len(a)} vs {len(d)}")
     L = fb.length
     ua = np.zeros(2 * len(a))
     ua[0::2] = a
     ud = np.zeros(2 * len(d))
     ud[0::2] = d
     r = np.convolve(ua, fb.rec_lo) + np.convolve(ud, fb.rec_hi)
-    out = r[L - 2:L - 2 + n]
-    if len(out) != n:
-        raise ShapeMismatchError(f"cannot reconstruct {n} samples from {len(a)} coefficients")
-    return out
+    return r[L - 2:L - 2 + n]
 
 
 def dwt_one(x, fb, levels):
     """dwt of one 1-D signal, with np.convolve on that signal alone (no
-    length checks)."""
+    length checks): approximation, then details coarse to fine, in one
+    vector."""
     x = np.asarray(x, dtype=float)
-    details, lengths = [], []
+    details = []
+    for _ in range(levels):
+        x, d = _analyze_one(x, fb)
+        details.insert(0, d)
+    return np.concatenate([x] + details)
+
+
+def idwt_one(coeffs, fb, n, levels):
+    """idwt of one coefficient vector of a length-n signal, with np.convolve
+    on that signal alone; the band sizes and stage lengths are read off
+    _analyze_one run on a length-n zero signal."""
+    x, sizes, lengths = np.zeros(n), [], []
     for _ in range(levels):
         lengths.insert(0, len(x))
         x, d = _analyze_one(x, fb)
-        details.insert(0, d)
-    return Pyramid(approx=x, details=details, lengths=lengths)
-
-
-def idwt_one(pyramid, fb):
-    """idwt of one 1-D pyramid, with np.convolve on that signal alone."""
-    x = np.asarray(pyramid.approx, dtype=float)
-    for d, n in zip(pyramid.details, pyramid.lengths):
-        x = _synthesize_one(x, np.asarray(d, dtype=float), n, fb)
+        sizes.insert(0, len(d))
+    bands = np.split(np.asarray(coeffs, dtype=float), np.cumsum([len(x)] + sizes)[:-1])
+    x = bands[0]
+    for d, m in zip(bands[1:], lengths):
+        x = _synthesize_one(x, d, m, fb)
     return x
 
 
 def extract_windows_one(x, fb, w, s, wl):
     """The d x Omega feature matrix of a beat, one dwt_one per window."""
     x = np.asarray(x, dtype=float)
-    return np.column_stack([dwt_one(x[p:p + w], fb, wl).concat()
+    return np.column_stack([dwt_one(x[p:p + w], fb, wl)
                             for p in window_starts(len(x), w, s)])
 
 
@@ -202,13 +205,10 @@ def reconstruct_beat_one(Y_hat, geometry):
     """reconstruct_beat with one idwt_one per window, overlap-added window
     by window."""
     w, s, fb, wl = geometry
-    template = dwt_one(np.zeros(w), fb, wl)
-    sizes = [len(template.approx)] + [len(d) for d in template.details]
     acc = np.zeros(BEAT_LENGTH)
     cover = np.zeros(BEAT_LENGTH)
     for i, column in enumerate(np.asarray(Y_hat, dtype=float).T):
-        parts = np.split(column, np.cumsum(sizes)[:-1])
-        win = idwt_one(Pyramid(parts[0], parts[1:], template.lengths), fb)
+        win = idwt_one(column, fb, w, wl)
         acc[i * s:i * s + w] += win
         cover[i * s:i * s + w] += 1.0
     out = np.zeros(BEAT_LENGTH)
