@@ -75,11 +75,11 @@ def _check_problem(Z, y, C, gamma):
 
 
 def _smo_lockstep(problems, counts):
-    """SMO on many checked problems (Z, y, C, gamma, max_updates) at once.
+    """SMO on many checked problems (Z, y, C, gamma) at once.
 
     Working pairs are chosen by maximal KKT violation (largest b_low - b_up
     gap); a problem converges when the gap drops to KKT_TOL, and one that
-    hits its update cap ends with converged=False rather than raising.
+    hits the update cap SMO_MAX_UPDATES ends with converged=False.
     Consecutive problems run together in chunks whose padded kernel stack
     stays within SMO_CHUNK_BYTES.  Yields one BinarySvmModel per problem,
     in order, each chunk's as the chunk finishes, and adds the pair updates
@@ -115,13 +115,13 @@ def _smo_chunk(problems):
     bias is b = -(b_up + b_low)/2 (Keerthi et al., Neural Computation 2001)
     of the step it leaves at, an empty set's bound read as 0.
     """
-    P = len(problems)
-    width = max(len(y) for _, y, _, _, _ in problems)
+    P, cap = len(problems), SMO_MAX_UPDATES
+    width = max(len(y) for _, y, _, _ in problems)
     K = np.zeros((P, width, width))
     S = np.empty((P, 2, width))
     S[:, 0], S[:, 1] = np.inf, -np.inf
     alphas, consts = [], []
-    for p, (Z, y, C, gamma, cap) in enumerate(problems):
+    for p, (Z, y, C, gamma) in enumerate(problems):
         n = len(y)
         K[p, :n, :n] = kernel_matrix(Z, Z, gamma)
         c = float(C)
@@ -131,7 +131,7 @@ def _smo_chunk(problems):
         S[p, 0, :n] = np.where((y > 0) & (0.0 < top), -y, np.inf)
         S[p, 1, :n] = np.where((y < 0) & (0.0 < top), -y, -np.inf)
         alphas.append([0.0] * n)
-        consts.append((y.tolist(), K[p].diagonal()[:n].tolist(), c, top, cap, p * width))
+        consts.append((y.tolist(), K[p].diagonal()[:n].tolist(), c, top, p * width))
 
     updates, exits = [0] * P, [None] * P  # exits: b_up, b_low, converged
     K_rows = K.reshape(P * width, width)
@@ -143,7 +143,7 @@ def _smo_chunk(problems):
         stay, rows, coefs, at, values = [], [], [], [], []
         for q, (p, i, j) in enumerate(zip(live, pick_i, pick_j)):
             a = alphas[p]
-            ys, kd, c, top, cap, row = consts[p]
+            ys, kd, c, top, row = consts[p]
             b_up = S_flat.item(2 * width * q + i)
             b_low = S_flat.item(2 * width * q + width + j)
             if updates[p] == cap or b_low - b_up <= KKT_TOL:
@@ -193,7 +193,7 @@ def _smo_chunk(problems):
         S += (step[0::2] + step[1::2])[:, None, :]
 
     models = []
-    for (Z, y, C, gamma, _), a, (b_up, b_low, done) in zip(problems, alphas, exits):
+    for (Z, y, C, gamma), a, (b_up, b_low, done) in zip(problems, alphas, exits):
         alpha = np.array(a)
         keep = alpha > 1e-12
         b = -((b_up if b_up < np.inf else 0.0) + (b_low if b_low > -np.inf else 0.0)) / 2.0
@@ -248,7 +248,7 @@ def _ovo_batch(splits, points, counts):
     """
     pairs_of = [_ovo_pairs(Z, labels) for Z, labels in splits]
     solved = _smo_lockstep([
-        (*_check_problem(Zp, y, C, gamma), C, gamma, SMO_MAX_UPDATES)
+        (*_check_problem(Zp, y, C, gamma), C, gamma)
         for C, gamma in points for _, pairs in pairs_of for _, Zp, y in pairs], counts)
     for _ in points:
         yield [OvoModel(classes=classes, models={key: next(solved) for key, _, _ in pairs})
@@ -378,13 +378,6 @@ def pso_optimize(fitness, bounds, swarm_size=20, iterations=30, seed=0):
     return gbest, gfit, history
 
 
-def check_pso_options(swarm_size, iterations, folds):
-    """pso_search's rules on its counts, for callers that check before work."""
-    if swarm_size < 1 or iterations < 1:
-        raise BadConfigError("swarm_size and iterations must be >= 1")
-    _check_folds(folds)
-
-
 def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
     """PSO over PSO_BOUNDS in (log2 C, log2 gamma) with CV accuracy as fitness.
 
@@ -392,7 +385,9 @@ def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
     `pso_evaluations` (distinct points cross-validated) and `smo_updates`
     (SMO pair updates made while scoring them).
     """
-    check_pso_options(swarm_size, iterations, folds)
+    if swarm_size < 1 or iterations < 1:
+        raise BadConfigError("swarm_size and iterations must be >= 1")
+    _check_folds(folds)
     Z = np.asarray(Z, dtype=float)
     scores = {}  # clipped position -> CV accuracy
     counts = {"pso_evaluations": 0, "smo_updates": 0}

@@ -5,9 +5,9 @@ train-svm, evaluate, pipeline.  Every command writes its outputs atomically
 and prints a one-line JSON summary to stdout.  Exit codes: 0 success,
 1 validation/usage error, 2 data error.
 
-The parser holds each option's type and default.  A `key = value` config
-file (--config) replaces the defaults of the command's options that take a
-value; explicit flags win over the file.
+The parser holds each option's type, range and default.  A `key = value`
+config file (--config) replaces the defaults, its values checked as flags
+are, before any input is read; explicit flags win over the file.
 """
 
 import argparse
@@ -54,18 +54,23 @@ def load_config(path):
     return cfg
 
 
-def _count(text):
-    """argparse type of a count: an int >= 0."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return int(text)
+def _ranged(cast, rule, holds):
+    """argparse type of a number cast(text), refused unless holds(value)."""
+    def parse(text):
+        if not holds(value := cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it on an unparsable value
+    return parse
+
+
+_COUNT = _ranged(int, ">= 0", lambda n: n >= 0)
+_POS_INT = _ranged(int, ">= 1", lambda n: n >= 1)
+_POS_REAL = _ranged(float, "finite and > 0", lambda x: 0 < x < np.inf)
 
 
 def _geometry(args):
     """(filter bank, feature dimension d, lambda), lambda by default from d."""
-    if not 2 <= args.window <= ingest.BEAT_LENGTH:  # before anything is sized by it
-        raise BadConfigError(
-            f"window length w={args.window} outside [2, {ingest.BEAT_LENGTH}]")
     fb = wavelet.filter_bank(args.fb)
     d = wavelet.feature_dimension(fb, args.window, args.wl)
     return fb, d, default_lambda(d) if args.lam is None else args.lam
@@ -248,7 +253,6 @@ def _waveforms_csv(beats, recons):
 def _featurize(args, codes, method, normalize):
     """(labels, N x k feature matrix) of the codes."""
     if method == "tpm":
-        features.check_pyramid_options(args.levels, args.mode)  # refused with no codes too
         rows = [features.tpm_feature(c, args.levels, args.mode, args.seed) for c in codes]
     else:
         rows = [features.bow_feature(c) for c in codes]
@@ -462,10 +466,6 @@ def cmd_evaluate(args):
 
 def cmd_pipeline(args):
     """Split, then every stage in memory with pipeline's own defaults."""
-    # the option rules of later stages, before any work or output
-    features.check_pyramid_options(args.levels, args.mode)
-    if args.pso:
-        classify.check_pso_options(args.swarm, args.iters, args.folds)
     beats, _ = _load_beats(args)
     if not beats:
         raise DataError("no beats to process")
@@ -473,13 +473,13 @@ def cmd_pipeline(args):
                                 train_per_class=args.train_per_class,
                                 train_frac=args.train_frac, seed=args.seed)
     geometry = _geometry(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
-    atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
     windows_train = list(_beat_windows(args, train, geometry[0]))
     dict_counters = {}
     D, _, _ = _train_dictionary(args, windows_train, geometry, "odl", dict_counters)
+    out_dir = Path(args.out_dir)  # made once the dictionary is trained
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
+    atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
     dictionary.save_dictionary(out_dir / "dict.sbd", D)
     counters = {}
     codes_train = list(_encode_beats(train, windows_train, D, geometry, "sparse", counters))
@@ -518,52 +518,58 @@ def cmd_pipeline(args):
 
 
 # ---------------------------------------------------------------------------
-# parser: each option's type and default are declared once, here; each group
-# is declared once, and a command takes the groups whose stages it runs
+# parser: each option's type, range and default are declared once, here, in
+# groups; a command takes the groups whose stages it runs
 
 
 def _add_common(sp, *groups, methods=()):
     add = sp.add_argument
+    w_max, k_max, l_max = ingest.BEAT_LENGTH, dictionary.MAX_K, features.MAX_LEVELS
     add("--config", help="key = value file of option defaults")
     if "geometry" in groups:
         add("--fb", default="bior2.6", help="haar, db4, bior2.6 (default %(default)s)")
-        add("--window", type=int, default=50, help="window length (default %(default)s)")
-        add("--stride", type=int, default=25, help="window stride (default %(default)s)")
-        add("--wl", type=int, default=2, help="window DWT levels (default %(default)s)")
-        add("--lam", type=float, help="sparsity weight lambda (default from d)")
+        add("--window", type=_ranged(int, f"in [2, {w_max}]", lambda n: 2 <= n <= w_max),
+            default=50, help="window length (default %(default)s)")
+        add("--stride", type=_POS_INT, default=25, help="window stride (default %(default)s)")
+        add("--wl", type=_POS_INT, default=2, help="window DWT levels (default %(default)s)")
+        add("--lam", type=_POS_REAL, help="sparsity weight lambda (default from d)")
     if "source" in groups:
         add("--beats", help="beats CSV (label, v1..v300)")
         add("--record", help="WFDB .hea path (format 212)")
         add("--annotations", help="annotation CSV for --record")
-        add("--synthetic", type=_count, help="generate N synthetic beats per class")
+        add("--synthetic", type=_COUNT, help="generate N synthetic beats per class")
         add("--trio", action="store_true",
             help="use the 3-class time-shift synthetic set")
         add("--amp-vary", action="store_true",
             help="use the amplitude-varying compression set")
-        add("--pre", type=float, default=0.25, help="sec before R (default %(default)s)")
-        add("--post", type=float, default=0.45, help="sec after R (default %(default)s)")
-        add("--channel", type=int, default=0, help="record channel (default %(default)s)")
+        add("--pre", type=_POS_REAL, default=0.25, help="sec before R (default %(default)s)")
+        add("--post", type=_POS_REAL, default=0.45, help="sec after R (default %(default)s)")
+        add("--channel", type=_COUNT, default=0, help="record channel (default %(default)s)")
     if "dict" in groups:
-        add("--k", type=int, help="atom count (default 2d)")
-        add("--batch-size", type=int, default=64, help="ODL batch (default %(default)s)")
-        add("--epochs", type=int, help="ODL epochs or VQ iterations "
+        add("--k", type=_ranged(int, f"in [1, {k_max}]", lambda n: 1 <= n <= k_max),
+            help="atom count (default 2d)")
+        add("--batch-size", type=_POS_INT, default=64, help="ODL batch (default %(default)s)")
+        add("--epochs", type=_POS_INT, help="ODL epochs or VQ iterations "
             "(default %(default)s; train-dict: 10 for odl, 50 for vq)")
-        add("--max-cols", type=_count, help="subsample training columns, 0 keeps all "
+        add("--max-cols", type=_COUNT, help="subsample training columns, 0 keeps all "
             "(default %(default)s)")
     if "pyramid" in groups:
-        add("--levels", type=int, default=2, help="TPM levels (default %(default)s)")
+        add("--levels", type=_ranged(int, f"in [0, {l_max}]", lambda n: 0 <= n <= l_max),
+            default=2, help="TPM levels (default %(default)s)")
         add("--mode", choices=("expectation", "stochastic"), default="expectation",
             help="pooling (default %(default)s)")
     if "svm" in groups:
-        add("--C", type=float, default=8.0, help="SVM cost C (default %(default)s)")
-        add("--gamma", type=float, default=1.0, help="RBF width (default %(default)s)")
+        add("--C", type=_POS_REAL, default=8.0, help="SVM cost C (default %(default)s)")
+        add("--gamma", type=_ranged(float, "finite and >= 0", lambda x: 0 <= x < np.inf),
+            default=1.0, help="RBF width (default %(default)s)")
         add("--pso", action="store_true", help="PSO over (C, gamma)")
-        add("--folds", type=int, help="CV folds (default %(default)s)")
-        add("--swarm", type=int, help="PSO particles (default %(default)s)")
-        add("--iters", type=int, help="PSO iterations (default %(default)s)")
+        add("--folds", type=_ranged(int, ">= 2", lambda n: n >= 2),
+            help="CV folds (default %(default)s)")
+        add("--swarm", type=_POS_INT, help="PSO particles (default %(default)s)")
+        add("--iters", type=_POS_INT, help="PSO iterations (default %(default)s)")
     if methods:
         add("--method", choices=methods, default=methods[0], help="(default %(default)s)")
-    add("--seed", type=_count, default=0, help="RNG seed (default %(default)s)")
+    add("--seed", type=_COUNT, default=0, help="RNG seed (default %(default)s)")
 
 
 def build_parser():
@@ -592,7 +598,7 @@ def build_parser():
     sp.add_argument("--dict", required=True)
     sp.add_argument("--codes", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--limit", type=_count, default=10,
+    sp.add_argument("--limit", type=_COUNT, default=10,
                     help="beats to dump, 0 for all (default %(default)s)")
     sp.set_defaults(func=cmd_reconstruct)
 
@@ -630,9 +636,9 @@ def build_parser():
                         "compress -> featurize -> classify")
     _add_common(sp, "source", "geometry", "dict", "pyramid", "svm")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--train-total", type=_count)
-    sp.add_argument("--train-per-class", type=_count)
-    sp.add_argument("--train-frac", type=float)
+    sp.add_argument("--train-total", type=_COUNT)
+    sp.add_argument("--train-per-class", type=_COUNT)
+    sp.add_argument("--train-frac", type=_ranged(float, "in (0, 1)", lambda x: 0 < x < 1))
     sp.set_defaults(func=cmd_pipeline, epochs=3, max_cols=1500, swarm=10, iters=10,
                     folds=3)
 

@@ -94,8 +94,8 @@ def read_header(text):
     dat_file_name).  The signal lines' ADC gain is not read: beats are
     z-scored, so it cancels out.
     """
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    lines = [ln.strip() for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty header")
     head = lines[0].split()

@@ -22,10 +22,11 @@ MORPHOLOGIES = {
 }
 
 
-# per-beat jitter of each pulse: s.d. of its center in samples and of its
-# relative amplitude
+# s.d. of each pulse's per-beat jitter, of its center in samples and of its
+# relative amplitude, and of the white noise added to every sample
 _CENTER_JITTER = 2.0
 _AMP_JITTER = 0.05
+_NOISE = 0.05
 
 
 def _pulse(t, kind, center, width, amp):
@@ -48,16 +49,14 @@ def render_beat(pulses, rng, noise, shift=0.0):
     return x
 
 
-def synthetic_beats(n_per_class, seed=0, classes=("N", "/", "A", "V", "R", "L"),
-                    noise=0.05):
-    """Seeded beats for the requested classes, normalized like real ingest."""
+def synthetic_beats(n_per_class, seed=0):
+    """Seeded beats of every class of MORPHOLOGIES, normalized like real ingest."""
     rng = np.random.default_rng(seed)
     beats = []
     i = 0
-    for label in classes:
-        pulses = MORPHOLOGIES[label]
+    for label, pulses in MORPHOLOGIES.items():
         for _ in range(n_per_class):
-            raw = render_beat(pulses, rng, noise=noise)
+            raw = render_beat(pulses, rng, _NOISE)
             beats.append(Beat(values=normalize_beat(raw), label=label,
                               source=("synth", i)))
             i += 1
@@ -69,7 +68,6 @@ def synthetic_beats(n_per_class, seed=0, classes=("N", "/", "A", "V", "R", "L"),
 _SHARED = [("g", 0, 4, 1.5), ("g", 14, 6, -0.8), ("t", 30, 10, 0.6)]
 _TRIO_BASE = 80
 _TRIO_SHIFT = 50  # two stride lengths under the default w=50, s=25 geometry
-_TRIO_NOISE = 0.05
 
 
 def shifted_trio_beats(n_per_class, seed=0):
@@ -90,7 +88,7 @@ def shifted_trio_beats(n_per_class, seed=0):
     ]
     for label, pulses, shift in specs:
         for _ in range(n_per_class):
-            raw = render_beat(pulses, rng, _TRIO_NOISE, shift=shift)
+            raw = render_beat(pulses, rng, _NOISE, shift=shift)
             beats.append(Beat(values=normalize_beat(raw), label=label,
                               source=("trio", i)))
             i += 1

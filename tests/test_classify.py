@@ -246,22 +246,23 @@ def _duplicates_with_flipped_labels():
 
 @pytest.mark.parametrize("case", [
     "tiny_C", "small_C_at_bound", "eta_floor", "update_cap", "stuck_pair", "sweep"])
-def test_smo_matches_reference_loop(case):
+def test_smo_matches_reference_loop(monkeypatch, case):
     rng = np.random.default_rng(16)
     Zb, lb = blobs(rng, [(0, 0), (1, 1)], 20, spread=0.7)
     yb = np.where(np.array(lb) == "c0", 1.0, -1.0)
+    cap = classify.SMO_MAX_UPDATES
     problems = {
-        "tiny_C": [(Zb, yb, 1e-13, 1.0, {})],
-        "small_C_at_bound": [(Zb, yb, 0.05, 1.0, {})],
-        "eta_floor": [(*_duplicates_with_flipped_labels(), 4.0, 1.0, {})],
-        "update_cap": [(Zb, yb, 10.0, 2.0, {"max_updates": 5})],
-        "stuck_pair": [(*_random_smo_problem(184), {})],
-        "sweep": [(*_random_smo_problem(seed), {"max_updates": 3000})
-                  for seed in range(40)],
+        "tiny_C": [(Zb, yb, 1e-13, 1.0, cap)],
+        "small_C_at_bound": [(Zb, yb, 0.05, 1.0, cap)],
+        "eta_floor": [(*_duplicates_with_flipped_labels(), 4.0, 1.0, cap)],
+        "update_cap": [(Zb, yb, 10.0, 2.0, 5)],
+        "stuck_pair": [(*_random_smo_problem(184), cap)],
+        "sweep": [(*_random_smo_problem(seed), 3000) for seed in range(40)],
     }[case]
-    for Z, y, C, gamma, kw in problems:
-        want, seen = _reference_smo(Z, y, C, gamma, **kw)
-        got = smo_train(Z, y, C, gamma, **kw)
+    for Z, y, C, gamma, max_updates in problems:
+        want, seen = _reference_smo(Z, y, C, gamma, max_updates=max_updates)
+        monkeypatch.setattr(classify, "SMO_MAX_UPDATES", max_updates)
+        got = smo_train(Z, y, C, gamma)
         np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
         np.testing.assert_array_equal(got.dual_coef, want.dual_coef)
         assert got.b == want.b
@@ -281,7 +282,7 @@ def test_smo_matches_reference_loop(case):
 
 def _reference_batch():
     """The problems of test_smo_matches_reference_loop as one list of
-    (Z, y, C, gamma, max_updates): mixed n, C, gamma and caps."""
+    (Z, y, C, gamma, update cap): mixed n, C, gamma and caps."""
     rng = np.random.default_rng(16)
     Zb, lb = blobs(rng, [(0, 0), (1, 1)], 20, spread=0.7)
     yb = np.where(np.array(lb) == "c0", 1.0, -1.0)
@@ -312,20 +313,27 @@ def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
         return run_chunk(batch)
 
     monkeypatch.setattr(classify, "_smo_chunk", counting_chunk)
-    batch = [(*classify._check_problem(Z, y, C, gamma), C, gamma, cap)
-             for Z, y, C, gamma, cap in problems]
-    models, updates = _lockstep(batch)
-    assert sum(chunks) == len(problems)
-    assert (len(chunks) == 1) == (chunk_bytes is None)
-    for (Z, y, C, gamma, cap), got in zip(problems, models):
-        want, _ = _reference_smo(Z, y, C, gamma, max_updates=cap)
-        np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
-        np.testing.assert_array_equal(got.dual_coef, want.dual_coef)
-        assert got.b == want.b
-        assert got.converged == want.converged
-    # the update count is the sum of the problems solved one at a time
-    alone = [_lockstep([p])[1] for p in batch]
-    assert updates == sum(alone) and alone[3] == 5
+    batched = []  # chunks per batch
+    for cap in sorted({p[4] for p in problems}):  # one cap holds for a whole batch
+        monkeypatch.setattr(classify, "SMO_MAX_UPDATES", cap)
+        capped = [p for p in problems if p[4] == cap]
+        batch = [(*classify._check_problem(Z, y, C, gamma), C, gamma)
+                 for Z, y, C, gamma, _ in capped]
+        chunks.clear()
+        models, updates = _lockstep(batch)
+        assert sum(chunks) == len(batch)
+        batched.append(len(chunks))
+        for (Z, y, C, gamma, _), got in zip(capped, models, strict=True):
+            want, _ = _reference_smo(Z, y, C, gamma, max_updates=cap)
+            np.testing.assert_array_equal(got.support_vectors, want.support_vectors)
+            np.testing.assert_array_equal(got.dual_coef, want.dual_coef)
+            assert got.b == want.b
+            assert got.converged == want.converged
+        # the update count is the sum of the problems solved one at a time
+        alone = [_lockstep([p])[1] for p in batch]
+        assert updates == sum(alone)
+        assert (alone == [5]) == (cap == 5)
+    assert (batched == [1, 1, 1]) == (chunk_bytes is None)
 
 
 def test_cross_validate_many_matches_per_fold_training():

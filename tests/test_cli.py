@@ -495,7 +495,7 @@ def test_train_svm_infinite_C_exits_1(capsys, small_chain, tmp_path):
     out = tmp_path / "model.json"
     status, _, err = run(capsys, "train-svm", "--features", str(feats),
                          "--C", "inf", "--gamma", "1", "--out", str(out))
-    assert status == 1 and "BadConfigError" in err and not out.exists()
+    assert status == 1 and "argument --C" in err and not out.exists()
 
 
 def test_train_svm_reports_unconverged_pairs(capsys, small_chain, tmp_path, monkeypatch):
@@ -966,6 +966,37 @@ def test_negative_counts_exit_1(capsys, small_chain):
     assert status == 1 and not out.exists()
 
 
+def test_parser_refuses_every_numeric_option_out_of_range(capsys, tmp_path):
+    # every input of every command is a missing file under tmp_path, and
+    # every output goes there too: a value that got past the parser would
+    # exit 2 on the first file read instead of 1
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    refused = set()
+    for name, sp in sub.choices.items():
+        argv = [name]
+        for action in sp._actions:
+            if action.required or action.option_strings == ["--beats"]:
+                flag = action.option_strings[0]
+                argv += [flag, str(tmp_path / flag[2:])]
+        status, _, _ = run(capsys, *argv)
+        assert status == 2, argv
+        for action in sp._actions:
+            if action.type is None:
+                continue
+            flag = action.option_strings[0]
+            for value in ("-1", "nan", "inf") if action.type.__name__ == "float" else ("-1",):
+                status, _, err = run(capsys, *argv, flag, value)
+                assert status == 1 and f"argument {flag}: must be" in err, (name, flag, value)
+                assert "Traceback" not in err
+            refused.add(flag)
+    assert refused == {"--synthetic", "--max-cols", "--limit", "--train-total",
+                       "--train-per-class", "--seed", "--channel", "--window", "--stride",
+                       "--wl", "--batch-size", "--epochs", "--swarm", "--iters", "--k",
+                       "--levels", "--folds", "--lam", "--C", "--pre", "--post", "--gamma",
+                       "--train-frac"}
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- bounded work: each call runs in a child process under an address-space cap,
 # so a call that asks for unbounded memory fails there instead of in the suite
 
@@ -976,8 +1007,9 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture(scope="module")
 def contract_inputs(tmp_path_factory):
-    """An 18-beat VQ code file, a copy whose header k reads 2^22 + 80, and a
-    config file with a non-finite training fraction."""
+    """An 18-beat VQ code file, a copy whose header k reads 2^22 + 80, a
+    config file with a non-finite training fraction and one with a negative
+    lambda."""
     root = tmp_path_factory.mktemp("contract")
     dict_path, codes = root / "dict.sbd", root / "codes.sbc"
     for argv in (["train-dict", "--k", "20", "--out", str(dict_path)],
@@ -987,6 +1019,7 @@ def contract_inputs(tmp_path_factory):
     blob[4:8] = struct.pack("<I", 2 ** 22 + 80)
     (root / "big_k.sbc").write_bytes(bytes(blob))
     (root / "split.cfg").write_text("train-frac = nan\n")
+    (root / "lam.cfg").write_text("lam = -1\n")
     return root
 
 
@@ -1026,13 +1059,29 @@ CONTRACT_CALLS = {  # id: (argv, output flag, exit code)
                        "--out", 1),
     "--lam inf": (["train-dict", "--synthetic", "2", "--lam", "inf"], "--out", 1),
     "pipeline --seed -1": (["pipeline", "--synthetic", "4", "--seed", "-1"], "--out-dir", 1),
-    # later stages' option rules, refused before the split writes anything
+    # later stages' options, refused before pipeline writes anything
     "pipeline --levels 65": (["pipeline", "--synthetic", "4", "--levels", "65"],
                              "--out-dir", 1),
     "pipeline --pso --folds 0": (["pipeline", "--synthetic", "4", "--pso", "--folds", "0"],
                                  "--out-dir", 1),
     "pipeline --pso --swarm 0": (["pipeline", "--synthetic", "4", "--pso", "--swarm", "0"],
                                  "--out-dir", 1),
+    "pipeline --lam -1": (["pipeline", "--synthetic", "4", "--lam", "-1"], "--out-dir", 1),
+    "pipeline --k 70000": (["pipeline", "--synthetic", "4", "--k", "70000"], "--out-dir", 1),
+    "pipeline --batch-size 0": (["pipeline", "--synthetic", "4", "--batch-size", "0"],
+                                "--out-dir", 1),
+    "pipeline --epochs 0": (["pipeline", "--synthetic", "4", "--epochs", "0"], "--out-dir", 1),
+    "pipeline --stride 0": (["pipeline", "--synthetic", "4", "--stride", "0"], "--out-dir", 1),
+    "pipeline --C -1": (["pipeline", "--synthetic", "4", "--C", "-1"], "--out-dir", 1),
+    "pipeline --gamma nan": (["pipeline", "--synthetic", "4", "--gamma", "nan"],
+                             "--out-dir", 1),
+    "config lam = -1": (["pipeline", "--synthetic", "4", "--config", "{inputs}/lam.cfg"],
+                        "--out-dir", 1),
+    # rules that depend on d, refused by the dictionary trainer before the
+    # directory is made: k <= d = 75, and fewer columns than k = 150
+    "pipeline --k 5": (["pipeline", "--synthetic", "4", "--k", "5"], "--out-dir", 1),
+    "pipeline --max-cols 3": (["pipeline", "--synthetic", "4", "--max-cols", "3"],
+                              "--out-dir", 2),
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecgsparse.dictionary import MAX_K
-from ecgsparse.ingest import OTHER_LABEL
+from ecgsparse.ingest import OTHER_LABEL, normalize_beat
 from ecgsparse.errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from ecgsparse.codec import (
     SparseCode,
@@ -22,13 +22,20 @@ from ecgsparse.codec import (
 from ecgsparse import codec
 from ecgsparse.sparse_coding import BLOCK_COLUMNS, encode_all
 from ecgsparse.wavelet import extract_windows, filter_bank
-from ecgsparse.synthetic import synthetic_beats
+from ecgsparse.synthetic import MORPHOLOGIES, render_beat
 from verification import CodingProblem, feature_sign, same_code, serialize_codes
 
 
 def unit_dict(rng, d, k):
     D = rng.standard_normal((d, k))
     return D / np.linalg.norm(D, axis=0, keepdims=True)
+
+
+def synthetic_values(seed, labels, noise=0.05):
+    """Normalized synthetic beats of the given classes, in order, drawn from
+    one seeded stream."""
+    rng = np.random.default_rng(seed)
+    return [normalize_beat(render_beat(MORPHOLOGIES[label], rng, noise)) for label in labels]
 
 
 def random_codes(rng, count, k=9, omega=4):
@@ -195,18 +202,18 @@ def test_sbc1_refuses_more_windows_than_samples():
 
 def test_reconstruct_exact_features_recovers_beat():
     fb = filter_bank("bior2.6")
-    beat = synthetic_beats(1, seed=0, classes=("N",))[0]
+    [beat] = synthetic_values(0, "N")
     fm = extract_windows(beat, fb, w=50, s=25, wl=2)
     out = reconstruct_beat(fm.columns, (50, 25, fb, 2))
-    np.testing.assert_allclose(out, beat.values, atol=1e-6)
+    np.testing.assert_allclose(out, beat, atol=1e-6)
 
 
 def test_reconstruct_whole_beat_window():
     fb = filter_bank("haar")
-    beat = synthetic_beats(1, seed=1, classes=("V",))[0]
+    [beat] = synthetic_values(1, "V")
     fm = extract_windows(beat, fb, w=300, s=1, wl=3)
     out = reconstruct_beat(fm.columns, (300, 1, fb, 3))
-    np.testing.assert_allclose(out, beat.values, atol=1e-8)
+    np.testing.assert_allclose(out, beat, atol=1e-8)
 
 
 def test_reconstruct_constant_averaging():
@@ -260,7 +267,7 @@ def test_cr_metric_worked_examples():
 def test_err_cr_tradeoff_monotone_in_lambda():
     rng = np.random.default_rng(7)
     fb = filter_bank("haar")
-    beats = synthetic_beats(4, seed=7, classes=("N", "V"), noise=0.01)
+    beats = synthetic_values(7, "NNNNVVVV", noise=0.01)
     D = unit_dict(rng, 51, 80)
     geo = (50, 25, fb, 2)
     errs, crs = [], []
@@ -268,7 +275,7 @@ def test_err_cr_tradeoff_monotone_in_lambda():
         codes = list(compress(D, [extract_windows(b, fb, 50, 25, 2).columns for b in beats],
                               lam))
         recons = [reconstruct_beat(decompress(D, code), geo) for code in codes]
-        errs.append(err_metric(recons, [b.values for b in beats]))
+        errs.append(err_metric(recons, beats))
         crs.append(cr_metric(codes))
     assert errs == sorted(errs)
     assert crs == sorted(crs)

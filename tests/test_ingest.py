@@ -81,6 +81,16 @@ def test_read_header_malformed():
         read_header("garbage\n")
 
 
+def test_read_header_lines_end_only_at_newlines():
+    # a U+2028 LINE SEPARATOR does not end the signal line, so its format
+    # field is still read and refused; \r and \r\n end lines, and a comment
+    # may be indented
+    with pytest.raises(ParseError, match="format '16'"):
+        read_header("100 2 360 650000\n100.dat\u2028 16 200\n")
+    assert read_header("100 2 360 650000\r\n  # note\r100.dat 212 200\r\n") == (
+        "100", 2, 360.0, 650000, "100.dat")
+
+
 @pytest.mark.parametrize("fs", ["nan", "inf", "1e400", "-inf"])
 def test_read_header_non_finite_rate(fs, tmp_path, capsys):
     # a damaged sampling rate is the header's fault, named on its line 1

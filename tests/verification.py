@@ -17,7 +17,7 @@ from operator import mul
 import numpy as np
 
 from ecgsparse import codec
-from ecgsparse.classify import SMO_MAX_UPDATES, _check_problem, _smo_lockstep
+from ecgsparse.classify import _check_problem, _smo_lockstep
 from ecgsparse.errors import ShapeMismatchError
 from ecgsparse.ingest import BEAT_LENGTH
 from ecgsparse.sparse_coding import OPT_TOL, encode_all
@@ -119,16 +119,17 @@ def make_sparse_synthesis(d, k, n, sparsity, seed=0, noise=0.0):
     return D, X, Y
 
 
-def smo_train(Z, y, C, gamma, max_updates=SMO_MAX_UPDATES):
+def smo_train(Z, y, C, gamma):
     """One binary SVM by the package's SMO, alone in its lockstep batch.
 
     Working pairs are chosen by maximal KKT violation (largest b_low - b_up
     gap); convergence is declared when the gap drops to KKT_TOL, at which
     point every KKT condition holds within KKT_TOL.  Hitting the update
-    cap returns the best iterate with converged=False rather than raising.
+    cap classify.SMO_MAX_UPDATES returns the best iterate with
+    converged=False rather than raising.
     """
     Z, y = _check_problem(Z, y, C, gamma)
-    [model] = _smo_lockstep([(Z, y, C, gamma, max_updates)], {"smo_updates": 0})
+    [model] = _smo_lockstep([(Z, y, C, gamma)], {"smo_updates": 0})
     return model
 
 
