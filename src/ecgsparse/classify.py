@@ -53,27 +53,6 @@ class BinarySvmModel:
     converged: bool = True
 
 
-def _check_problem(Z, y, C, gamma):
-    """The input rules of a binary SMO problem; returns Z and y as float
-    arrays."""
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if Z.ndim != 2 or len(y) != Z.shape[0]:
-        raise ShapeMismatchError(f"features {Z.shape} vs {len(y)} labels")
-    if not (np.all(np.abs(y) == 1.0)):
-        raise BadConfigError("labels must be +1/-1")
-    if np.all(y == y[0]):
-        raise SingleClassError("both classes must be present")
-    if not (np.isfinite(C) and C > 0):
-        # load_model refuses a non-finite C, so no model may be trained with one
-        raise BadConfigError(f"C must be finite and positive, got {C}")
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise BadConfigError(f"gamma must be finite and >= 0, got {gamma}")
-    if not np.isfinite(Z).all():
-        raise DegenerateInputError("features hold NaN or inf")
-    return Z, y
-
-
 def _smo_lockstep(problems, counts):
     """SMO on many checked problems (Z, y, C, gamma) at once.
 
@@ -224,11 +203,10 @@ class OvoModel:
 def _ovo_pairs(Z, labels):
     """Sorted classes, and per one-vs-one pair (ia, ib) its rows of Z and
     its labels (+1 for class ia, -1 for class ib)."""
-    labels = list(labels)
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise SingleClassError(f"need >= 2 classes, got {classes}")
-    lab = np.array(labels)
+    lab = np.asarray(labels)
     pairs = []
     for ia in range(len(classes)):
         for ib in range(ia + 1, len(classes)):
@@ -240,25 +218,40 @@ def _ovo_pairs(Z, labels):
 
 def _ovo_batch(splits, points, counts):
     """One-vs-one models at each (C, gamma) of points on each split (Z,
-    labels), every pair of every split trained in one lockstep SMO batch;
-    each pair's model is bit-identical to solving it alone.  Every problem
-    is built and checked before any is solved.  Yields per point the models
-    of the splits, in order, as soon as they are trained, and adds the SMO
-    pair updates made into counts["smo_updates"].
+    labels) of checked features, every pair of every split trained in one
+    lockstep SMO batch; each pair's model is bit-identical to solving it
+    alone.  Every point is checked before any problem is built.  Yields per
+    point the models of the splits, in order, as soon as they are trained,
+    and adds the SMO pair updates made into counts["smo_updates"].
     """
     pairs_of = [_ovo_pairs(Z, labels) for Z, labels in splits]
-    solved = _smo_lockstep([
-        (*_check_problem(Zp, y, C, gamma), C, gamma)
-        for C, gamma in points for _, pairs in pairs_of for _, Zp, y in pairs], counts)
+    for C, gamma in points:
+        if not (np.isfinite(C) and C > 0):
+            # load_model refuses a non-finite C, so no model may be trained with one
+            raise BadConfigError(f"C must be finite and positive, got {C}")
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise BadConfigError(f"gamma must be finite and >= 0, got {gamma}")
+    solved = _smo_lockstep([(Zp, y, C, gamma) for C, gamma in points
+                            for _, pairs in pairs_of for _, Zp, y in pairs], counts)
     for _ in points:
         yield [OvoModel(classes=classes, models={key: next(solved) for key, _, _ in pairs})
                for classes, pairs in pairs_of]
 
 
+def _check_features(Z, labels):
+    """Z as a float array, refused unless it holds one finite row per label."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or len(labels) != Z.shape[0]:
+        raise ShapeMismatchError(f"features {Z.shape} vs {len(labels)} labels")
+    if not np.isfinite(Z).all():
+        raise DegenerateInputError("features hold NaN or inf")
+    return Z
+
+
 def ovo_train(Z, labels, C, gamma):
     """One-vs-one models at (C, gamma), every pair trained in one lockstep
     SMO batch."""
-    [[model]] = _ovo_batch([(np.asarray(Z, dtype=float), labels)], [(C, gamma)],
+    [[model]] = _ovo_batch([(_check_features(Z, labels), labels)], [(C, gamma)],
                            {"smo_updates": 0})
     return model
 
@@ -286,15 +279,11 @@ def ovo_predict_batch(model, Z):
 # stratified k-fold cross-validation
 
 
-def _check_folds(folds):
-    if folds < 2:
-        raise BadConfigError("folds must be >= 2")
-
-
 def stratified_folds(labels, folds, seed):
     """fold id per sample; each class is dealt round-robin after a shuffle."""
     labels = np.array(list(labels))
-    _check_folds(folds)
+    if folds < 2:
+        raise BadConfigError("folds must be >= 2")
     rng = np.random.default_rng(seed)
     fold_of = np.full(len(labels), -1)
     for cls in sorted(set(labels.tolist())):
@@ -316,9 +305,9 @@ def cross_validate(Z, labels, points, folds=5, seed=0):
     models of one SMO chunk are held at a time.  Returns the accuracies, in
     the order of points, and the number of SMO pair updates made.
     """
-    Z = np.asarray(Z, dtype=float)
     labels = np.array(list(labels))
     fold_of = stratified_folds(labels, folds, seed)
+    Z = _check_features(Z, labels)
     tests = [fold_of == f for f in range(folds)]
     counts = {"smo_updates": 0}
     scores = []
@@ -387,8 +376,6 @@ def pso_search(Z, labels, swarm_size=20, iterations=30, folds=5, seed=0):
     """
     if swarm_size < 1 or iterations < 1:
         raise BadConfigError("swarm_size and iterations must be >= 1")
-    _check_folds(folds)
-    Z = np.asarray(Z, dtype=float)
     scores = {}  # clipped position -> CV accuracy
     counts = {"pso_evaluations": 0, "smo_updates": 0}
 
@@ -489,7 +476,7 @@ def load_model(path):
                     and np.isfinite([m.b, m.gamma, m.C]).all()):
                 raise ValueError(f"pair {key}: non-finite value")
             if not (m.C > 0 and m.gamma >= 0):
-                # the rules _check_problem applies: no trainer writes such a pair
+                # the rules _ovo_batch applies: no trainer writes such a pair
                 raise ValueError(f"pair {key}: C = {m.C}, gamma = {m.gamma}")
             models[key] = m
         if not models:

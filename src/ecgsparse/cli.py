@@ -465,7 +465,9 @@ def cmd_evaluate(args):
 
 
 def cmd_pipeline(args):
-    """Split, then every stage in memory with pipeline's own defaults."""
+    """Split, then every stage in memory with pipeline's own defaults; the
+    out-dir is made and written only once every stage has run, so a stage
+    that refuses the data leaves no file."""
     beats, _ = _load_beats(args)
     if not beats:
         raise DataError("no beats to process")
@@ -476,36 +478,34 @@ def cmd_pipeline(args):
     windows_train = list(_beat_windows(args, train, geometry[0]))
     dict_counters = {}
     D, _, _ = _train_dictionary(args, windows_train, geometry, "odl", dict_counters)
-    out_dir = Path(args.out_dir)  # made once the dictionary is trained
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
-    atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
-    dictionary.save_dictionary(out_dir / "dict.sbd", D)
     counters = {}
     codes_train = list(_encode_beats(train, windows_train, D, geometry, "sparse", counters))
     del windows_train  # not needed again; held, it would raise the later peaks
     codes_test = list(_encode_beats(test, _beat_windows(args, test, geometry[0]), D,
                                     geometry, "sparse", counters))
-    codec.save_codes(out_dir / "codes_train.sbc", codes_train, len(codes_train))
-    codec.save_codes(out_dir / "codes_test.sbc", codes_test, len(codes_test))
-
     recons = _reconstruct_all(args, D, codes_test, geometry[0])
     err_mean = codec.err_metric(recons, [b.values for b in test])
     cr_mean = codec.cr_metric(codes_test)
+    feats_train = _featurize(args, codes_train, "tpm", normalize=True)
+    feats_test = _featurize(args, codes_test, "tpm", normalize=True)
+    model, C, gamma, _, counts = _train_svm(args, *feats_train)
+    accuracy, per_class, confusion = _evaluate(model, *feats_test)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    atomic_write_text(out_dir / "beats_train.csv", ingest.format_beats_csv(train))
+    atomic_write_text(out_dir / "beats_test.csv", ingest.format_beats_csv(test))
+    dictionary.save_dictionary(out_dir / "dict.sbd", D)
+    codec.save_codes(out_dir / "codes_train.sbc", codes_train, len(codes_train))
+    codec.save_codes(out_dir / "codes_test.sbc", codes_test, len(codes_test))
     _write_json(out_dir / "metrics.json", {"schema_version": SCHEMA_VERSION,
                                            "err_mean": err_mean, "cr_mean": cr_mean,
                                            "beats": len(codes_test)})
     atomic_write_text(out_dir / "waveforms.csv", _waveforms_csv(test[:5], recons))
-
-    feats_train = _featurize(args, codes_train, "tpm", normalize=True)
-    feats_test = _featurize(args, codes_test, "tpm", normalize=True)
     for part, feats in (("train", feats_train), ("test", feats_test)):
         atomic_write_text(out_dir / f"features_{part}.csv",
                           features.format_features_csv(*feats))
-
-    model, C, gamma, _, counts = _train_svm(args, *feats_train)
     classify.save_model(out_dir / "model.json", model)
-    accuracy, per_class, confusion = _evaluate(model, *feats_test)
     _write_json(out_dir / "report.json", {"schema_version": SCHEMA_VERSION,
                                           "accuracy": accuracy, "per_class": per_class})
     atomic_write_text(out_dir / "confusion.csv", confusion)

@@ -95,26 +95,28 @@ def read_header(text):
     z-scored, so it cancels out.
     """
     lines = [ln.strip() for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    # (file line number, fields) of the lines that are neither blank nor comments
+    lines = [(i, ln.split()) for i, ln in enumerate(lines, start=1)
+             if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty header")
-    head = lines[0].split()
+    line_no, head = lines[0]
     if len(head) < 4:
-        raise ParseError(f"header line needs 4 fields, got {len(head)}", line_no=1)
+        raise ParseError(f"header line needs 4 fields, got {len(head)}", line_no=line_no)
     try:
         record_id = head[0]
         n_sig = int(head[1])
         fs = float(head[2].split("/")[0])
         n_samp = int(head[3])
     except ValueError as e:
-        raise ParseError(f"bad header field: {e}", line_no=1)
+        raise ParseError(f"bad header field: {e}", line_no=line_no)
     if not 0 < fs < np.inf or n_sig < 1 or n_samp < 0:  # NaN fails too
-        raise ParseError("header values out of range", line_no=1)
+        raise ParseError("header values out of range", line_no=line_no)
     dat_name = None
     if len(lines) > 1:
-        sig = lines[1].split()
+        line_no, sig = lines[1]
         if len(sig) >= 2 and sig[1].split("+")[0] != "212":
-            raise ParseError(f"unsupported signal format {sig[1]!r}", line_no=2)
+            raise ParseError(f"unsupported signal format {sig[1]!r}", line_no=line_no)
         dat_name = sig[0]
     return record_id, n_sig, fs, n_samp, dat_name
 

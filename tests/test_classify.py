@@ -155,22 +155,29 @@ def test_smo_dual_not_beaten_by_random_feasible():
 
 
 def test_smo_rejects_bad_inputs():
-    Z = np.zeros((4, 2))
-    with pytest.raises(SingleClassError):
-        smo_train(Z, np.ones(4), C=1.0, gamma=1.0)
-    with pytest.raises(BadConfigError):
-        smo_train(Z, np.array([1.0, -1.0, 1.0, -1.0]), C=0.0, gamma=1.0)
-    with pytest.raises(BadConfigError):
-        smo_train(Z, np.array([1.0, 2.0, -1.0, -1.0]), C=1.0, gamma=1.0)
-    y = np.array([1.0, -1.0, 1.0, -1.0])
-    for C, gamma in ((np.nan, 1.0), (1.0, np.nan), (1.0, np.inf), (1.0, -1.0)):
-        with pytest.raises(BadConfigError):
-            smo_train(Z, y, C=C, gamma=gamma)
-    for bad in (np.nan, np.inf):
-        Zb = Z.copy()
-        Zb[2, 1] = bad
-        with pytest.raises(DegenerateInputError):
-            smo_train(Zb, y, C=1.0, gamma=1.0)
+    # each rule is checked where the input enters, ovo_train or cross_validate
+    Z, labels = np.zeros((4, 2)), ["a", "b", "a", "b"]
+    entries = (lambda Z, C, gamma: ovo_train(Z, labels, C, gamma),
+               lambda Z, C, gamma: cross_validate(Z, labels, [(C, gamma)], folds=2))
+    for train in entries:
+        for C, gamma in ((0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                         (1.0, np.nan), (1.0, np.inf), (1.0, -1.0)):
+            with pytest.raises(BadConfigError):
+                train(Z, C, gamma)
+        for bad in (np.nan, np.inf):
+            Zb = Z.copy()
+            Zb[2, 1] = bad
+            with pytest.raises(DegenerateInputError, match="NaN or inf"):
+                train(Zb, 1.0, 1.0)
+
+
+def test_svm_entries_reject_row_count_mismatch():
+    labels = ["a", "b", "a", "b"]
+    for Z in (np.zeros((5, 2)), np.zeros((3, 2)), np.zeros(4)):
+        with pytest.raises(ShapeMismatchError, match="labels"):
+            ovo_train(Z, labels, 1.0, 1.0)
+        with pytest.raises(ShapeMismatchError, match="labels"):
+            cross_validate(Z, labels, [(1.0, 1.0)], folds=2)
 
 
 def _reference_smo(Z, y, C, gamma, tol=1e-3, max_updates=1_000_000):
@@ -317,7 +324,7 @@ def test_smo_lockstep_batch_matches_reference(monkeypatch, chunk_bytes):
     for cap in sorted({p[4] for p in problems}):  # one cap holds for a whole batch
         monkeypatch.setattr(classify, "SMO_MAX_UPDATES", cap)
         capped = [p for p in problems if p[4] == cap]
-        batch = [(*classify._check_problem(Z, y, C, gamma), C, gamma)
+        batch = [(np.asarray(Z, dtype=float), np.asarray(y, dtype=float), C, gamma)
                  for Z, y, C, gamma, _ in capped]
         chunks.clear()
         models, updates = _lockstep(batch)

@@ -972,6 +972,8 @@ def test_parser_refuses_every_numeric_option_out_of_range(capsys, tmp_path):
     # exit 2 on the first file read instead of 1
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     refused = set()
+    refuse_0 = {"--window", "--stride", "--wl", "--batch-size", "--epochs", "--swarm",
+                "--iters", "--k", "--folds", "--lam", "--C", "--pre", "--post", "--train-frac"}
     for name, sp in sub.choices.items():
         argv = [name]
         for action in sp._actions:
@@ -989,11 +991,19 @@ def test_parser_refuses_every_numeric_option_out_of_range(capsys, tmp_path):
                 assert status == 1 and f"argument {flag}: must be" in err, (name, flag, value)
                 assert "Traceback" not in err
             refused.add(flag)
+            # 0 is refused by the parser or gets past it to the missing input
+            status, _, err = run(capsys, *argv, flag, "0")
+            assert "Traceback" not in err
+            if flag in refuse_0:
+                assert status == 1 and f"argument {flag}: must be" in err, (name, flag)
+            else:
+                assert status == 2 and "missing file" in err, (name, flag, status, err)
     assert refused == {"--synthetic", "--max-cols", "--limit", "--train-total",
                        "--train-per-class", "--seed", "--channel", "--window", "--stride",
                        "--wl", "--batch-size", "--epochs", "--swarm", "--iters", "--k",
                        "--levels", "--folds", "--lam", "--C", "--pre", "--post", "--gamma",
                        "--train-frac"}
+    assert refuse_0 < refused
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1082,6 +1092,10 @@ CONTRACT_CALLS = {  # id: (argv, output flag, exit code)
     "pipeline --k 5": (["pipeline", "--synthetic", "4", "--k", "5"], "--out-dir", 1),
     "pipeline --max-cols 3": (["pipeline", "--synthetic", "4", "--max-cols", "3"],
                               "--out-dir", 2),
+    # a rule on the training split, refused by the SVM stage after the dictionary,
+    # codes and features are made: 3 training beats per class for 5 folds
+    "pipeline --pso --folds 5": (["pipeline", "--synthetic", "4", "--pso", "--folds", "5"],
+                                 "--out-dir", 2),
 }
 
 

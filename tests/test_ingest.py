@@ -91,6 +91,14 @@ def test_read_header_lines_end_only_at_newlines():
         "100", 2, 360.0, 650000, "100.dat")
 
 
+def test_read_header_names_file_lines():
+    # blank and comment lines count: the error names the line of the file
+    with pytest.raises(ParseError, match="line 4: unsupported signal format '16'"):
+        read_header("100 2 360 650000\n# c\n\n100.dat 16 200\n")
+    with pytest.raises(ParseError, match="line 2: bad header field"):
+        read_header("# note\n100 2 x 650000\n")
+
+
 @pytest.mark.parametrize("fs", ["nan", "inf", "1e400", "-inf"])
 def test_read_header_non_finite_rate(fs, tmp_path, capsys):
     # a damaged sampling rate is the header's fault, named on its line 1

@@ -17,7 +17,7 @@ from operator import mul
 import numpy as np
 
 from ecgsparse import codec
-from ecgsparse.classify import _check_problem, _smo_lockstep
+from ecgsparse.classify import _smo_lockstep
 from ecgsparse.errors import ShapeMismatchError
 from ecgsparse.ingest import BEAT_LENGTH
 from ecgsparse.sparse_coding import OPT_TOL, encode_all
@@ -120,7 +120,8 @@ def make_sparse_synthesis(d, k, n, sparsity, seed=0, noise=0.0):
 
 
 def smo_train(Z, y, C, gamma):
-    """One binary SVM by the package's SMO, alone in its lockstep batch.
+    """One binary SVM by the package's SMO, alone in its lockstep batch, on
+    inputs taken as given (ovo_train and cross_validate check theirs).
 
     Working pairs are chosen by maximal KKT violation (largest b_low - b_up
     gap); convergence is declared when the gap drops to KKT_TOL, at which
@@ -128,8 +129,8 @@ def smo_train(Z, y, C, gamma):
     cap classify.SMO_MAX_UPDATES returns the best iterate with
     converged=False rather than raising.
     """
-    Z, y = _check_problem(Z, y, C, gamma)
-    [model] = _smo_lockstep([(Z, y, C, gamma)], {"smo_updates": 0})
+    problem = (np.asarray(Z, dtype=float), np.asarray(y, dtype=float), C, gamma)
+    [model] = _smo_lockstep([problem], {"smo_updates": 0})
     return model
 
 
