@@ -34,12 +34,13 @@ signal += rng.normal(0.0, 8.0, n)
 ch0 = np.clip(np.round(signal), -2048, 2047).astype(int)
 ch1 = np.clip(np.round(0.6 * signal), -2048, 2047).astype(int)
 
-# every 3 bytes hold two 12-bit samples; the packing is its own inverse
-blob = encode_212(ch0.tolist(), ch1.tolist())
-back0, back1 = decode_212(blob, 2 * n)
-assert list(back0) == ch0.tolist() and list(back1) == ch1.tolist()
-print(f"packed {2 * n} samples into {len(blob)} bytes "
-      f"({len(blob) / (2 * n):.1f} bytes/sample), decode verified")
+# the file holds the channels' samples alternately, every 3 bytes two
+# 12-bit samples; decoding gives them back in the same file order
+samples = np.column_stack([ch0, ch1]).ravel()
+blob = encode_212(samples)
+assert (decode_212(blob, len(samples)) == samples).all()
+print(f"packed {len(samples)} samples into {len(blob)} bytes "
+      f"({len(blob) / len(samples):.1f} bytes/sample), decode verified")
 
 # --- write .dat/.hea/annotations and read them back --------------------------
 labels = ["N", "N", "V", "N", "A", "N", "L", "N", "R", "N",
@@ -59,8 +60,8 @@ with tempfile.TemporaryDirectory() as tmp:
     annotations = read_annotations((root / "demo.csv").read_text().splitlines())
     beats, skipped = process_record(record, annotations)
 
-print(f"record {record.record_id}: {record.samples_per_channel} "
-      f"samples/channel at {record.sampling_rate:.0f} Hz")
+print(f"record {record.record_id}: {len(record.channels)} channels of "
+      f"{len(record.channels[0])} samples at {record.sampling_rate:.0f} Hz")
 print(f"{len(annotations)} annotations -> {len(beats)} beats "
       f"({skipped} skipped near the edges)")
 

@@ -203,10 +203,10 @@ class OvoModel:
 def _ovo_pairs(Z, labels):
     """Sorted classes, and per one-vs-one pair (ia, ib) its rows of Z and
     its labels (+1 for class ia, -1 for class ib)."""
-    classes = sorted(set(labels))
+    lab = np.asarray(labels)
+    classes = sorted(set(lab.tolist()))  # Python values, not NumPy scalars
     if len(classes) < 2:
         raise SingleClassError(f"need >= 2 classes, got {classes}")
-    lab = np.asarray(labels)
     pairs = []
     for ia in range(len(classes)):
         for ib in range(ia + 1, len(classes)):

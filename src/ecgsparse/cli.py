@@ -43,10 +43,7 @@ class _Parser(argparse.ArgumentParser):
 def load_config(path):
     cfg = {}
     with open(path) as lines:
-        for i, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for i, line in ingest.data_lines(lines):
             if "=" not in line:
                 raise BadConfigError(f"{path}:{i}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
@@ -169,6 +166,8 @@ def _load_beats(args):
     """(beats, skipped) from the one beat source given."""
     if sum(bool(s) for s in (args.synthetic, args.beats, args.record)) > 1:
         raise BadConfigError("give only one of --synthetic / --beats / --record")
+    if args.trio and args.amp_vary:
+        raise BadConfigError("give only one of --trio / --amp-vary")
     if args.synthetic:
         make = (synthetic.shifted_trio_beats if args.trio
                 else synthetic.amplitude_varying_beats if args.amp_vary

@@ -19,7 +19,7 @@ import numpy as np
 from .dictionary import MAX_K
 from .errors import CorruptFileError, DegenerateInputError, ShapeMismatchError
 from .fileio import atomic_write_chunks
-from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL
+from .ingest import BEAT_LENGTH, CODE_LABELS, LABEL_CODES, OTHER_LABEL, fold_label
 from .sparse_coding import BLOCK_COLUMNS, encode_all
 from .wavelet import feature_dimension, idwt
 
@@ -259,7 +259,7 @@ def _sbc1_chunks(codes, count):
         kept = vals != 0.0
         rec = np.empty(np.count_nonzero(kept), dtype=TRIPLET)
         rec["row"], rec["col"], rec["val"] = code.rows[kept], code.cols[kept], vals[kept]
-        label_code = LABEL_CODES.get(code.label, LABEL_CODES[OTHER_LABEL])
+        label_code = LABEL_CODES[fold_label(code.label)]
         yield struct.pack("<IBI", code.omega, label_code, rec.size) + rec.tobytes()
     if i + 1 != count:
         raise ShapeMismatchError(f"{i + 1} codes, header says {count}")

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 
 from .errors import BadConfigError, ParseError
-from .ingest import OTHER_LABEL, TARGET_LABELS
+from .ingest import data_lines, float_fields, fold_label
 
 # A beat has Omega <= 300 windows, so from level 9 on (2^9 > 300) every
 # non-empty block holds one window and a level only repeats the one before.
@@ -133,24 +133,15 @@ def parse_features_csv(lines):
     """(labels, N x k feature matrix) of a features CSV with at least one row,
     from an iterable of its lines, such as an open text file."""
     labels, rows = [], []
-    for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in data_lines(lines):
         parts = line.split(",")
         if len(parts) < 2:
             raise ParseError("expected 'label, z_1..z_k'", line_no=i)
-        label = parts[0].strip()
-        try:
-            z = np.array([float(v) for v in parts[1:]])
-        except ValueError as e:
-            raise ParseError(f"bad value: {e}", line_no=i)
-        if not np.isfinite(z).all():
-            raise ParseError("non-finite value", line_no=i)
+        z = float_fields(parts[1:], i)
         if rows and len(z) != len(rows[0]):
             raise ParseError(f"row has {len(z)} values, expected {len(rows[0])}",
                              line_no=i)
-        labels.append(label if label in TARGET_LABELS else OTHER_LABEL)
+        labels.append(fold_label(parts[0].strip()))
         rows.append(z)
     if not rows:
         raise ParseError("no feature rows")

@@ -27,7 +27,6 @@ class EcgRecord:
     record_id: str
     sampling_rate: float
     channels: list
-    samples_per_channel: int
 
 
 @dataclass(frozen=True)
@@ -46,43 +45,66 @@ class Beat:
 
 
 # ---------------------------------------------------------------------------
+# text inputs: one rule each for data lines, labels and values
+
+
+def data_lines(lines):
+    """(line number, stripped line) of each line that is neither blank nor a
+    '#' comment; every line counts, so a number names a line of the file."""
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield i, line
+
+
+def fold_label(label):
+    """label if it is one of the six target classes, else Other."""
+    return label if label in TARGET_LABELS else OTHER_LABEL
+
+
+def float_fields(fields, line_no):
+    """The text fields as a float array, refused unless each is a finite number."""
+    try:
+        vals = np.array([float(v) for v in fields])
+    except ValueError as e:
+        raise ParseError(f"bad value: {e}", line_no=line_no)
+    if not np.isfinite(vals).all():
+        raise ParseError("non-finite value", line_no=line_no)
+    return vals
+
+
+# ---------------------------------------------------------------------------
 # WFDB format 212
 
 
-def decode_212(data, sample_count):
-    """Unpack WFDB format-212 bytes into two channel sample lists.
+def decode_212(data, count):
+    """Unpack count samples of WFDB format-212 bytes, in file order.
 
     Each 3-byte group holds two signed 12-bit samples:
     s1 = (low nibble of byte1)<<8 | byte0, s2 = (high nibble of byte1)<<8 | byte2.
-    Samples alternate channels; sample_count is the total (both channels).
+    A record's channels alternate sample by sample, so channel c of n is
+    samples[c::n]; an odd count leaves the last group's second sample unread.
     """
-    pairs = (sample_count + 1) // 2
-    need = pairs * 3
+    need = (count + 1) // 2 * 3
     if len(data) < need:
-        raise TruncatedInputError(
-            f"need {need} bytes for {sample_count} samples, got {len(data)}")
+        raise TruncatedInputError(f"need {need} bytes for {count} samples, got {len(data)}")
     raw = np.frombuffer(bytes(data[:need]), dtype=np.uint8).reshape(-1, 3).astype(np.int64)
     s1 = ((raw[:, 1] & 0x0F) << 8) | raw[:, 0]
     s2 = ((raw[:, 1] & 0xF0) << 4) | raw[:, 2]
-    flat = np.empty(2 * pairs, dtype=np.int64)
-    flat[0::2] = s1
-    flat[1::2] = s2
-    flat = np.where(flat >= 2048, flat - 4096, flat)[:sample_count]
-    return flat[0::2].copy(), flat[1::2].copy()
+    flat = np.column_stack([s1, s2]).ravel()[:count]
+    return np.where(flat >= 2048, flat - 4096, flat)
 
 
-def encode_212(ch0, ch1):
-    """Inverse of decode_212 for full 3-byte groups (equal channel lengths)."""
-    flat = np.empty(len(ch0) + len(ch1), dtype=np.int64)
-    flat[0::2] = ch0
-    flat[1::2] = ch1
-    if len(flat) % 2:
-        flat = np.append(flat, 0)
-    u = np.where(flat < 0, flat + 4096, flat).astype(np.uint16)
+def encode_212(samples):
+    """Format-212 bytes of 12-bit samples in file order, the inverse of
+    decode_212; an odd count is padded with a zero sample."""
+    u = np.asarray(samples, dtype=np.int64) & 0xFFF
+    if len(u) % 2:
+        u = np.append(u, 0)
     s1, s2 = u[0::2], u[1::2]
     out = np.empty((len(s1), 3), dtype=np.uint8)
     out[:, 0] = s1 & 0xFF
-    out[:, 1] = ((s1 >> 8) & 0x0F) | (((s2 >> 8) & 0x0F) << 4)
+    out[:, 1] = (s1 >> 8) | (s2 >> 8) << 4
     out[:, 2] = s2 & 0xFF
     return out.tobytes()
 
@@ -94,10 +116,8 @@ def read_header(text):
     dat_file_name).  The signal lines' ADC gain is not read: beats are
     z-scored, so it cancels out.
     """
-    lines = [ln.strip() for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
-    # (file line number, fields) of the lines that are neither blank nor comments
-    lines = [(i, ln.split()) for i, ln in enumerate(lines, start=1)
-             if ln and not ln.startswith("#")]
+    lines = [(i, ln.split()) for i, ln in
+             data_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))]
     if not lines:
         raise ParseError("empty header")
     line_no, head = lines[0]
@@ -129,18 +149,9 @@ def read_wfdb(header_path):
         raise ParseError(f"expected 1 or 2 signals, header declares {n_sig}")
     dat_path = header_path.with_name(dat_name) if dat_name \
         else header_path.with_suffix(".dat")
-    data = dat_path.read_bytes()
-    total = n_samp * n_sig
-    ch0, ch1 = decode_212(data, total)
-    if n_sig == 1:
-        flat = np.empty(total, dtype=np.int64)
-        flat[0::2] = ch0
-        flat[1::2] = ch1
-        channels = [flat]
-    else:
-        channels = [ch0, ch1]
-    return EcgRecord(record_id=record_id, sampling_rate=fs, channels=channels,
-                     samples_per_channel=n_samp)
+    samples = decode_212(dat_path.read_bytes(), n_samp * n_sig)
+    return EcgRecord(record_id=record_id, sampling_rate=fs,
+                     channels=[samples[c::n_sig] for c in range(n_sig)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +166,7 @@ def read_annotations(lines):
     classes map to Other.  Raises ParseError (with line number) on garbage.
     """
     out = []
-    for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in data_lines(lines):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2 or not parts[1]:
             raise ParseError(f"expected 'sample_index,label', got {line!r}", line_no=i)
@@ -168,45 +176,13 @@ def read_annotations(lines):
             raise ParseError(f"bad sample index {parts[0]!r}", line_no=i)
         if idx < 0:
             raise ParseError(f"negative sample index {idx}", line_no=i)
-        label = parts[1] if parts[1] in TARGET_LABELS else OTHER_LABEL
-        out.append(BeatAnnotation(sample_index=idx, label=label))
+        out.append(BeatAnnotation(sample_index=idx, label=fold_label(parts[1])))
     out.sort(key=lambda a: a.sample_index)
     return out
 
 
 # ---------------------------------------------------------------------------
 # segmentation and beat construction
-
-
-def segment_beats(record, annotations, pre_s=0.25, post_s=0.45, channel=0):
-    """Cut a fixed window around each annotated target-class R sample.
-
-    Returns (segments, skipped) where segments is a list of
-    (raw_values, label, sample_index) and skipped counts annotations whose
-    window falls outside the record.
-    """
-    fs = record.sampling_rate
-    # in samples, so that a huge value that overflows to inf is refused too
-    if not (0 < pre_s * fs < np.inf and 0 < post_s * fs < np.inf):  # NaN fails too
-        raise TooShortError("pre_s and post_s must be positive and finite")
-    if not 0 <= channel < len(record.channels):
-        raise BadConfigError(
-            f"channel {channel} outside [0, {len(record.channels)}) of the record")
-    sig = np.asarray(record.channels[channel], dtype=float)
-    n = len(sig)
-    pre = int(round(pre_s * fs))
-    post = int(round(post_s * fs))
-    segments = []
-    skipped = 0
-    for ann in annotations:
-        if ann.label not in TARGET_LABELS:
-            continue
-        lo, hi = ann.sample_index - pre, ann.sample_index + post
-        if lo < 0 or hi > n:
-            skipped += 1
-            continue
-        segments.append((sig[lo:hi].copy(), ann.label, ann.sample_index))
-    return segments, skipped
 
 
 def resample_to_300(raw):
@@ -229,16 +205,31 @@ def normalize_beat(b):
 
 
 def process_record(record, annotations, pre_s=0.25, post_s=0.45, channel=0):
-    """Full ingest of one record: segment, resample, normalize.
+    """Full ingest of one record: cut a fixed window around each annotated
+    target-class R sample, resample it and normalize it.
 
-    Returns (beats, skipped).
+    Returns (beats, skipped), skipped counting the annotations whose window
+    falls outside the record.
     """
-    segments, skipped = segment_beats(record, annotations, pre_s, post_s, channel)
-    beats = [
-        Beat(values=normalize_beat(resample_to_300(seg)), label=label,
-             source=(record.record_id, idx))
-        for seg, label, idx in segments
-    ]
+    fs = record.sampling_rate
+    # in samples, so that a huge value that overflows to inf is refused too
+    if not (0 < pre_s * fs < np.inf and 0 < post_s * fs < np.inf):  # NaN fails too
+        raise TooShortError("pre_s and post_s must be positive and finite")
+    if not 0 <= channel < len(record.channels):
+        raise BadConfigError(
+            f"channel {channel} outside [0, {len(record.channels)}) of the record")
+    sig = np.asarray(record.channels[channel], dtype=float)
+    pre, post = int(round(pre_s * fs)), int(round(post_s * fs))
+    beats, skipped = [], 0
+    for ann in annotations:
+        if ann.label not in TARGET_LABELS:
+            continue
+        lo, hi = ann.sample_index - pre, ann.sample_index + post
+        if lo < 0 or hi > len(sig):
+            skipped += 1
+            continue
+        beats.append(Beat(values=normalize_beat(resample_to_300(sig[lo:hi])),
+                          label=ann.label, source=(record.record_id, ann.sample_index)))
     return beats, skipped
 
 
@@ -250,25 +241,13 @@ def read_beats_csv(lines, source_id="csv"):
     """Beats from an iterable of `label,v1..v300` lines, such as an open
     text file, each z-scored; '#' comments and blank lines are skipped."""
     beats = []
-    for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in data_lines(lines):
         parts = line.split(",")
         if len(parts) != BEAT_LENGTH + 1:
             raise ParseError(
                 f"expected {BEAT_LENGTH + 1} columns, got {len(parts)}", line_no=i)
-        label = parts[0].strip()
-        if label not in TARGET_LABELS:
-            label = OTHER_LABEL
-        try:
-            vals = np.array([float(v) for v in parts[1:]])
-        except ValueError as e:
-            raise ParseError(f"bad value: {e}", line_no=i)
-        if not np.isfinite(vals).all():
-            raise ParseError("non-finite value", line_no=i)
-        beats.append(Beat(values=normalize_beat(vals), label=label,
-                          source=(source_id, i)))
+        beats.append(Beat(values=normalize_beat(float_fields(parts[1:], i)),
+                          label=fold_label(parts[0].strip()), source=(source_id, i)))
     return beats
 
 

@@ -274,12 +274,9 @@ def test_acceptance_7_pso_sanity(capsys):
 def test_acceptance_8_bit_exact_io(capsys, tmp_path):
     # Packed 212 worked examples decode exactly; 100 random artifacts
     # (50 dictionaries, 50 code files) round-trip byte-identically.
-    ch0, ch1 = decode_212(bytes([0x01, 0x00, 0x02]), 2)
-    exact = list(ch0) == [1] and list(ch1) == [2]
-    ch0, ch1 = decode_212(bytes([0x00, 0xF0, 0xFF]), 2)
-    exact = exact and list(ch0) == [0] and list(ch1) == [-1]
-    ch0, ch1 = decode_212(bytes([0xFF, 0x07, 0x00]), 2)
-    exact = exact and list(ch0) == [2047] and list(ch1) == [0]
+    exact = (decode_212(bytes([0x01, 0x00, 0x02]), 2).tolist() == [1, 2]
+             and decode_212(bytes([0x00, 0xF0, 0xFF]), 2).tolist() == [0, -1]
+             and decode_212(bytes([0xFF, 0x07, 0x00]), 2).tolist() == [2047, 0])
 
     rng = np.random.default_rng(88)
     dict_ok = 0

@@ -154,7 +154,7 @@ def _two_channel_record(tmp_path):
     rng = np.random.default_rng(0)
     n = 4000
     ch = rng.integers(-900, 900, size=n).tolist()
-    (tmp_path / "r9.dat").write_bytes(encode_212(ch, ch))
+    (tmp_path / "r9.dat").write_bytes(encode_212(np.repeat(ch, 2)))
     (tmp_path / "r9.hea").write_text(
         f"r9 2 360 {n}\nr9.dat 212 200 11 1024 0 0 0 MLII\n"
         "r9.dat 212 200 11 1024 0 0 0 V5\n")
@@ -485,6 +485,17 @@ def test_empty_or_overflowing_features_exit_2(capsys, small_chain, tmp_path):
             status, _, err = run(capsys, "evaluate", "--model", str(model),
                                  "--features", str(bad))
             assert status == 2 and "no feature rows" in err
+
+
+def test_train_svm_one_class_names_it_plainly(capsys, tmp_path):
+    # with or without --pso, the refusal lists the class as the file gives it
+    feats = tmp_path / "f.csv"
+    feats.write_text("N,1,0\nN,0,1\nN,1,1\nN,0,0\n")
+    for extra in ((), ("--pso", "--folds", "2")):
+        status, _, err = run(capsys, "train-svm", "--features", str(feats), *extra,
+                             "--out", str(tmp_path / "m.json"))
+        assert status == 2 and "need >= 2 classes, got ['N']" in err, (extra, err)
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_train_svm_infinite_C_exits_1(capsys, small_chain, tmp_path):
@@ -845,7 +856,7 @@ def _damaged_record_calls(rng, tmp_path):
 
     n = 4000
     ch = np.random.default_rng(0).integers(-900, 900, size=n).tolist()
-    dat = encode_212(ch, ch)
+    dat = encode_212(np.repeat(ch, 2))
     hea = (f"r9 2 360 {n}\nr9.dat 212 200 11 1024 0 0 0 MLII\n"
            "r9.dat 212 200 11 1024 0 0 0 V5\n").encode()
     anns = tmp_path / "r9.csv"
@@ -908,6 +919,10 @@ def test_config_file_with_flag_override(capsys, tmp_path):
         status, _, err = run(capsys, "ingest", *source, "--beats", str(beats),
                              "--out", str(again))
         assert status == 1 and "BadConfigError" in err and not again.exists(), source
+    # and so are two synthetic sets
+    status, _, err = run(capsys, "ingest", "--synthetic", "1", "--trio", "--amp-vary",
+                         "--out", str(again))
+    assert status == 1 and "BadConfigError" in err and not again.exists()
 
 
 def test_bad_config_file_exits_1(capsys, tmp_path, small_chain):

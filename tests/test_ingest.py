@@ -1,5 +1,8 @@
 """Record decoding, annotation parsing, segmentation, and normalization."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,33 +21,29 @@ from ecgsparse.ingest import (
     read_header,
     read_wfdb,
     resample_to_300,
-    segment_beats,
 )
 
 
 # --- format 212 ------------------------------------------------------------
 
-def _pairs(blob, count):
-    ch0, ch1 = decode_212(blob, count)
-    return [[int(v) for v in ch0], [int(v) for v in ch1]]
+def _samples(blob, count):
+    return decode_212(blob, count).tolist()
 
 
 def test_decode_212_worked_examples():
-    assert _pairs(bytes([0x01, 0x00, 0x02]), 2) == [[1], [2]]
-    assert _pairs(bytes([0x00, 0xF0, 0xFF]), 2) == [[0], [-1]]
-    assert _pairs(bytes([0xFF, 0x07, 0x00]), 2) == [[2047], [0]]
+    assert _samples(bytes([0x01, 0x00, 0x02]), 2) == [1, 2]
+    assert _samples(bytes([0x00, 0xF0, 0xFF]), 2) == [0, -1]
+    assert _samples(bytes([0xFF, 0x07, 0x00]), 2) == [2047, 0]
 
 
 def test_decode_212_sign_extension_extremes():
     # 0x800 is the most negative 12-bit value
-    assert _pairs(bytes([0x00, 0x08, 0x00]), 2) == [[-2048], [0]]
+    assert _samples(bytes([0x00, 0x08, 0x00]), 2) == [-2048, 0]
 
 
 def test_decode_212_odd_sample_count():
-    ch0, ch1 = _pairs(bytes([0x01, 0x00, 0x02, 0x03, 0x00, 0x04]), 3)
-    # samples alternate channels; the fourth sample is ignored
-    assert ch0 == [1, 3]
-    assert ch1 == [2]
+    # samples come in file order; the fourth sample is ignored
+    assert _samples(bytes([0x01, 0x00, 0x02, 0x03, 0x00, 0x04]), 3) == [1, 2, 3]
 
 
 def test_decode_212_truncated():
@@ -54,12 +53,13 @@ def test_decode_212_truncated():
 
 def test_encode_decode_bijection():
     rng = np.random.default_rng(8)
-    ch0 = rng.integers(-2048, 2048, size=64).tolist()
-    ch1 = rng.integers(-2048, 2048, size=64).tolist()
-    blob = encode_212(ch0, ch1)
-    assert _pairs(blob, 128) == [ch0, ch1]
+    samples = rng.integers(-2048, 2048, size=128).tolist()
+    blob = encode_212(samples)
+    assert _samples(blob, 128) == samples
     # and back again byte for byte
-    assert encode_212(*decode_212(blob, 128)) == blob
+    assert encode_212(decode_212(blob, 128)) == blob
+    # an odd count is padded with one zero sample
+    assert encode_212(samples[:3]) == encode_212(samples[:3] + [0])
 
 
 # --- header + record reading ------------------------------------------------
@@ -105,7 +105,7 @@ def test_read_header_non_finite_rate(fs, tmp_path, capsys):
     with pytest.raises(ParseError, match="line 1: header values out of range"):
         read_header(f"r9 1 {fs} 2000\nr9.dat 212 200 11 1024 0 0 0 MLII\n")
     (tmp_path / "r9.hea").write_text(f"r9 1 {fs} 2000\nr9.dat 212 200 11 1024 0 0 0 MLII\n")
-    (tmp_path / "r9.dat").write_bytes(encode_212([0] * 2000, [0] * 2000))
+    (tmp_path / "r9.dat").write_bytes(encode_212([0] * 4000))
     (tmp_path / "r9.csv").write_text("1000,N\n")
     status = run_command(["ingest", "--record", str(tmp_path / "r9.hea"),
                           "--annotations", str(tmp_path / "r9.csv"),
@@ -120,16 +120,72 @@ def test_read_wfdb_roundtrip(tmp_path):
     n = 2000
     ch0 = rng.integers(-2048, 2048, size=n).tolist()
     ch1 = rng.integers(-2048, 2048, size=n).tolist()
-    (tmp_path / "r01.dat").write_bytes(encode_212(ch0, ch1))
+    (tmp_path / "r01.dat").write_bytes(encode_212(np.column_stack([ch0, ch1]).ravel()))
     (tmp_path / "r01.hea").write_text(
         f"r01 2 360 {n}\nr01.dat 212 200 11 1024 0 0 0 MLII\n"
         "r01.dat 212 200 11 1024 0 0 0 V5\n")
     rec = read_wfdb(tmp_path / "r01.hea")
     assert rec.record_id == "r01"
     assert rec.sampling_rate == 360.0
-    assert rec.samples_per_channel == n
+    assert len(rec.channels) == 2
     assert list(rec.channels[0]) == ch0
     assert list(rec.channels[1]) == ch1
+
+
+# --- ingest --record output, pinned byte for byte ---------------------------
+
+def _pack_212(samples):
+    """Format-212 bytes of samples in file order, packed without the
+    package: each pair (a, b) of 12-bit two's-complement values becomes
+    a & 0xFF, (a >> 8) | (b >> 8) << 4, b & 0xFF; an odd count is padded
+    with a zero sample."""
+    vals = [s & 0xFFF for s in samples] + [0] * (len(samples) % 2)
+    out = bytearray()
+    for a, b in zip(vals[0::2], vals[1::2]):
+        out += bytes([a & 0xFF, (a >> 8) | (b >> 8) << 4, b & 0xFF])
+    return bytes(out)
+
+
+# SHA-256 of the beats CSV of each (record, --channel) below
+RECORD_CSV_SHA256 = {
+    ("one", 0): "82189a62b1b7bb0d96c4da86ed2af928e068ced24d9cf3f028fc2555caf4586f",
+    ("two", 0): "79607cdd88de9ef63454f71cc8621c88024a8cdc35261ecc7b1476bd1ed3dc7a",
+    ("two", 1): "9e104f2a256323222a0b6b1973e9f953810ab19e9bcd0c52199d9413cd49af75",
+}
+
+
+def test_ingest_record_csv_bytes_are_pinned(tmp_path, capsys):
+    # a one-channel record with an odd sample count, and a two-channel
+    # record whose channels differ; samples span the full 12-bit range
+    rng = np.random.default_rng(31)
+    t = np.arange(4001)
+    wave = 1500 * np.sin(2 * np.pi * t / 288) * np.exp(-((t % 288) - 144) ** 2 / 800.0)
+    one = np.clip(np.round(wave + rng.normal(0, 40, t.size)), -2048, 2047).astype(int)
+    two = rng.integers(-2048, 2048, size=(3000, 2))
+    two[:, 1] = np.clip(two[:, 1] // 3 + one[:3000], -2048, 2047)
+    records = {"one": (1, one.tolist()), "two": (2, two.ravel().tolist())}
+    anns = tmp_path / "r.csv"
+    # 30 is cut off at the start, 3990 (and 2900 in the 3,000-sample record) at the
+    # end; Q is folded to Other and dropped
+    anns.write_text("# sample,label\n30,N\n500,N\n900,V\n\n1300,A\n1700,Q\n2100,L\n"
+                    "2500,/\n2900,R\n3990,N\n")
+    got = {}
+    for name, (n_sig, samples) in records.items():
+        (tmp_path / f"{name}.dat").write_bytes(_pack_212(samples))
+        (tmp_path / f"{name}.hea").write_text(
+            f"{name} {n_sig} 360 {len(samples) // n_sig}\n"
+            + f"{name}.dat 212 200 11 1024 0 0 0 ch\n" * n_sig)
+        for channel in range(n_sig):
+            out = tmp_path / f"{name}{channel}.csv"
+            status = run_command(["ingest", "--record", str(tmp_path / f"{name}.hea"),
+                                  "--annotations", str(anns), "--channel", str(channel),
+                                  "--out", str(out)])
+            assert status == 0, capsys.readouterr().err
+            summary = json.loads(capsys.readouterr().out)
+            assert (summary["beats"], summary["skipped"]) == {"one": (6, 2),
+                                                              "two": (5, 3)}[name]
+            got[name, channel] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == RECORD_CSV_SHA256
 
 
 # --- annotations -------------------------------------------------------------
@@ -160,37 +216,36 @@ def test_read_annotations_parse_error_line_number():
 def _record(n=3000, fs=360.0):
     rng = np.random.default_rng(0)
     ch = rng.integers(-500, 500, size=n)
-    return EcgRecord(record_id="t", sampling_rate=fs,
-                     samples_per_channel=n, channels=[ch, ch.copy()])
+    return EcgRecord(record_id="t", sampling_rate=fs, channels=[ch, ch.copy()])
 
 
 def test_segment_window_arithmetic():
     rec = _record()
     anns = read_annotations("1000,N\n".splitlines())
-    segments, skipped = segment_beats(rec, anns, pre_s=0.25, post_s=0.45)
+    [beat], skipped = process_record(rec, anns, pre_s=0.25, post_s=0.45)
     assert skipped == 0
-    values, label, index = segments[0]
-    assert label == "N"
-    assert index == 1000
-    assert len(values) == 252  # [910, 1162)
-    np.testing.assert_array_equal(values, rec.channels[0][910:1162])
+    assert beat.label == "N"
+    assert beat.source == ("t", 1000)
+    # the beat is made from the 252 samples of [910, 1162)
+    np.testing.assert_array_equal(
+        beat.values, normalize_beat(resample_to_300(rec.channels[0][910:1162])))
 
 
 def test_segment_skips_out_of_bounds():
     rec = _record()
     anns = read_annotations("10,N\n2995,V\n1000,N\n".splitlines())
-    segments, skipped = segment_beats(rec, anns, 0.25, 0.45)
+    beats, skipped = process_record(rec, anns, 0.25, 0.45)
     assert skipped == 2
-    assert len(segments) == 1
+    assert len(beats) == 1
 
 
 def test_segment_count_conservation():
     rec = _record()
     anns = read_annotations("500,N\n1000,N\n1500,N\n2000,Other\n".splitlines())
-    segments, skipped = segment_beats(rec, anns, 0.25, 0.45)
+    beats, skipped = process_record(rec, anns, 0.25, 0.45)
     # Other is not a target class; the three N beats all fit
     assert skipped == 0
-    assert [s[1] for s in segments] == ["N", "N", "N"]
+    assert [b.label for b in beats] == ["N", "N", "N"]
 
 
 # --- resampling + normalization ----------------------------------------------
